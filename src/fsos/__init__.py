@@ -8,7 +8,6 @@ from .autodiff import (
     Tape,
     TapeError,
     Tensor,
-    apply_primitive,
     backward,
     gradient_check,
 )

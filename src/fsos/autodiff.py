@@ -18,7 +18,7 @@ import numpy as np
 
 
 class PrimitiveError(ValueError):
-    """Bad shapes or an unknown kind passed to a primitive."""
+    """Bad shapes passed to a primitive."""
 
     def __init__(self, primitive, detail):
         self.primitive = primitive
@@ -493,28 +493,6 @@ def reshape(x, shape):
         return (g.reshape(xd.shape),)
 
     return _finish("reshape", (x,), out, backward_fn)
-
-
-_PRIMITIVES = {
-    "affine": affine,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "softmax_xent": softmax_xent,
-    "bce": bce,
-    "squared_distance": squared_distance,
-    "mean_rows": mean_rows,
-    "conv3x3_pool": conv3x3_pool,
-    "dot": dot,
-    "scale_shift": scale_shift,
-}
-
-
-def apply_primitive(kind, *inputs):
-    """Dispatch a primitive by kind name; unknown kinds are an error."""
-    fn = _PRIMITIVES.get(kind)
-    if fn is None:
-        raise PrimitiveError(kind, f"unknown primitive kind {kind!r}")
-    return fn(*inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,9 @@ class BackboneSpec:
 
     @staticmethod
     def from_dict(d):
+        missing = sorted({"input_kind", "input_shape", "blocks"} - set(d))
+        if missing:
+            raise SpecError(f"backbone spec is missing {missing}")
         return BackboneSpec(d["input_kind"], tuple(d["input_shape"]), tuple(
             (k, v) for k, v in d["blocks"]
         ))
@@ -213,13 +216,20 @@ def _run_block(kind, block, h):
     return scale_shift(pooled, block["gamma"], block["beta"])
 
 
-def _forward(params, x, last_block):
+def trunk_features(params, x):
+    """Output of the shared trunk for x, ready for any last block."""
     spec = params.spec
     h, single = _coerce_input(spec, x)
     for (kind, _), block in zip(spec.blocks[:-1], params.trunk):
         h = _run_block(kind, block, h)
-    h = _run_block(spec.blocks[-1][0], last_block, h)
-    if spec.input_kind == "image":
+    return h, single
+
+
+def last_block(params, features, block):
+    """Finish an embedding from trunk_features with the head or branch block."""
+    h, single = features
+    h = _run_block(params.spec.blocks[-1][0], block, h)
+    if params.spec.input_kind == "image":
         h = reshape(h, (params.embed_dim,) if single else (-1, params.embed_dim))
     return h
 
@@ -253,16 +263,21 @@ def from_param_groups(spec, groups):
 
 def embed(params, x):
     """Main embedding f(x): trunk then head block, flattened to embed_dim."""
-    return _forward(params, x, params.head)
+    return last_block(params, trunk_features(params, x), params.head)
 
 
 def embed_branch(params, x):
     """One-class branch embedding: shared trunk, branch copy of the last block."""
-    return _forward(params, x, params.branch)
+    return last_block(params, trunk_features(params, x), params.branch)
+
+
+def project(params, main_embedding):
+    """Dense map of main embeddings into the projected one-class space."""
+    if params.projection is None:
+        raise SpecError("projection parameters are not initialized")
+    return affine(main_embedding, params.projection["W"], params.projection["b"])
 
 
 def embed_projected(params, x):
     """Projected one-class embedding: dense map applied to the main embedding."""
-    if params.projection is None:
-        raise SpecError("projection parameters are not initialized")
-    return affine(embed(params, x), params.projection["W"], params.projection["b"])
+    return project(params, embed(params, x))

@@ -15,10 +15,11 @@ from pathlib import Path
 
 from . import __version__, metabce, ocml
 from .backbone import BackboneSpec, from_param_groups, to_param_groups
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DatasetError, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .episodes import (
     EpisodeConfig,
+    EpisodeError,
     MetaBceGate,
     OcmlGate,
     ThresholdGate,
@@ -109,7 +110,6 @@ SCHEMAS = {
         "episodes": Option(10000, int, help="number of evaluation episodes"),
         "seed": Option(0, int),
         "partition": Option("meta_test", str, choices=("meta_val", "meta_test")),
-        "workers": Option(1, int),
         "calib_episodes": Option(200, int, help="threshold calibration episodes"),
     },
     "ablate": {
@@ -127,7 +127,6 @@ SCHEMAS = {
         "train_episodes": Option(0, int, help="0 uses the method default"),
         "eval_episodes": Option(200, int),
         "seed": Option(0, int),
-        "workers": Option(1, int),
     },
     "report": {
         "inputs": Option(None, str, required=True, help="comma-separated report JSONs"),
@@ -227,6 +226,8 @@ def save_pipeline_checkpoint(path, params, heads, meta):
 
 def load_pipeline_checkpoint(path):
     header, groups = load_checkpoint(path)
+    if not isinstance(header, dict) or not isinstance(header.get("backbone_spec"), dict):
+        raise CheckpointError(f"checkpoint {path} has no backbone_spec object in its header")
     spec = BackboneSpec.from_dict(header["backbone_spec"])
     backbone_groups = [(g, p) for g, p in groups if g not in ("mbce", "ocml")]
     params = from_param_groups(spec, backbone_groups)
@@ -404,7 +405,6 @@ def cmd_eval(settings):
         settings["episodes"],
         settings["seed"],
         partition=settings["partition"],
-        workers=settings["workers"],
         collect_records=bool(settings["records_csv"]),
     )
     report.config.update(extra)
@@ -445,7 +445,6 @@ def cmd_ablate(settings):
     train_cfg = EpisodeConfig(n=settings["n"], k=settings["k"], q=10, n_unknown=0)
     grid = settings["grid"]
     m_eval = settings["eval_episodes"]
-    workers = settings["workers"]
     test_size = len(dataset.split.meta_test)
 
     def openset_cfg(n_way, k):
@@ -474,9 +473,7 @@ def cmd_ablate(settings):
             gate = OcmlGate(result.head)
             for k in settings["k_values"]:
                 cfg = EpisodeConfig(n=1, k=k, q=settings["q"], n_unknown=1)
-                rep = evaluate_oneclass(
-                    base_params, gate, dataset, cfg, m_eval, seed, workers=workers
-                )
+                rep = evaluate_oneclass(base_params, gate, dataset, cfg, m_eval, seed)
                 for metric in curves:
                     s = rep.metrics[metric]
                     curves[metric].append([arch_name, k, repr(s.mean), repr(s.ci)])
@@ -507,9 +504,7 @@ def cmd_ablate(settings):
             k = value if axis == "k" else settings["k"]
             cfg = openset_cfg(n_way, k)
             for name, gate, params in gates:
-                rep = evaluate_openset(
-                    params, gate, dataset, cfg, m_eval, seed, workers=workers
-                )
+                rep = evaluate_openset(params, gate, dataset, cfg, m_eval, seed)
                 for metric in metric_names:
                     s = rep.metrics[metric]
                     curves[metric].append([name, value, repr(s.mean), repr(s.ci)])
@@ -524,9 +519,7 @@ def cmd_ablate(settings):
             result = train("mbce", variant=variant)
             gate = MetaBceGate(result.head)
             cfg = openset_cfg(settings["n"], settings["k"])
-            rep = evaluate_openset(
-                result.params, gate, dataset, cfg, m_eval, seed, workers=workers
-            )
+            rep = evaluate_openset(result.params, gate, dataset, cfg, m_eval, seed)
             for metric in ("accuracy", "na", "f1_open", "auroc"):
                 s = rep.metrics[metric]
                 rows.append([variant, metric, repr(s.mean), repr(s.ci)])
@@ -542,6 +535,29 @@ def cmd_ablate(settings):
 _SHAPE_KEYS = ("task", "n", "k", "q", "n_unknown", "m_episodes", "partition")
 
 
+def _read_report(path):
+    """A report JSON as EvaluationReport.write_json writes it: a config object
+    and metric cells holding numeric mean and ci."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    ok = (
+        isinstance(doc, dict)
+        and isinstance(doc.get("config"), dict)
+        and isinstance(doc.get("metrics"), dict)
+        and all(
+            isinstance(cell, dict)
+            and all(isinstance(cell.get(key), (int, float)) for key in ("mean", "ci"))
+            for cell in doc["metrics"].values()
+        )
+    )
+    if not ok:
+        raise EpisodeError(
+            f"{path} is not an evaluation report: needs 'config' and 'metrics' objects, "
+            "each metric with a numeric mean and ci"
+        )
+    return doc
+
+
 def cmd_report(settings):
     paths = [p for p in settings["inputs"].split(",") if p]
     if not paths:
@@ -550,10 +566,7 @@ def cmd_report(settings):
         _require_file(p, "report JSON")
     if settings["out_csv"]:
         _require_out_dir(settings["out_csv"], "the comparison CSV")
-    reports = []
-    for p in paths:
-        with open(p) as fh:
-            reports.append((Path(p).name, json.load(fh)))
+    reports = [(Path(p).name, _read_report(p)) for p in paths]
     shape0 = {k: reports[0][1]["config"].get(k) for k in _SHAPE_KEYS}
     for name, rep in reports[1:]:
         shape = {k: rep["config"].get(k) for k in _SHAPE_KEYS}
@@ -566,6 +579,10 @@ def cmd_report(settings):
     header = ["report", "gate"] + [f"{m}" for m in metric_names]
     rows = []
     for name, rep in reports:
+        if sorted(rep["metrics"]) != metric_names:
+            raise EpisodeError(
+                f"report {name} holds metrics {sorted(rep['metrics'])}, expected {metric_names}"
+            )
         row = [name, rep["config"].get("gate", "")]
         for m in metric_names:
             cell = rep["metrics"][m]

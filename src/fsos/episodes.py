@@ -4,12 +4,11 @@ Episodes draw n support classes and n_U unknown classes (disjoint, without
 replacement) from one meta-split partition; examples are drawn without
 replacement within each class. Every stochastic step derives its generator
 from (seed, stream, index), so training runs, evaluations, and reports are
-reproducible bit for bit. Evaluation may fan episodes out to worker threads;
-per-episode results are merged in index order, so the output is identical to
-a serial run.
+reproducible bit for bit. Every evaluator and validator scores an episode
+through protonet.ScoredEpisode, so each episode is embedded once and the
+gates read the same features as the closed-set classifier.
 """
 
-import concurrent.futures
 import csv
 import json
 from dataclasses import dataclass, field
@@ -17,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metabce, metrics, ocml, protonet
-from .autodiff import Tape, backward, row_block_mean
-from .backbone import add_projection, embed, init_backbone
+from .autodiff import Tape, backward
+from .backbone import add_projection, init_backbone
 from .metrics import UNKNOWN
 from .optim import make_optimizer
 
@@ -178,10 +177,12 @@ def _eval_classes(dataset, partition):
 # known/unknown gates
 
 
-def _support_prototypes(emb_flat, n, k):
-    """Per-class means from a class-ordered stack of support embeddings;
-    identical arithmetic to the grouped mean_rows primitive."""
-    return row_block_mean(emb_flat, n)
+def max_prob_decision(probs):
+    """Decision rule of both one-class heads over [m, n] per-class known
+    probabilities: score = max_c p_c, and a query is known when score >= 0.5
+    (p_unknown = 1 - score, so a tie at 0.5 resolves to known)."""
+    score = probs.max(axis=1)
+    return score, score >= 0.5
 
 
 class MetaBceGate:
@@ -192,15 +193,12 @@ class MetaBceGate:
     def __init__(self, head):
         self.head = head
 
-    def judge(self, params, episode, queries_flat):
-        n, k = episode.n, episode.k
-        dim = episode.support.shape[-1]
-        emb_s = metabce.oneclass_embed(self.head, params, episode.support.reshape(n * k, dim))
-        protos = _support_prototypes(emb_s.data, n, k)
-        emb_q = metabce.oneclass_embed(self.head, params, queries_flat).data
-        probs = np.atleast_2d(metabce.prob_known(self.head, emb_q, protos))
-        score = probs.max(axis=1)
-        return score, score >= 0.5
+    def judge(self, scored):
+        space = self.head.variant
+        probs = metabce.prob_known(
+            self.head, scored.embeddings(space)[1], scored.prototypes(space)
+        )
+        return max_prob_decision(probs)
 
 
 class OcmlGate:
@@ -211,16 +209,9 @@ class OcmlGate:
     def __init__(self, transfer):
         self.transfer = transfer
 
-    def judge(self, params, episode, queries_flat):
-        n, k = episode.n, episode.k
-        dim = episode.support.shape[-1]
-        emb_s = embed(params, episode.support.reshape(n * k, dim)).data
-        protos = _support_prototypes(emb_s, n, k)
-        weights = ocml.generate_weight(self.transfer, protos).data
-        emb_q = embed(params, queries_flat).data
-        probs = np.atleast_2d(ocml.prob_known(weights, emb_q))
-        score = probs.max(axis=1)
-        return score, score >= 0.5
+    def judge(self, scored):
+        weights = ocml.generate_weight(self.transfer, scored.prototypes()).data
+        return max_prob_decision(ocml.prob_known(weights, scored.embeddings()[1]))
 
 
 class ThresholdGate:
@@ -232,13 +223,8 @@ class ThresholdGate:
     def __init__(self, baseline):
         self.baseline = baseline
 
-    def judge(self, params, episode, queries_flat):
-        n, k = episode.n, episode.k
-        dim = episode.support.shape[-1]
-        emb_s = embed(params, episode.support.reshape(n * k, dim)).data
-        protos = _support_prototypes(emb_s, n, k)
-        emb_q = embed(params, queries_flat).data
-        dmin = protonet.pairwise_sq_distances(emb_q, protos).min(axis=1)
+    def judge(self, scored):
+        dmin = scored.nearest_distance
         return -dmin, dmin <= self.baseline.tau
 
 
@@ -317,20 +303,28 @@ class TrainResult:
 METHODS = ("protonet", "mbce", "ocml_joint", "ocml_frozen")
 
 
+def _truth(ep):
+    """True labels of an episode's stacked queries: known, then UNKNOWN."""
+    known = np.repeat(np.array(ep.known_class_ids, dtype=np.int64), ep.q)
+    return np.concatenate([known, np.full(ep.n_U * ep.q, UNKNOWN)])
+
+
+def _gated(gate, scored):
+    """(truth, final label, score) of the stacked queries: the gate decides
+    known or unknown, the closed-set classifier labels the known ones."""
+    score, is_known = gate.judge(scored)
+    final = np.where(is_known, scored.closed_predictions, UNKNOWN)
+    return _truth(scored.episode), final, score
+
+
 def _closed_accuracy(params, dataset, classes, cfg, episodes, seed, stream=_VAL_STREAM):
     correct, total = 0, 0
     for i in range(episodes):
         ep = sample_episode(dataset, classes, cfg, _episode_rng(seed, stream, i))
-        dim = ep.support.shape[-1]
-        emb_s = embed(params, ep.support.reshape(ep.n * ep.k, dim)).data
-        protos = protonet.prototypes(
-            {cid: emb_s.reshape(ep.n, ep.k, -1)[i_] for i_, cid in enumerate(ep.known_class_ids)}
-        )
-        emb_q = embed(params, ep.query_known.reshape(-1, dim)).data
-        pred = protonet.predict_closed(emb_q, protos)
-        truth = np.repeat(np.array(ep.known_class_ids), ep.q)
-        correct += int(np.sum(pred == truth))
-        total += truth.size
+        scored = protonet.ScoredEpisode(params, ep)
+        known = slice(0, scored.n_known)
+        correct += int(np.sum(scored.closed_predictions[known] == _truth(ep)[known]))
+        total += scored.n_known
     return correct / total
 
 
@@ -347,25 +341,7 @@ def _gate_val_na(gate, params, dataset, classes, k, episodes, seed, stream=_VAL_
     nas = []
     for i in range(episodes):
         ep = sample_episode(dataset, classes, cfg, _episode_rng(seed, stream, i))
-        dim = ep.support.shape[-1]
-        emb_s = embed(params, ep.support.reshape(-1, dim)).data
-        protos = protonet.prototypes(
-            {cid: emb_s.reshape(ep.n, ep.k, -1)[j] for j, cid in enumerate(ep.known_class_ids)}
-        )
-        queries = np.vstack(
-            [ep.query_known.reshape(-1, dim), ep.query_unknown.reshape(-1, dim)]
-        )
-        emb_q = embed(params, queries).data
-        closed = protonet.predict_closed(emb_q, protos)
-        truth = np.concatenate(
-            [
-                np.repeat(np.array(ep.known_class_ids, dtype=np.int64), ep.q),
-                np.full(ep.n_U * ep.q, UNKNOWN),
-            ]
-        )
-        score, is_known = gate.judge(params, ep, queries)
-        final = np.where(is_known, closed, UNKNOWN)
-        triple = (truth, final, score)
+        triple = _gated(gate, protonet.ScoredEpisode(params, ep))
         nas.append(metrics.normalized_accuracy(metrics.aks(triple), metrics.aus(triple)))
     return float(np.mean(nas))
 
@@ -591,16 +567,30 @@ def _aggregate(task, config, seed, m, names, per_episode, records):
     return EvaluationReport(task, config, seed, m, summaries, per_episode, degenerate, records)
 
 
-def _run_indexed(worker, m, workers):
-    results = [None] * m
-    if workers and workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, value in zip(range(m), pool.map(worker, range(m))):
-                results[idx] = value
-    else:
-        for i in range(m):
-            results[i] = worker(i)
-    return results
+def _evaluate(task, params, gate, dataset, cfg, m_episodes, seed, partition,
+              collect_records, score_row):
+    """Score m_episodes evaluation episodes in index order and aggregate.
+
+    score_row maps a ScoredEpisode to (metric row, (truth, pred, score)).
+    """
+    if m_episodes < 1:
+        raise EpisodeError("m_episodes must be >= 1")
+    classes = _eval_classes(dataset, partition)
+    per_episode, records = [], []
+    for i in range(m_episodes):
+        ep = sample_episode(dataset, classes, cfg, _episode_rng(seed, _EVAL_STREAM, i))
+        row, triple = score_row(protonet.ScoredEpisode(params, ep))
+        per_episode.append({"episode_id": i, **row})
+        if collect_records:
+            records.append((i, metrics.records_from_arrays(*triple)))
+    config = {
+        "task": task,
+        "partition": partition,
+        "gate": gate.name,
+        **cfg.as_dict(),
+        "m_episodes": m_episodes,
+    }
+    return _aggregate(task, config, seed, m_episodes, list(row), per_episode, records)
 
 
 def evaluate_oneclass(
@@ -611,7 +601,6 @@ def evaluate_oneclass(
     m_episodes,
     seed,
     partition="meta_test",
-    workers=1,
     collect_records=False,
 ):
     """One-class protocol: 1-way k-shot support, q known + q-per-unknown-class
@@ -620,45 +609,21 @@ def evaluate_oneclass(
         raise EpisodeError(f"one-class evaluation requires n=1, got n={cfg.n}")
     if cfg.n_unknown < 1:
         raise EpisodeError("one-class evaluation needs at least one unknown class")
-    if m_episodes < 1:
-        raise EpisodeError("m_episodes must be >= 1")
-    classes = _eval_classes(dataset, partition)
 
-    def worker(i):
-        ep = sample_episode(dataset, classes, cfg, _episode_rng(seed, _EVAL_STREAM, i))
-        dim = ep.support.shape[-1]
-        queries = np.vstack(
-            [ep.query_known.reshape(-1, dim), ep.query_unknown.reshape(-1, dim)]
-        )
-        score, is_known = gate.judge(params, ep, queries)
-        cid = ep.known_class_ids[0]
-        truth = np.concatenate(
-            [np.full(ep.q, cid, dtype=np.int64), np.full(ep.n_U * ep.q, UNKNOWN)]
-        )
-        pred = np.where(is_known, cid, UNKNOWN)
+    def score_row(scored):
+        score, is_known = gate.judge(scored)
+        truth = _truth(scored.episode)
+        pred = np.where(is_known, scored.episode.known_class_ids[0], UNKNOWN)
         triple = (truth, pred, score)
         row = {
-            "episode_id": i,
             "accuracy": float(np.mean((truth != UNKNOWN) == is_known)),
             "f1": metrics.binary_f1(triple),
             "auroc": metrics.auroc(triple),
         }
-        recs = metrics.records_from_arrays(truth, pred, score) if collect_records else None
-        return row, recs
+        return row, triple
 
-    results = _run_indexed(worker, m_episodes, workers)
-    per_episode = [r[0] for r in results]
-    records = [(i, r[1]) for i, r in enumerate(results) if r[1] is not None]
-    config = {
-        "task": "oneclass",
-        "partition": partition,
-        "gate": gate.name,
-        **cfg.as_dict(),
-        "m_episodes": m_episodes,
-    }
-    return _aggregate(
-        "oneclass", config, seed, m_episodes, ["accuracy", "f1", "auroc"], per_episode, records
-    )
+    return _evaluate("oneclass", params, gate, dataset, cfg, m_episodes, seed, partition,
+                     collect_records, score_row)
 
 
 def evaluate_openset(
@@ -669,7 +634,6 @@ def evaluate_openset(
     m_episodes,
     seed,
     partition="meta_test",
-    workers=1,
     collect_records=False,
 ):
     """Open-set protocol: ungated closed-set accuracy, gated AKS/AUS/NA,
@@ -680,56 +644,22 @@ def evaluate_openset(
     """
     if cfg.n_unknown < 1:
         raise EpisodeError("open-set evaluation needs n_unknown >= 1")
-    if m_episodes < 1:
-        raise EpisodeError("m_episodes must be >= 1")
-    classes = _eval_classes(dataset, partition)
 
-    def worker(i):
-        ep = sample_episode(dataset, classes, cfg, _episode_rng(seed, _EVAL_STREAM, i))
-        n, k, q, dim = ep.n, ep.k, ep.q, ep.support.shape[-1]
-        emb_s = embed(params, ep.support.reshape(n * k, dim)).data
-        protos = protonet.prototypes(
-            {cid: emb_s.reshape(n, k, -1)[j] for j, cid in enumerate(ep.known_class_ids)}
-        )
-        queries = np.vstack(
-            [ep.query_known.reshape(-1, dim), ep.query_unknown.reshape(-1, dim)]
-        )
-        emb_q = embed(params, queries).data
-        closed_pred = protonet.predict_closed(emb_q, protos)
-        truth = np.concatenate(
-            [
-                np.repeat(np.array(ep.known_class_ids, dtype=np.int64), q),
-                np.full(ep.n_U * q, UNKNOWN),
-            ]
-        )
-        known_truth = truth != UNKNOWN
-        closed_acc = float(np.mean(closed_pred[known_truth] == truth[known_truth]))
-        score, is_known = gate.judge(params, ep, queries)
-        final = np.where(is_known, closed_pred, UNKNOWN)
-        triple = (truth, final, score)
+    def score_row(scored):
+        triple = _gated(gate, scored)
+        known = slice(0, scored.n_known)
+        closed = scored.closed_predictions[known] == triple[0][known]
         aks_v = metrics.aks(triple)
         aus_v = metrics.aus(triple)
         row = {
-            "episode_id": i,
-            "accuracy": closed_acc,
+            "accuracy": float(np.mean(closed)),
             "aks": aks_v,
             "aus": aus_v,
             "na": metrics.normalized_accuracy(aks_v, aus_v),
             "f1_open": metrics.f1_open(triple),
             "auroc": metrics.auroc(triple),
         }
-        recs = metrics.records_from_arrays(truth, final, score) if collect_records else None
-        return row, recs
+        return row, triple
 
-    results = _run_indexed(worker, m_episodes, workers)
-    per_episode = [r[0] for r in results]
-    records = [(i, r[1]) for i, r in enumerate(results) if r[1] is not None]
-    config = {
-        "task": "openset",
-        "partition": partition,
-        "gate": gate.name,
-        **cfg.as_dict(),
-        "m_episodes": m_episodes,
-    }
-    names = ["accuracy", "aks", "aus", "na", "f1_open", "auroc"]
-    return _aggregate("openset", config, seed, m_episodes, names, per_episode, records)
+    return _evaluate("openset", params, gate, dataset, cfg, m_episodes, seed, partition,
+                     collect_records, score_row)

@@ -10,8 +10,7 @@ embedding ("projected", the ablation variant that keeps the main branch).
 Meta-training minimizes binary cross-entropy over every (query, episode
 class) pair; negatives are the episode's other classes, so no background
 categories are needed. For n classes, a query is unknown when even its
-best-matching class rejects it: p_unknown = 1 - max_c p_c, with ties at 0.5
-resolved as known.
+best-matching class rejects it (episodes.max_prob_decision).
 """
 
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 
 from .autodiff import Tensor, bce, mean_rows, reshape, scale_shift, sigmoid, squared_distance
 from .backbone import embed_branch, embed_projected
+from .protonet import pairwise_sq_distances
 
 VARIANTS = ("branch", "projected")
 
@@ -62,10 +62,7 @@ def prob_known(head, query_embedding, prototype):
     if q.shape[-1] != p.shape[-1]:
         raise MetaBceError(f"embedding dim {q.shape[-1]} != prototype dim {p.shape[-1]}")
     single_q, single_p = q.ndim == 1, p.ndim == 1
-    q2 = q[None, :] if single_q else q
-    p2 = p[None, :] if single_p else p
-    diff = q2[:, None, :] - p2[None, :, :]
-    d = np.einsum("mnd,mnd->mn", diff, diff)
+    d = pairwise_sq_distances(np.atleast_2d(q), np.atleast_2d(p))
     t = float(head.t.data)
     probs = sigmoid(Tensor(-(d + t))).data
     if single_q and single_p:
@@ -75,18 +72,6 @@ def prob_known(head, query_embedding, prototype):
     if single_q:
         return probs[0]
     return probs
-
-
-def prob_unknown(head, query_embedding, prototypes):
-    """1 - max over per-class known probabilities; unknown wins only on
-    strict inequality with 0.5."""
-    p = np.asarray(prototypes, dtype=np.float64)
-    if p.size == 0:
-        raise MetaBceError("prob_unknown needs at least one prototype")
-    probs = prob_known(head, query_embedding, p if p.ndim == 2 else p[None, :])
-    probs = np.atleast_2d(probs)
-    p_u = 1.0 - probs.max(axis=1)
-    return float(p_u[0]) if np.asarray(query_embedding).ndim == 1 else p_u
 
 
 def episode_loss(head, params, episode):

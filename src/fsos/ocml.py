@@ -145,17 +145,6 @@ def prob_known(weight, query_embedding):
     return probs
 
 
-def prob_unknown(transfer, prototypes, query_embedding):
-    """1 - max over per-class probabilities, same decision rule as Meta-BCE."""
-    p = np.asarray(prototypes, dtype=np.float64)
-    if p.size == 0:
-        raise OcmlError("prob_unknown needs at least one prototype")
-    w = generate_weight(transfer, p if p.ndim == 2 else p[None, :])
-    probs = np.atleast_2d(prob_known(w, query_embedding))
-    p_u = 1.0 - probs.max(axis=1)
-    return float(p_u[0]) if np.asarray(query_embedding).ndim == 1 else p_u
-
-
 def episode_loss(transfer, params, episode):
     """Mean BCE over all (known query, episode class) pairs using
     sigmoid(w_c . f(x)) probabilities; prototypes come from the support set."""

@@ -1,75 +1,106 @@
-"""Prototypical-network closed-set classifier and the min-distance
-threshold baseline used as the open-set comparison point.
+"""Prototypical-network closed-set classifier, the min-distance threshold
+baseline used as the open-set comparison point, and the one per-episode
+scoring routine every evaluator, validator and gate reads.
 
-Closed-set logits are negative squared Euclidean distances to per-class
-prototypes; argmax ties break toward the lowest class id. The threshold
-baseline scores a query by its distance to the nearest prototype and accepts
-it as known when that distance is at most tau.
+ScoredEpisode runs the extractor's trunk once on an episode's support and
+once on its stacked queries (known, then unknown); main, branch and
+projected embeddings, their prototypes and the main-space distance matrix
+are derived from those trunk features the first time a reader asks. Closed-set
+logits are negative squared Euclidean distances to per-class prototypes;
+argmin ties break toward the lowest class id. The threshold baseline scores a
+query by its distance to the nearest prototype and accepts it as known when
+that distance is at most tau.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .autodiff import Tensor, mean_rows, row_block_mean, scale_shift, softmax_xent, squared_distance
-from .backbone import embed
+from .backbone import embed, last_block, project, trunk_features
 
 
 class ProtonetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Prototype:
-    class_id: int
-    vector: np.ndarray
-    k: int
-
-
-def prototypes(embeddings_by_class):
-    """Per-class mean embeddings, ordered by class id."""
-    protos = []
-    for cid in sorted(embeddings_by_class):
-        arr = np.asarray(embeddings_by_class[cid], dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] == 0:
-            raise ProtonetError(f"class {cid} has no embeddings")
-        protos.append(Prototype(int(cid), row_block_mean(arr)[0], arr.shape[0]))
-    if not protos:
-        raise ProtonetError("no classes given")
-    return protos
-
-
-def _proto_matrix(protos):
-    if not protos:
-        raise ProtonetError("no prototypes given")
-    return np.stack([p.vector for p in protos])
+def prototypes(support_embeddings, n):
+    """Per-class means [n, e] of a class-ordered [n * k, e] support stack."""
+    emb = np.asarray(support_embeddings, dtype=np.float64)
+    if emb.ndim != 2 or emb.shape[0] == 0 or n < 1 or emb.shape[0] % n:
+        raise ProtonetError(f"cannot split support embeddings {emb.shape} into {n} classes")
+    return row_block_mean(emb, n)
 
 
 def pairwise_sq_distances(queries, protos_matrix):
+    """Squared Euclidean distances [m, n] between query and prototype rows."""
     q = np.asarray(queries, dtype=np.float64)
-    single = q.ndim == 1
-    q2 = q[None, :] if single else q
-    if q2.shape[1] != protos_matrix.shape[1]:
-        raise ProtonetError(
-            f"query dim {q2.shape[1]} != prototype dim {protos_matrix.shape[1]}"
+    if q.shape[1] != protos_matrix.shape[1]:
+        raise ProtonetError(f"query dim {q.shape[1]} != prototype dim {protos_matrix.shape[1]}")
+    diff = q[:, None, :] - protos_matrix[None, :, :]
+    return np.einsum("mnd,mnd->mn", diff, diff)
+
+
+def predict_closed(distances, class_ids):
+    """Class id of the nearest prototype per query row; the columns of the
+    [m, n] distances follow class_ids, and ties go to the lowest class id."""
+    ids = np.asarray(class_ids)
+    order = np.argsort(ids, kind="stable")
+    return ids[order][np.argmin(distances[:, order], axis=1)]
+
+
+class ScoredEpisode:
+    """One episode embedded once; every derived quantity is computed on
+    first use and shared by the closed-set classifier and the gates."""
+
+    def __init__(self, params, episode):
+        self.params = params
+        self.episode = episode
+        self.n = episode.n
+        dim = episode.support.shape[-1]
+        queries = np.vstack(
+            [episode.query_known.reshape(-1, dim), episode.query_unknown.reshape(-1, dim)]
         )
-    diff = q2[:, None, :] - protos_matrix[None, :, :]
-    d = np.einsum("mnd,mnd->mn", diff, diff)
-    return d[0] if single else d
+        self.n_known = episode.n * episode.q
+        self._features = (
+            trunk_features(params, episode.support.reshape(-1, dim)),
+            trunk_features(params, queries),
+        )
+        self._spaces = {}
+        self._prototypes = {}
 
+    def embeddings(self, space="main"):
+        """(support [n * k, e], queries [m, e]) in the "main", "branch" or
+        "projected" space."""
+        if space not in self._spaces:
+            if space == "projected":
+                pair = tuple(project(self.params, e).data for e in self.embeddings("main"))
+            else:
+                block = {"main": self.params.head, "branch": self.params.branch}[space]
+                pair = tuple(last_block(self.params, f, block).data for f in self._features)
+            self._spaces[space] = pair
+        return self._spaces[space]
 
-def closed_logits(query_embedding, protos):
-    """Negative squared distance to each prototype, prototype order."""
-    return -pairwise_sq_distances(query_embedding, _proto_matrix(protos))
+    def prototypes(self, space="main"):
+        """Per-class prototypes [n, e] in the given space, episode class order."""
+        if space not in self._prototypes:
+            self._prototypes[space] = prototypes(self.embeddings(space)[0], self.n)
+        return self._prototypes[space]
 
+    @cached_property
+    def distances(self):
+        """Main-space squared distances [m, n]; closed logits are their negation."""
+        return pairwise_sq_distances(self.embeddings()[1], self.prototypes())
 
-def predict_closed(query_embedding, protos):
-    """Argmax class ids; np.argmax keeps the first (lowest-id) max on ties."""
-    logits = closed_logits(query_embedding, protos)
-    ids = np.array([p.class_id for p in protos])
-    if logits.ndim == 1:
-        return int(ids[int(np.argmax(logits))])
-    return ids[np.argmax(logits, axis=1)]
+    @cached_property
+    def nearest_distance(self):
+        """Threshold-baseline score per query: distance to the nearest prototype."""
+        return self.distances.min(axis=1)
+
+    @cached_property
+    def closed_predictions(self):
+        return predict_closed(self.distances, self.episode.known_class_ids)
 
 
 def episode_loss(params, episode):
@@ -85,12 +116,6 @@ def episode_loss(params, episode):
     logits = scale_shift(d, Tensor(-1.0), Tensor(0.0))
     labels = Tensor(np.repeat(np.arange(n), q).astype(np.float64))
     return softmax_xent(logits, labels)
-
-
-def threshold_score(query_embedding, protos):
-    """Distance to the nearest prototype; higher means more unknown."""
-    d = pairwise_sq_distances(query_embedding, _proto_matrix(protos))
-    return float(d.min()) if d.ndim == 1 else d.min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -130,14 +155,10 @@ def calibrate_threshold(params, episodes):
     """Calibrate tau on validation episodes in the main embedding space."""
     known_scores, unknown_scores = [], []
     for ep in episodes:
-        dim = ep.support.shape[-1]
-        emb_s = embed(params, ep.support.reshape(ep.n * ep.k, dim)).data
-        protos = row_block_mean(emb_s, ep.n)
-        qk = embed(params, ep.query_known.reshape(-1, dim)).data
-        known_scores.append(pairwise_sq_distances(qk, protos).min(axis=1))
+        scored = ScoredEpisode(params, ep)
+        known_scores.append(scored.nearest_distance[: scored.n_known])
         if ep.n_U:
-            qu = embed(params, ep.query_unknown.reshape(-1, dim)).data
-            unknown_scores.append(pairwise_sq_distances(qu, protos).min(axis=1))
+            unknown_scores.append(scored.nearest_distance[scored.n_known :])
     if not known_scores:
         raise ProtonetError("threshold calibration needs at least one episode")
     if not unknown_scores:

@@ -14,7 +14,7 @@ from conftest import random_composition
 import fsos.autodiff as ad
 from fsos import metabce, ocml
 from fsos.autodiff import Tensor, gradient_check
-from fsos.backbone import DEFAULT_VECTOR_SPEC, embed, init_backbone
+from fsos.backbone import DEFAULT_VECTOR_SPEC, init_backbone
 from fsos.cli import main as cli_main
 from fsos.data import SyntheticSpec, generate_synthetic
 from fsos.episodes import (
@@ -33,7 +33,7 @@ from fsos.episodes import (
     sample_episode,
 )
 from fsos.metrics import UNKNOWN, aks, auroc, f1_open, normalized_accuracy
-from fsos.protonet import closed_logits, prototypes
+from fsos.protonet import ScoredEpisode
 
 SEEDS = (1, 2, 3)
 EVAL_SEED = 20_000
@@ -274,19 +274,15 @@ def test_criterion_5_augmentation_no_degradation(bench):
     ]
 
     def logits_and_accuracy(params):
+        # closed logits are the negated main-space distances of the shared
+        # scoring routine, which every evaluator and gate reads
         logit_blobs, correct, total = [], 0, 0
         for ep in suite:
-            emb_s = embed(params, ep.support.reshape(-1, 32)).data
-            protos = prototypes(
-                {cid: emb_s.reshape(ep.n, ep.k, -1)[j] for j, cid in enumerate(ep.known_class_ids)}
-            )
-            emb_q = embed(params, ep.query_known.reshape(-1, 32)).data
-            logits = closed_logits(emb_q, protos)
-            logit_blobs.append(logits)
-            ids = np.array([p.class_id for p in protos])
-            pred = ids[np.argmax(logits, axis=1)]
+            scored = ScoredEpisode(params, ep)
+            logit_blobs.append(-scored.distances)
+            known = slice(0, scored.n_known)
             truth = np.repeat(np.array(ep.known_class_ids), ep.q)
-            correct += int(np.sum(pred == truth))
+            correct += int(np.sum(scored.closed_predictions[known] == truth))
             total += truth.size
         return logit_blobs, correct / total
 
@@ -311,7 +307,7 @@ def bench_openset(bench):
         out[seed] = {
             name: evaluate_openset(
                 params, gate, run.dataset, EpisodeConfig(n=5, k=5, q=15), M_BENCH,
-                EVAL_SEED, workers=4,
+                EVAL_SEED,
             )
             for name, gate, params in run.gates()
         }
@@ -339,7 +335,7 @@ def test_criterion_6_oneclass_auroc_floors(bench):
             for k, floor in ((5, 0.90), (1, 0.80)):
                 rep = evaluate_oneclass(
                     params, gate, run.dataset, EpisodeConfig(n=1, k=k, q=15),
-                    M_BENCH, EVAL_SEED, workers=4,
+                    M_BENCH, EVAL_SEED,
                 )
                 results[(seed, name, k)] = (rep.metrics["auroc"].mean, floor)
     ok = all(v >= floor for v, floor in results.values())
@@ -397,7 +393,6 @@ def _k_trend(run, gate, params, metric):
     for k in (1, 2, 5, 10):
         rep = evaluate_openset(
             params, gate, run.dataset, EpisodeConfig(n=5, k=k, q=15), 400, EVAL_SEED,
-            workers=4,
         )
         points.append((rep.metrics[metric].mean, rep.metrics[metric].ci))
     return points
@@ -503,7 +498,7 @@ def test_criterion_9_command_determinism(tmp_path):
             "eval", "--task=openset", "--head=ocml", f"--checkpoint={d}/oc.ckpt",
             f"--dataset={d}/ds.json", "--n=2", "--n_unknown=1", "--k=3",
             "--episodes=25", "--seed=6", f"--out={d}/rep.json",
-            f"--episode_csv={d}/rep.csv", f"--records_csv={d}/recs.csv", "--workers=3",
+            f"--episode_csv={d}/rep.csv", f"--records_csv={d}/recs.csv",
         ]) == 0
     for name in ("ds.json", "ds.bin", "pn.ckpt", "oc.ckpt", "loss.csv",
                  "rep.json", "rep.csv", "recs.csv"):

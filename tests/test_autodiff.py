@@ -9,7 +9,6 @@ from fsos.autodiff import (
     Tape,
     TapeError,
     Tensor,
-    apply_primitive,
     backward,
     gradient_check,
 )
@@ -87,13 +86,6 @@ def test_dot_pairwise_matches_vector_form():
     pair = ad.dot(Tensor(a), Tensor(b)).data
     assert pair.shape == (3, 2)
     assert abs(pair[1, 0] - float(ad.dot(Tensor(a[1]), Tensor(b[0])).data)) < 1e-12
-
-
-def test_apply_primitive_dispatch_and_unknown_kind():
-    out = apply_primitive("sigmoid", Tensor(0.0))
-    assert out.data == 0.5
-    with pytest.raises(PrimitiveError):
-        apply_primitive("convolve5x5", Tensor(0.0))
 
 
 def test_shape_errors_name_the_primitive():

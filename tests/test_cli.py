@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fsos.checkpoint import load_checkpoint, save_checkpoint
 from fsos.cli import main
 
 
@@ -124,15 +125,42 @@ def test_eval_reports_deterministic(workdir, tmp_path):
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
-def test_eval_workers_do_not_change_output(workdir, tmp_path):
-    base = [
-        "eval", "--task=openset", "--head=threshold", f"--checkpoint={workdir}/pn.ckpt",
-        f"--dataset={workdir}/ds.json", "--n=2", "--n_unknown=1", "--k=3",
-        "--episodes=12", "--seed=6",
-    ]
-    assert run(base + [f"--out={tmp_path}/s.json"]) == 0
-    assert run(base + [f"--out={tmp_path}/p.json", "--workers=4"]) == 0
-    assert (tmp_path / "s.json").read_bytes() == (tmp_path / "p.json").read_bytes()
+def _one_runtime_error(capsys):
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [runtime] "), err
+    return lines[0]
+
+
+def test_eval_checkpoint_without_backbone_spec_is_runtime_error(workdir, tmp_path, capsys):
+    header, groups = load_checkpoint(f"{workdir}/pn.ckpt")
+    del header["backbone_spec"]
+    save_checkpoint(f"{tmp_path}/bad.ckpt", header, groups)
+    code = run([
+        "eval", "--task=openset", "--head=threshold", f"--checkpoint={tmp_path}/bad.ckpt",
+        f"--dataset={workdir}/ds.json", "--n=2", "--n_unknown=1", "--episodes=2",
+        f"--out={tmp_path}/r.json",
+    ])
+    assert code == 2
+    assert "backbone_spec" in _one_runtime_error(capsys)
+
+
+_CELL = {"mean": 0.5, "ci": 0.1}
+
+
+@pytest.mark.parametrize("docs, reason", [
+    ([{"config": {"task": "openset"}}], "not an evaluation report"),
+    ([[{"config": {}, "metrics": {}}]], "not an evaluation report"),
+    ([{"config": {}, "metrics": {"na": _CELL}}, {"config": {}, "metrics": {"auroc": _CELL}}],
+     "holds metrics"),
+], ids=["without_metrics", "json_list", "metric_names_differ"])
+def test_report_rejects_malformed_report_json(tmp_path, capsys, docs, reason):
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(tmp_path / f"r{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    assert run(["report", "--inputs=" + ",".join(map(str, paths))]) == 2
+    assert reason in _one_runtime_error(capsys)
 
 
 def test_eval_emits_table_shaped_metrics(workdir, tmp_path, capsys):

@@ -8,6 +8,7 @@ from fsos.episodes import (
     EpisodeConfig,
     MetaBceGate,
     TrainSchedule,
+    max_prob_decision,
     run_meta_training,
     sample_episode,
     _episode_rng,
@@ -18,8 +19,8 @@ from fsos.metabce import (
     init_head,
     oneclass_embed,
     prob_known,
-    prob_unknown,
 )
+from fsos.protonet import ScoredEpisode
 
 
 def test_prob_known_spot_values():
@@ -56,23 +57,26 @@ def test_prob_known_dim_mismatch():
 def test_prob_unknown_complement_and_ties():
     head = init_head()
     protos = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 1.2]])
-    q = np.array([0.3, 0.1])
+    q = np.array([[0.3, 0.1]])
     probs = prob_known(head, q, protos)
-    p_u = prob_unknown(head, q, protos)
-    assert abs(p_u + probs.max() - 1.0) < 1e-15
-    # n=1 reduces to the one-class complement
-    single = prob_unknown(head, q, protos[:1])
-    assert abs(single + prob_known(head, q, protos[0]) - 1.0) < 1e-15
-    with pytest.raises(MetaBceError):
-        prob_unknown(head, q, np.zeros((0, 2)))
+    score, is_known = max_prob_decision(probs)
+    assert score[0] == probs.max()  # p_unknown = 1 - score
+    # n=1 reduces to the one-class probability
+    single, _ = max_prob_decision(prob_known(head, q, protos[:1]))
+    assert single[0] == prob_known(head, q[0], protos[0])
+    # d=0, t=0 gives exactly 0.5, and a tie at 0.5 resolves to known
+    tie, tie_known = max_prob_decision(prob_known(head, np.zeros((1, 2)), protos[:1]))
+    assert tie[0] == 0.5 and tie_known[0]
 
 
 def test_prob_unknown_duplicate_prototype_invariant():
     head = init_head()
     protos = np.array([[0.0, 0.0], [2.0, 0.0]])
     dup = np.vstack([protos, protos[1:]])
-    q = np.array([0.5, 0.5])
-    assert prob_unknown(head, q, protos) == prob_unknown(head, q, dup)
+    q = np.array([[0.5, 0.5]])
+    a = max_prob_decision(prob_known(head, q, protos))
+    b = max_prob_decision(prob_known(head, q, dup))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def _episode_of(x_by_class, k, q, dim):
@@ -190,8 +194,7 @@ def test_trained_head_separates_known_from_unknown(small_dataset, small_spec):
     for i in range(20):
         ep = sample_episode(small_dataset, small_dataset.split.meta_test, cfg,
                             _episode_rng(99, 2, i))
-        queries = np.vstack([ep.query_known.reshape(-1, 16), ep.query_unknown.reshape(-1, 16)])
-        score, _ = gate.judge(mb.params, ep, queries)
+        score, _ = gate.judge(ScoredEpisode(mb.params, ep))
         known_p.extend(score[: ep.q])
         unknown_p.extend(score[ep.q :])
     assert np.mean(known_p) > np.mean(unknown_p)

@@ -8,6 +8,7 @@ from fsos.episodes import (
     EpisodeConfig,
     OcmlGate,
     TrainSchedule,
+    max_prob_decision,
     run_meta_training,
     sample_episode,
     _episode_rng,
@@ -20,10 +21,10 @@ from fsos.ocml import (
     generate_weight,
     make_transfer_module,
     prob_known,
-    prob_unknown,
     transfer_from_group,
     transfer_to_group,
 )
+from fsos.protonet import ScoredEpisode
 
 
 def _identity_transfer(e):
@@ -73,15 +74,21 @@ def test_prob_known_scaling_moves_toward_saturation():
 def test_prob_unknown_complement_and_duplicates():
     g = _identity_transfer(2)
     protos = np.array([[1.0, 0.0], [-0.5, 0.2]])
-    q = np.array([0.7, 0.1])
+    q = np.array([[0.7, 0.1]])
+
+    def decide(ps):
+        return max_prob_decision(prob_known(generate_weight(g, ps).data, q))
+
     probs = prob_known(generate_weight(g, protos).data, q)
-    p_u = prob_unknown(g, protos, q)
-    assert abs(p_u + probs.max() - 1.0) < 1e-15
-    assert prob_unknown(g, np.vstack([protos, protos[:1]]), q) == p_u
-    single = prob_unknown(g, protos[:1], q)
-    assert abs(single + prob_known(generate_weight(g, protos[0]).data, q) - 1.0) < 1e-15
-    with pytest.raises(OcmlError):
-        prob_unknown(g, np.zeros((0, 2)), q)
+    score, _ = decide(protos)
+    assert score[0] == probs.max()  # p_unknown = 1 - score
+    dup_score, _ = decide(np.vstack([protos, protos[:1]]))
+    assert np.array_equal(dup_score, score)
+    single, _ = decide(protos[:1])
+    assert single[0] == prob_known(generate_weight(g, protos[0]).data, q[0])
+    # zero weights give exactly 0.5, and a tie at 0.5 resolves to known
+    tie, tie_known = max_prob_decision(prob_known(np.zeros((1, 2)), q))
+    assert tie[0] == 0.5 and tie_known[0]
 
 
 def test_architecture_menu_scales_reference_widths():
@@ -193,8 +200,7 @@ def test_trained_module_separates_known_from_unknown(small_dataset, small_spec):
     for i in range(20):
         ep = sample_episode(small_dataset, small_dataset.split.meta_test, cfg,
                             _episode_rng(98, 2, i))
-        queries = np.vstack([ep.query_known.reshape(-1, 16), ep.query_unknown.reshape(-1, 16)])
-        score, _ = gate.judge(pn.params, ep, queries)
+        score, _ = gate.judge(ScoredEpisode(pn.params, ep))
         known_s.extend(score[: ep.q])
         unknown_s.extend(score[ep.q :])
     assert np.mean(known_s) > np.mean(unknown_s)

@@ -6,60 +6,62 @@ from fsos.backbone import init_backbone
 from fsos.episodes import Episode, EpisodeConfig, sample_episode
 from fsos.protonet import (
     ProtonetError,
+    ScoredEpisode,
     ThresholdBaseline,
     calibrate_threshold,
-    closed_logits,
     episode_loss,
     pairwise_sq_distances,
     predict_closed,
     prototypes,
     scan_threshold,
-    threshold_score,
 )
 
 
 def test_prototypes_single_and_mean():
-    protos = prototypes({0: [[1.0, 3.0], [3.0, 5.0]], 7: [[2.0, 2.0]]})
-    assert [p.class_id for p in protos] == [0, 7]
-    assert np.array_equal(protos[0].vector, [2.0, 4.0])
-    assert np.array_equal(protos[1].vector, [2.0, 2.0])
-    assert protos[0].k == 2
+    protos = prototypes([[1.0, 3.0], [3.0, 5.0], [2.0, 2.0], [2.0, 2.0]], 2)
+    assert np.array_equal(protos, [[2.0, 4.0], [2.0, 2.0]])
+    assert np.array_equal(prototypes([[1.0, 3.0], [3.0, 5.0]], 1), [[2.0, 4.0]])
 
 
 def test_prototypes_permutation_invariant():
     rng = np.random.default_rng(0)
     emb = rng.normal(size=(6, 4))
-    p1 = prototypes({0: emb})[0].vector
-    p2 = prototypes({0: emb[::-1].copy()})[0].vector
+    p1 = prototypes(emb, 2)
+    p2 = prototypes(np.vstack([emb[2::-1], emb[:2:-1]]), 2)
     assert np.array_equal(p1, p2)
 
 
 def test_prototypes_empty_class_errors():
     with pytest.raises(ProtonetError):
-        prototypes({0: np.zeros((0, 3))})
+        prototypes(np.zeros((0, 3)), 1)
     with pytest.raises(ProtonetError):
-        prototypes({})
+        prototypes(np.zeros((5, 3)), 2)
+    with pytest.raises(ProtonetError):
+        prototypes(np.zeros((4, 3)), 0)
 
 
 def test_closed_logits_hand_values():
-    protos = prototypes({1: [[0.0, 0.0]], 2: [[10.0, 10.0]]})
-    logits = closed_logits(np.array([0.0, 0.0]), protos)
-    assert np.array_equal(logits, [0.0, -200.0])
-    assert predict_closed(np.array([0.0, 0.0]), protos) == 1
+    protos = prototypes([[0.0, 0.0], [10.0, 10.0]], 2)
+    d = pairwise_sq_distances(np.zeros((1, 2)), protos)
+    assert np.array_equal(-d, [[0.0, -200.0]])
+    assert predict_closed(d, (1, 2)).tolist() == [1]
 
 
 def test_closed_prediction_tie_breaks_to_lowest_id():
-    protos = prototypes({3: [[1.0, 0.0]], 8: [[-1.0, 0.0]]})
-    assert predict_closed(np.array([0.0, 0.0]), protos) == 3
+    # columns in episode order (8, 3); the query is equidistant from both
+    d = pairwise_sq_distances(np.zeros((1, 2)), np.array([[-1.0, 0.0], [1.0, 0.0]]))
+    assert d[0, 0] == d[0, 1]
+    assert predict_closed(d, (8, 3)).tolist() == [3]
+    assert predict_closed(d, (3, 8)).tolist() == [3]
 
 
 def test_closed_logits_translation_invariant():
     rng = np.random.default_rng(1)
-    emb = {0: rng.normal(size=(3, 4)), 1: rng.normal(size=(3, 4))}
-    q = rng.normal(size=4)
+    emb = rng.normal(size=(6, 4))
+    q = rng.normal(size=(1, 4))
     shift = rng.normal(size=4)
-    a = closed_logits(q, prototypes(emb))
-    b = closed_logits(q + shift, prototypes({c: v + shift for c, v in emb.items()}))
+    a = pairwise_sq_distances(q, prototypes(emb, 2))
+    b = pairwise_sq_distances(q + shift, prototypes(emb + shift, 2))
     assert np.allclose(a, b, atol=1e-9)
 
 
@@ -106,12 +108,17 @@ def test_episode_loss_nonnegative_and_trains(small_spec):
     assert params.head["W"].grad is not None
 
 
-def test_threshold_score_properties():
-    protos = prototypes({0: [[0.0, 0.0]], 1: [[4.0, 0.0]]})
-    assert threshold_score(np.array([0.0, 0.0]), protos) == 0.0
-    one = threshold_score(np.array([2.0, 2.0]), prototypes({0: [[0.0, 0.0]]}))
-    both = threshold_score(np.array([2.0, 2.0]), protos)
-    assert both <= one  # adding a prototype cannot raise the min
+def test_threshold_score_properties(small_spec):
+    params = init_backbone(small_spec, seed=3)
+    ep = _toy_episode(np.random.default_rng(4))
+    scored = ScoredEpisode(params, ep)
+    assert np.array_equal(scored.nearest_distance, scored.distances.min(axis=1))
+    assert np.all(scored.nearest_distance >= 0.0)
+    # adding a class (prototype) cannot raise the min; the two episodes embed
+    # different row counts, so allow for last-bit matmul differences
+    one = ScoredEpisode(params, Episode(ep.known_class_ids[:1], ep.unknown_class_ids,
+                                        ep.support[:1], ep.query_known[:1], ep.query_unknown))
+    assert np.all(scored.nearest_distance[: ep.q] <= one.nearest_distance[: ep.q] + 1e-9)
 
 
 def test_scan_threshold_separable_and_single_pair():

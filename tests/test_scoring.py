@@ -1,0 +1,116 @@
+"""The shared per-episode scoring path against a direct recomputation per
+gate: each gate embeds the episode itself and builds its own prototypes, and
+closed predictions come from per-class prototypes in class-id order. Every
+output must match bit for bit."""
+
+import numpy as np
+import pytest
+
+from fsos import metabce, ocml
+from fsos.autodiff import Tensor, row_block_mean
+from fsos.backbone import add_projection, embed, embed_branch, embed_projected, init_backbone
+from fsos.episodes import (
+    Episode,
+    EpisodeConfig,
+    MetaBceGate,
+    OcmlGate,
+    ThresholdGate,
+    _episode_rng,
+    sample_episode,
+)
+from fsos.protonet import ScoredEpisode, ThresholdBaseline
+
+
+@pytest.fixture(scope="module")
+def params(small_spec):
+    """Branch and projection moved off their initial copies of the head."""
+    p = add_projection(init_backbone(small_spec, seed=21))
+    rng = np.random.default_rng(21)
+    for block in (p.branch, p.projection):
+        for name, t in block.items():
+            block[name] = Tensor(t.data + 0.1 * rng.normal(size=t.data.shape))
+    return p
+
+
+def _episode(dataset, n):
+    cfg = EpisodeConfig(n=n, k=3, q=4, n_unknown=2 if n > 1 else 1)
+    return sample_episode(dataset, dataset.classes(), cfg, _episode_rng(22, 2, n))
+
+
+def _flat(ep):
+    dim = ep.support.shape[-1]
+    queries = np.vstack([ep.query_known.reshape(-1, dim), ep.query_unknown.reshape(-1, dim)])
+    return ep.support.reshape(-1, dim), queries
+
+
+def _sq_distances(q, p):
+    diff = q[:, None, :] - p[None, :, :]
+    return np.einsum("mnd,mnd->mn", diff, diff)
+
+
+def _recipe_protos(emb_s, ep):
+    return row_block_mean(emb_s, ep.n)
+
+
+def _recipe_closed(params, ep):
+    """Closed predictions as the evaluators made them: one prototype per
+    class, in class-id order, and argmax of the negated distances."""
+    support, queries = _flat(ep)
+    emb_s = embed(params, support).data
+    order = np.argsort(ep.known_class_ids)
+    protos = np.stack([row_block_mean(emb_s[j * ep.k : (j + 1) * ep.k])[0] for j in order])
+    logits = -_sq_distances(embed(params, queries).data, protos)
+    return np.array(ep.known_class_ids)[order][np.argmax(logits, axis=1)]
+
+
+def _recipe_judge(gate, params, ep):
+    support, queries = _flat(ep)
+    if isinstance(gate, MetaBceGate):
+        fn = embed_branch if gate.head.variant == "branch" else embed_projected
+        protos = _recipe_protos(fn(params, support).data, ep)
+        probs = np.atleast_2d(metabce.prob_known(gate.head, fn(params, queries).data, protos))
+    elif isinstance(gate, OcmlGate):
+        protos = _recipe_protos(embed(params, support).data, ep)
+        weights = ocml.generate_weight(gate.transfer, protos).data
+        probs = np.atleast_2d(ocml.prob_known(weights, embed(params, queries).data))
+    else:
+        protos = _recipe_protos(embed(params, support).data, ep)
+        dmin = _sq_distances(embed(params, queries).data, protos).min(axis=1)
+        return -dmin, dmin <= gate.baseline.tau
+    score = probs.max(axis=1)
+    return score, score >= 0.5
+
+
+def _gates(params, ep):
+    branch, projected = metabce.init_head("branch"), metabce.init_head("projected")
+    branch.t.data = np.asarray(-1.5)
+    projected.t.data = np.asarray(-1.5)
+    transfer = ocml.make_transfer_module(params.embed_dim, seed=2, init_scale=1.0)
+    support, queries = _flat(ep)
+    protos = _recipe_protos(embed(params, support).data, ep)
+    tau = float(np.median(_sq_distances(embed(params, queries).data, protos).min(axis=1)))
+    return [MetaBceGate(branch), MetaBceGate(projected), OcmlGate(transfer),
+            ThresholdGate(ThresholdBaseline(tau))]
+
+
+@pytest.mark.parametrize("n", [3, 1], ids=["openset", "oneclass"])
+def test_gates_match_per_gate_recipe(small_dataset, params, n):
+    ep = _episode(small_dataset, n)
+    for gate in _gates(params, ep):
+        scored = ScoredEpisode(params, ep)
+        score, is_known = gate.judge(scored)
+        want_score, want_known = _recipe_judge(gate, params, ep)
+        assert np.array_equal(score, want_score), gate.name
+        assert np.array_equal(is_known, want_known), gate.name
+        assert 0 < is_known.sum() < is_known.size, gate.name  # both decisions occur
+        assert np.array_equal(scored.closed_predictions, _recipe_closed(params, ep))
+
+
+def test_distance_tie_resolves_to_lowest_class_id(small_dataset, params):
+    ep = _episode(small_dataset, 3)
+    # classes 9 and 4 share one support set, so every query ties between them
+    tied = Episode((9, 4), (), np.stack([ep.support[0], ep.support[0]]),
+                   ep.query_known[:2], np.zeros((0, ep.q, ep.support.shape[-1])))
+    scored = ScoredEpisode(params, tied)
+    assert np.array_equal(scored.distances[:, 0], scored.distances[:, 1])
+    assert scored.closed_predictions.tolist() == [4] * (2 * ep.q)
