@@ -7,9 +7,9 @@ loss depends on. Everything is float64 and deterministic.
 
 Primitive kinds: affine, relu, sigmoid, softmax_xent, bce, squared_distance,
 mean_rows, conv3x3_pool, dot, scale_shift. The distance/dot primitives also
-accept matrix operands (row-pairwise forms), mean_rows supports grouped row
-blocks, and scale_shift broadcasts scalar gamma/beta; these batched forms keep
-episode graphs to a handful of tape entries.
+accept matrix operands (row-pairwise forms), mean_rows always returns [g, d]
+means of g row blocks, and scale_shift broadcasts scalar gamma/beta; these
+batched forms keep episode graphs to a handful of tape entries.
 """
 
 import threading
@@ -58,12 +58,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    def item(self):
-        return float(self.data.reshape(-1)[0]) if self.data.size == 1 else self._item_err()
-
-    def _item_err(self):
-        raise ValueError(f"item() needs a scalar tensor, got shape {self.data.shape}")
 
     def accumulate_grad(self, g):
         if self.grad is None:
@@ -324,11 +318,9 @@ def row_block_mean(values, groups=1):
 
 
 def mean_rows(x, groups=1):
-    """Mean over rows of x[n, d] -> [d].
-
-    With groups=g (n divisible by g), means each consecutive block of n/g
-    rows independently -> [g, d]; used for per-class prototypes from a
-    class-ordered stack of embeddings.
+    """Means of consecutive row blocks: x[n, d] with n divisible by g ->
+    [g, d], each row the mean of its block of n/g rows. The per-class
+    prototypes of a class-ordered stack of embeddings; groups=1 gives [1, d].
     """
     x = as_tensor(x)
     xd = x.data
@@ -338,8 +330,7 @@ def mean_rows(x, groups=1):
     if groups < 1 or n % groups != 0:
         raise PrimitiveError("mean_rows", f"{n} rows not divisible into {groups} groups")
     block = n // groups
-    grouped = row_block_mean(xd, groups)
-    out = grouped[0] if groups == 1 else grouped
+    out = row_block_mean(xd, groups)
 
     def backward_fn(g):
         gm = g.reshape(groups, 1, d) / block

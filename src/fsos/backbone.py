@@ -4,7 +4,8 @@ The extractor is a stack of blocks (dense or conv). Its last block is the
 "head"; a shape-identical "branch" copy of that block provides the separate
 one-class feature space, and an optional dense projection maps main
 embeddings into a one-class space without a branch. The trunk (all blocks
-before the last) is shared by every embedding path.
+before the last) is shared by every embedding path. Inputs are rows
+[n, prod(input_shape)], as datasets store them; embeddings are [n, embed_dim].
 """
 
 from dataclasses import dataclass
@@ -190,23 +191,16 @@ def add_projection(params):
 
 
 def _coerce_input(spec, x):
+    """Input rows [n, prod(input_shape)], as datasets store them; image rows
+    are reshaped to [n, c, h, w]."""
     x = as_tensor(x)
     d = x.data
-    if spec.input_kind == "vector":
-        if d.shape[-1:] != spec.input_shape or d.ndim not in (1, 2):
-            raise SpecError(f"input shape {d.shape} does not match spec {spec.input_shape}")
-        return x, d.ndim == 1
-    if d.shape == spec.input_shape:
-        return x, True
-    if d.ndim == 4 and d.shape[1:] == spec.input_shape:
-        return x, False
-    # flat rows are accepted for image specs (datasets store flat vectors)
     flat = int(np.prod(spec.input_shape))
-    if d.shape[-1:] == (flat,) and d.ndim in (1, 2):
-        single = d.ndim == 1
-        shaped = d.reshape(spec.input_shape if single else (-1,) + spec.input_shape)
-        return Tensor(shaped, requires_grad=x.requires_grad), single
-    raise SpecError(f"input shape {d.shape} does not match spec {spec.input_shape}")
+    if d.ndim != 2 or d.shape[1] != flat:
+        raise SpecError(f"input must be rows [n, {flat}] for {spec.input_shape}, got {d.shape}")
+    if spec.input_kind == "vector":
+        return x
+    return Tensor(d.reshape((-1,) + spec.input_shape), requires_grad=x.requires_grad)
 
 
 def _run_block(kind, block, h):
@@ -217,20 +211,20 @@ def _run_block(kind, block, h):
 
 
 def trunk_features(params, x):
-    """Output of the shared trunk for x, ready for any last block."""
+    """Output of the shared trunk for input rows x, ready for any last block."""
     spec = params.spec
-    h, single = _coerce_input(spec, x)
+    h = _coerce_input(spec, x)
     for (kind, _), block in zip(spec.blocks[:-1], params.trunk):
         h = _run_block(kind, block, h)
-    return h, single
+    return h
 
 
-def last_block(params, features, block):
-    """Finish an embedding from trunk_features with the head or branch block."""
-    h, single = features
+def last_block(params, h, block):
+    """Finish embeddings [n, embed_dim] from trunk_features with the head or
+    branch block."""
     h = _run_block(params.spec.blocks[-1][0], block, h)
     if params.spec.input_kind == "image":
-        h = reshape(h, (params.embed_dim,) if single else (-1, params.embed_dim))
+        h = reshape(h, (-1, params.embed_dim))
     return h
 
 
@@ -244,20 +238,26 @@ def to_param_groups(params):
 
 def from_param_groups(spec, groups):
     """Rebuild BackboneParams from checkpoint groups (inverse of
-    to_param_groups)."""
+    to_param_groups). Group names, parameter names and shapes must be the
+    ones init_backbone gives the spec."""
     by_name = {g: dict(items) for g, items in groups}
-    n_trunk = len(spec.blocks) - 1
-    def block(name):
-        if name not in by_name:
-            raise SpecError(f"checkpoint is missing parameter group {name!r}")
-        return {
-            p: Tensor(np.array(a, dtype=np.float64), requires_grad=True)
-            for p, a in by_name[name].items()
-        }
-    trunk = [block(f"trunk{i}") for i in range(n_trunk)]
-    params = BackboneParams(spec, trunk, block("head"), block("branch"))
-    if "projection" in by_name:
-        params.projection = block("projection")
+    params = init_backbone(spec, 0, with_projection="projection" in by_name)
+    expected = params.named_groups()
+    unknown = sorted(set(by_name) - {g for g, _ in expected})
+    if unknown:
+        raise SpecError(f"checkpoint holds unknown parameter groups {unknown}")
+    for gname, items in expected:
+        if gname not in by_name:
+            raise SpecError(f"checkpoint is missing parameter group {gname!r}")
+        found, names = by_name[gname], [p for p, _ in items]
+        if sorted(found) != names:
+            raise SpecError(f"parameter group {gname!r} holds {sorted(found)}, expected {names}")
+        for p, t in items:
+            if np.shape(found[p]) != t.shape:
+                raise SpecError(
+                    f"parameter {gname}.{p} has shape {np.shape(found[p])}, expected {t.shape}"
+                )
+            t.data = np.array(found[p], dtype=np.float64, order="C")
     return params
 
 

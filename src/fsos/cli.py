@@ -59,6 +59,16 @@ def _parse_split(s):
     return tuple(int(tok) for tok in s.split("/"))
 
 
+def _parse_ocml_arch(text):
+    """Transfer-module middle width: None for "1layer", N for "mid<N>"."""
+    if text == "1layer":
+        return None
+    digits = text[3:] if text.startswith("mid") else ""
+    if not (digits.isascii() and digits.isdigit()) or int(digits) < 1:
+        raise ValueError(f"expected '1layer' or 'mid<N>' with N >= 1, got {text!r}")
+    return int(digits)
+
+
 SCHEMAS = {
     "generate": {
         "out": Option(None, str, required=True, help="manifest JSON path to write"),
@@ -93,7 +103,7 @@ SCHEMAS = {
         "val_episodes": Option(0, int),
         "seed": Option(0, int),
         "blocks": Option((64, 64), _parse_int_list, help="dense widths for a fresh backbone"),
-        "ocml_arch": Option("1layer", str, help="1layer or mid<N> transfer module"),
+        "ocml_arch": Option(None, _parse_ocml_arch, help="1layer or mid<N> transfer module"),
     },
     "eval": {
         "task": Option(None, str, choices=("oneclass", "openset"), required=True),
@@ -277,14 +287,6 @@ def _resolve_schedule(settings, method):
     )
 
 
-def _parse_ocml_arch(text, embed_dim):
-    if text == "1layer":
-        return None
-    if text.startswith("mid"):
-        return int(text[3:])
-    raise UsageError(f"ocml_arch must be '1layer' or 'mid<N>', got {text!r}")
-
-
 def cmd_train(settings):
     _require_file(settings["dataset"], "dataset manifest")
     _require_out_dir(settings["out"], "the checkpoint")
@@ -311,10 +313,6 @@ def cmd_train(settings):
     variant = "projected" if method == "mbce_projected" else "branch"
     schedule = _resolve_schedule(settings, method)
     cfg = EpisodeConfig(n=settings["n"], k=settings["k"], q=settings["q"], n_unknown=0)
-    middle = None
-    if train_method in ("ocml_frozen", "ocml_joint"):
-        embed_dim = base_params.embed_dim if base_params is not None else spec.embed_dim
-        middle = _parse_ocml_arch(settings["ocml_arch"], embed_dim)
 
     result = run_meta_training(
         train_method,
@@ -325,7 +323,7 @@ def cmd_train(settings):
         base_params=base_params,
         spec=spec,
         variant=variant,
-        transfer_middle=middle,
+        transfer_middle=settings["ocml_arch"],
     )
 
     heads = {}
@@ -456,9 +454,7 @@ def cmd_ablate(settings):
         return EpisodeConfig(n=n_way, k=k, q=settings["q"], n_unknown=n_unknown)
 
     def train(method, variant="branch", middle=None):
-        schedule = default_schedule(
-            "mbce" if method == "mbce" else method, settings["train_episodes"] or None
-        )
+        schedule = default_schedule(method, settings["train_episodes"] or None)
         return run_meta_training(
             method, dataset, train_cfg, schedule, seed=seed,
             base_params=base_params, variant=variant, transfer_middle=middle,

@@ -185,8 +185,37 @@ def save_dataset(dataset, manifest_path):
     return checksum
 
 
+# what load_dataset reads from a manifest: a type, [item type] or {key: type}
+_MANIFEST = {
+    "name": str, "payload": str, "checksum": str, "dim": int, "input_shape": [int],
+    "classes": [{"id": int, "count": int}],
+    "split": {"meta_train": [int], "meta_val": [int], "meta_test": [int]},
+}
+
+
+def _fits(value, form):
+    if isinstance(form, list):
+        return isinstance(value, list) and all(_fits(v, form[0]) for v in value)
+    if isinstance(form, dict):
+        return isinstance(value, dict) and all(_fits(value.get(k), f) for k, f in form.items())
+    return type(value) is form
+
+
+def _check_manifest(manifest):
+    if not isinstance(manifest, dict):
+        raise DatasetError("manifest must be a JSON object")
+    for key, form in _MANIFEST.items():
+        if key not in manifest:
+            raise DatasetError(f"manifest is missing {key!r}")
+        if not _fits(manifest[key], form):
+            raise DatasetError(f"manifest has a malformed {key!r}")
+    if not isinstance(manifest.get("meta", {}), dict):
+        raise DatasetError("manifest has a malformed 'meta'")
+
+
 def load_dataset(manifest_path):
-    """Load and validate: checksum, payload header, counts, split partition."""
+    """Load and validate: manifest keys, checksum, payload header, counts,
+    split partition."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -194,6 +223,7 @@ def load_dataset(manifest_path):
         raise DatasetError(f"manifest not found: {manifest_path}")
     except json.JSONDecodeError as exc:
         raise DatasetError(f"manifest is not valid JSON: {exc}")
+    _check_manifest(manifest)
     payload_path = manifest_path.parent / manifest["payload"]
     try:
         payload = payload_path.read_bytes()
@@ -221,7 +251,7 @@ def load_dataset(manifest_path):
     class_examples = {}
     offset = 0
     for entry in manifest["classes"]:
-        c, n = int(entry["id"]), int(entry["count"])
+        c, n = entry["id"], entry["count"]
         class_examples[c] = rows[offset : offset + n]
         offset += n
     if offset != count:

@@ -93,13 +93,10 @@ class Episode:
     support: np.ndarray  # [n, k, dim]
     query_known: np.ndarray  # [n, q, dim]
     query_unknown: np.ndarray  # [n_U, q, dim]
-    relabel: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if set(self.known_class_ids) & set(self.unknown_class_ids):
             raise EpisodeError("support and unknown classes overlap")
-        if not self.relabel:
-            self.relabel = {c: i for i, c in enumerate(self.known_class_ids)}
 
     @property
     def n(self):

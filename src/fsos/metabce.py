@@ -14,12 +14,13 @@ best-matching class rejects it (episodes.max_prob_decision).
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .autodiff import Tensor, bce, mean_rows, reshape, scale_shift, sigmoid, squared_distance
+from .autodiff import Tensor, bce, scale_shift, sigmoid, squared_distance
 from .backbone import embed_branch, embed_projected
-from .protonet import pairwise_sq_distances
+from .protonet import embed_episode, pairwise_sq_distances
 
 VARIANTS = ("branch", "projected")
 
@@ -50,47 +51,23 @@ def oneclass_embed(head, params, x):
     return embed_projected(params, x)
 
 
-def prob_known(head, query_embedding, prototype):
-    """sigmoid(-(d + t)) for one-class embeddings.
-
-    query_embedding: [e] or [m, e]; prototype: [e] or [n, e]. Both must live
-    in the head's one-class space. Returns a scalar, [n], [m] (n == 1
-    squeezed only when prototype is a single vector), or [m, n].
-    """
-    q = np.asarray(query_embedding, dtype=np.float64)
-    p = np.asarray(prototype, dtype=np.float64)
-    if q.shape[-1] != p.shape[-1]:
-        raise MetaBceError(f"embedding dim {q.shape[-1]} != prototype dim {p.shape[-1]}")
-    single_q, single_p = q.ndim == 1, p.ndim == 1
-    d = pairwise_sq_distances(np.atleast_2d(q), np.atleast_2d(p))
-    t = float(head.t.data)
-    probs = sigmoid(Tensor(-(d + t))).data
-    if single_q and single_p:
-        return float(probs[0, 0])
-    if single_p:
-        return probs[:, 0]
-    if single_q:
-        return probs[0]
-    return probs
+def prob_known(head, queries, prototypes):
+    """sigmoid(-(d + t)) [m, n] for query rows [m, e] against prototype rows
+    [n, e], both in the head's one-class space."""
+    d = pairwise_sq_distances(queries, prototypes)
+    return sigmoid(Tensor(-(d + float(head.t.data)))).data
 
 
 def episode_loss(head, params, episode):
     """Mean BCE over all (known query, episode class) pairs, with target 1
     exactly when the query belongs to the class."""
-    n, k, q = episode.n, episode.k, episode.q
     if episode.query_known.size == 0:
         raise MetaBceError("episode has no known queries")
-    dim = episode.support.shape[-1]
-    emb_s = oneclass_embed(head, params, episode.support.reshape(n * k, dim))
-    protos = mean_rows(emb_s, groups=n)
-    if n == 1:
-        protos = reshape(protos, (1, params.embed_dim))
-    emb_q = oneclass_embed(head, params, episode.query_known.reshape(n * q, dim))
+    protos, emb_q = embed_episode(partial(oneclass_embed, head), params, episode)
     d = squared_distance(emb_q, protos)
     neg_t = scale_shift(head.t, Tensor(-1.0), Tensor(0.0))
     logits = scale_shift(d, Tensor(-1.0), neg_t)
-    targets = np.zeros((n * q, n))
-    targets[np.arange(n * q), np.repeat(np.arange(n), q)] = 1.0
+    targets = np.repeat(np.eye(episode.n), episode.q, axis=0)
     return bce(logits, Tensor(targets))
 
 

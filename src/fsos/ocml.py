@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, as_tensor, bce, dot, mean_rows, relu, reshape, sigmoid
+from .autodiff import Tensor, affine, as_tensor, bce, dot, relu, sigmoid
 from .backbone import embed
+from .protonet import embed_episode
 
 
 class OcmlError(ValueError):
@@ -127,38 +128,24 @@ def generate_weight(transfer, prototype):
     return h
 
 
-def prob_known(weight, query_embedding):
-    """sigmoid(w . f) for main-space embeddings; pairwise over stacks."""
-    w = np.asarray(weight.data if isinstance(weight, Tensor) else weight, dtype=np.float64)
-    f = np.asarray(query_embedding, dtype=np.float64)
-    if w.shape[-1] != f.shape[-1]:
-        raise OcmlError(f"weight dim {w.shape[-1]} != embedding dim {f.shape[-1]}")
-    single_w, single_f = w.ndim == 1, f.ndim == 1
-    logits = np.atleast_2d(f) @ np.atleast_2d(w).T  # [m, n]
-    probs = sigmoid(Tensor(logits)).data
-    if single_w and single_f:
-        return float(probs[0, 0])
-    if single_w:
-        return probs[:, 0]
-    if single_f:
-        return probs[0]
-    return probs
+def prob_known(weights, queries):
+    """sigmoid(w_c . f) [m, n] for generated weight rows [n, e] and
+    main-space query rows [m, e]."""
+    if weights.ndim != 2 or queries.ndim != 2 or weights.shape[1] != queries.shape[1]:
+        raise OcmlError(
+            f"need weight rows [n, e] and query rows [m, e], got {weights.shape} and "
+            f"{queries.shape}"
+        )
+    return sigmoid(Tensor(queries @ weights.T)).data
 
 
 def episode_loss(transfer, params, episode):
     """Mean BCE over all (known query, episode class) pairs using
     sigmoid(w_c . f(x)) probabilities; prototypes come from the support set."""
-    n, k, q = episode.n, episode.k, episode.q
     if episode.query_known.size == 0:
         raise OcmlError("episode has no known queries")
-    dim = episode.support.shape[-1]
-    emb_s = embed(params, episode.support.reshape(n * k, dim))
-    protos = mean_rows(emb_s, groups=n)
-    if n == 1:
-        protos = reshape(protos, (1, params.embed_dim))
+    protos, emb_q = embed_episode(embed, params, episode)
     weights = generate_weight(transfer, protos)
-    emb_q = embed(params, episode.query_known.reshape(n * q, dim))
     logits = dot(emb_q, weights)
-    targets = np.zeros((n * q, n))
-    targets[np.arange(n * q), np.repeat(np.arange(n), q)] = 1.0
+    targets = np.repeat(np.eye(episode.n), episode.q, axis=0)
     return bce(logits, Tensor(targets))

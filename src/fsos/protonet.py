@@ -2,6 +2,9 @@
 baseline used as the open-set comparison point, and the one per-episode
 scoring routine every evaluator, validator and gate reads.
 
+Embeddings, prototypes and distances are row stacks. All three episode
+losses (ProtoNet, Meta-BCE, OCML) start with the taped step embed_episode.
+
 ScoredEpisode runs the extractor's trunk once on an episode's support and
 once on its stacked queries (known, then unknown); main, branch and
 projected embeddings, their prototypes and the main-space distance matrix
@@ -34,10 +37,14 @@ def prototypes(support_embeddings, n):
 
 
 def pairwise_sq_distances(queries, protos_matrix):
-    """Squared Euclidean distances [m, n] between query and prototype rows."""
+    """Squared Euclidean distances [m, n] between query rows [m, e] and
+    prototype rows [n, e]."""
     q = np.asarray(queries, dtype=np.float64)
-    if q.shape[1] != protos_matrix.shape[1]:
-        raise ProtonetError(f"query dim {q.shape[1]} != prototype dim {protos_matrix.shape[1]}")
+    if q.ndim != 2 or protos_matrix.ndim != 2 or q.shape[1] != protos_matrix.shape[1]:
+        raise ProtonetError(
+            f"need query rows [m, e] and prototype rows [n, e], got {q.shape} and "
+            f"{protos_matrix.shape}"
+        )
     diff = q[:, None, :] - protos_matrix[None, :, :]
     return np.einsum("mnd,mnd->mn", diff, diff)
 
@@ -103,15 +110,24 @@ class ScoredEpisode:
         return predict_closed(self.distances, self.episode.known_class_ids)
 
 
+def embed_episode(embed_fn, params, episode):
+    """The taped step every episode loss starts with: support prototypes
+    [n, e] and known-query embeddings [n * q, e], both through
+    embed_fn(params, rows). Records the support embedding, then the
+    prototypes, then the query embedding."""
+    dim = episode.support.shape[-1]
+    support = embed_fn(params, episode.support.reshape(-1, dim))
+    protos = mean_rows(support, groups=episode.n)
+    queries = embed_fn(params, episode.query_known.reshape(-1, dim))
+    return protos, queries
+
+
 def episode_loss(params, episode):
     """Mean softmax cross-entropy of closed logits over the known queries."""
-    n, k, q = episode.n, episode.k, episode.q
+    n, q = episode.n, episode.q
     if n < 2:
         raise ProtonetError(f"closed-set episode loss needs n >= 2 classes, got {n}")
-    dim = episode.support.shape[-1]
-    emb_s = embed(params, episode.support.reshape(n * k, dim))
-    protos = mean_rows(emb_s, groups=n)
-    emb_q = embed(params, episode.query_known.reshape(n * q, dim))
+    protos, emb_q = embed_episode(embed, params, episode)
     d = squared_distance(emb_q, protos)
     logits = scale_shift(d, Tensor(-1.0), Tensor(0.0))
     labels = Tensor(np.repeat(np.arange(n), q).astype(np.float64))
@@ -143,12 +159,11 @@ def scan_threshold(known_scores, unknown_scores):
     if uniq.size == 1:
         return ThresholdBaseline(float(uniq[0]))
     mids = (uniq[:-1] + uniq[1:]) / 2.0
-    best_tau, best_bal = None, -1.0
-    for tau in mids:
-        bal = 0.5 * np.mean(ks <= tau) + 0.5 * np.mean(us > tau)
-        if bal > best_bal:
-            best_tau, best_bal = float(tau), float(bal)
-    return ThresholdBaseline(best_tau)
+    # sorted counts: known scores <= tau, and unknown scores > tau, per midpoint
+    known_in = np.searchsorted(np.sort(ks), mids, side="right") / ks.size
+    unknown_out = (us.size - np.searchsorted(np.sort(us), mids, side="right")) / us.size
+    balanced = 0.5 * known_in + 0.5 * unknown_out
+    return ThresholdBaseline(float(mids[np.argmax(balanced)]))
 
 
 def calibrate_threshold(params, episodes):

@@ -234,7 +234,7 @@ def test_criterion_2_metric_oracle_equivalence():
 def test_criterion_3_formula_spot_values():
     assert abs(float(ad.sigmoid(Tensor(-np.log(3.0))).data) - 0.25) < 1e-12
     w = np.array([np.log(3.0), 0.0])
-    assert abs(ocml.prob_known(w, np.array([1.0, 0.0])) - 0.75) < 1e-12
+    assert abs(ocml.prob_known(w[None], np.array([[1.0, 0.0]]))[0, 0] - 0.75) < 1e-12
     assert abs(normalized_accuracy(0.6, 2 / 3, 0.5) - 0.6333333333333333) <= 1e-9
     mean, half, _ = confidence_interval([0.0, 1.0])
     assert mean == 0.5

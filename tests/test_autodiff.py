@@ -75,7 +75,7 @@ def test_affine_identity_map():
 
 def test_mean_rows_plain_and_grouped():
     x = Tensor([[1.0, 3.0], [3.0, 5.0]])
-    assert np.array_equal(ad.mean_rows(x).data, [2.0, 4.0])
+    assert np.array_equal(ad.mean_rows(x).data, [[2.0, 4.0]])
     g = ad.mean_rows(Tensor([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0], [8.0, 8.0]]), groups=2)
     assert np.array_equal(g.data, [[1.0, 1.0], [6.0, 6.0]])
 

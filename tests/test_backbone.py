@@ -66,11 +66,13 @@ def test_trunk_shared_branch_independent(small_spec):
 
 def test_embedding_dims_and_determinism(small_spec):
     params = init_backbone(small_spec, seed=2, with_projection=True)
-    x = np.random.default_rng(2).normal(size=16)
+    x = np.random.default_rng(2).normal(size=(1, 16))
     for fn in (embed, embed_branch, embed_projected):
         out = fn(params, x)
-        assert out.data.shape == (small_spec.embed_dim,)
+        assert out.data.shape == (1, small_spec.embed_dim)
         assert np.array_equal(out.data, fn(params, x).data)
+        with pytest.raises(SpecError):
+            fn(params, x[0])  # a single unstacked row is not accepted
 
 
 def test_projection_identity_at_init_and_missing_error(small_spec):
@@ -102,20 +104,22 @@ def test_projection_gradient_check(small_spec):
 def test_image_backbone_forward_shapes():
     params = init_backbone(DEFAULT_IMAGE_SPEC, seed=6)
     rng = np.random.default_rng(6)
-    single = embed(params, rng.normal(size=(1, 16, 16)))
-    batch = embed(params, rng.normal(size=(3, 1, 16, 16)))
-    flat = embed(params, rng.normal(size=256))
-    assert single.data.shape == (512,)
+    flat = embed(params, rng.normal(size=(1, 256)))
+    batch = embed(params, rng.normal(size=(3, 256)))
+    assert flat.data.shape == (1, 512)
     assert batch.data.shape == (3, 512)
-    assert flat.data.shape == (512,)
+    # only flat rows are accepted: images and unstacked rows are refused
+    for shape in ((1, 16, 16), (3, 1, 16, 16), (256,)):
+        with pytest.raises(SpecError):
+            embed(params, rng.normal(size=shape))
 
 
 def test_zero_input_affine_zero_bias_gives_zero(small_spec):
     params = init_backbone(small_spec, seed=7)
     for block in params.trunk + [params.head]:
         block["b"].data[:] = 0.0
-    out = embed(params, np.zeros(16))
-    assert np.array_equal(out.data, np.zeros(small_spec.embed_dim))
+    out = embed(params, np.zeros((1, 16)))
+    assert np.array_equal(out.data, np.zeros((1, small_spec.embed_dim)))
 
 
 def test_input_shape_mismatch_errors(small_spec):
@@ -142,6 +146,30 @@ def test_checkpoint_byte_exact_round_trip(tmp_path, small_spec):
     x = np.random.default_rng(11).normal(size=(4, 16))
     assert np.array_equal(embed(params, x).data, embed(rebuilt, x).data)
     assert np.array_equal(embed_branch(params, x).data, embed_branch(rebuilt, x).data)
+
+
+def test_from_param_groups_checks_names_shapes_and_groups(small_spec):
+    groups = to_param_groups(init_backbone(small_spec, seed=14, with_projection=True))
+    rebuilt = from_param_groups(small_spec, groups)
+    assert rebuilt.projection is not None
+
+    def altered(group, param, change):
+        return [
+            (g, [(p, change(a) if (g, p) == (group, param) else a) for p, a in items])
+            for g, items in groups
+        ]
+
+    with pytest.raises(SpecError, match=r"trunk0\.W has shape \(3, 24\), expected \(16, 24\)"):
+        from_param_groups(small_spec, altered("trunk0", "W", lambda a: a[:3]))
+    with pytest.raises(SpecError, match=r"projection\.b has shape"):
+        from_param_groups(small_spec, altered("projection", "b", lambda a: a[:-1]))
+    renamed = [(g, [("V" if p == "W" else p, a) for p, a in items]) for g, items in groups]
+    with pytest.raises(SpecError, match="'trunk0' holds"):
+        from_param_groups(small_spec, renamed)
+    with pytest.raises(SpecError, match="unknown parameter groups \\['bogus'\\]"):
+        from_param_groups(small_spec, groups + [("bogus", [("W", np.zeros(2))])])
+    with pytest.raises(SpecError, match="missing parameter group 'head'"):
+        from_param_groups(small_spec, [(g, items) for g, items in groups if g != "head"])
 
 
 def test_checkpoint_corruption_detected(tmp_path, small_spec):

@@ -145,6 +145,60 @@ def test_eval_checkpoint_without_backbone_spec_is_runtime_error(workdir, tmp_pat
     assert "backbone_spec" in _one_runtime_error(capsys)
 
 
+@pytest.mark.parametrize("key", ["checksum", "split"])
+def test_eval_manifest_without_key_is_runtime_error(workdir, tmp_path, capsys, key):
+    manifest = json.loads((workdir / "ds.json").read_text())
+    del manifest[key]
+    (tmp_path / "ds.json").write_text(json.dumps(manifest))
+    (tmp_path / "ds.bin").write_bytes((workdir / "ds.bin").read_bytes())
+    code = run([
+        "eval", "--task=openset", "--head=threshold", f"--checkpoint={workdir}/pn.ckpt",
+        f"--dataset={tmp_path}/ds.json", "--n=2", "--n_unknown=1", "--episodes=2",
+        f"--out={tmp_path}/r.json",
+    ])
+    assert code == 2
+    assert f"manifest is missing '{key}'" in _one_runtime_error(capsys)
+
+
+def _cut_trunk_rows(groups):
+    return [
+        (g, [(p, a[:3] if (g, p) == ("trunk0", "W") else a) for p, a in items])
+        for g, items in groups
+    ]
+
+
+@pytest.mark.parametrize("alter, reason", [
+    (_cut_trunk_rows, "trunk0.W has shape (3, 64), expected (16, 64)"),
+    (lambda groups: groups + [("bogus", [("W", [[1.0]])])], "unknown parameter groups"),
+], ids=["truncated_trunk_weight", "unknown_group"])
+def test_eval_checkpoint_with_bad_parameters_is_runtime_error(
+    workdir, tmp_path, capsys, alter, reason
+):
+    header, groups = load_checkpoint(f"{workdir}/pn.ckpt")
+    save_checkpoint(f"{tmp_path}/bad.ckpt", header, alter(groups))
+    code = run([
+        "eval", "--task=openset", "--head=threshold", f"--checkpoint={tmp_path}/bad.ckpt",
+        f"--dataset={workdir}/ds.json", "--n=2", "--n_unknown=1", "--episodes=2",
+        f"--out={tmp_path}/r.json",
+    ])
+    assert code == 2
+    assert reason in _one_runtime_error(capsys)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("arch", ["midx", "mid0", "mid", "2layers"])
+def test_train_bad_ocml_arch_is_usage_error(workdir, tmp_path, capsys, arch):
+    code = run([
+        "train", "--method=ocml_frozen", f"--dataset={workdir}/ds.json",
+        f"--backbone={workdir}/pn.ckpt", f"--out={tmp_path}/o.ckpt", "--episodes=5",
+        f"--ocml_arch={arch}",
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] bad value for 'ocml_arch'")
+    assert not (tmp_path / "o.ckpt").exists()
+
+
 _CELL = {"mean": 0.5, "ci": 0.1}
 
 

@@ -132,3 +132,29 @@ def test_missing_manifest_and_payload(tmp_path):
     (tmp_path / "ds.bin").unlink()
     with pytest.raises(DatasetError):
         load_dataset(manifest)
+
+
+@pytest.mark.parametrize("edit, reason", [
+    (lambda doc: doc.pop("name"), "missing 'name'"),
+    (lambda doc: doc.pop("input_shape"), "missing 'input_shape'"),
+    (lambda doc: doc.update(dim="4"), "malformed 'dim'"),
+    (lambda doc: doc.update(payload=None), "malformed 'payload'"),
+    (lambda doc: doc["classes"][0].update(id="0"), "malformed 'classes'"),
+    (lambda doc: doc["classes"][0].pop("count"), "malformed 'classes'"),
+    (lambda doc: doc["split"].pop("meta_test"), "malformed 'split'"),
+    (lambda doc: doc["split"].update(meta_val=[1.5]), "malformed 'split'"),
+    (lambda doc: doc.update(meta=[]), "malformed 'meta'"),
+], ids=["no_name", "no_input_shape", "string_dim", "null_payload", "string_class_id",
+        "class_without_count", "split_without_test", "float_class_in_split", "list_meta"])
+def test_malformed_manifest_rejected(tmp_path, edit, reason):
+    ds = generate_synthetic(SyntheticSpec(num_classes=5, examples_per_class=6, dim=4, seed=7))
+    manifest = tmp_path / "ds.json"
+    save_dataset(ds, manifest)
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match=reason):
+        load_dataset(manifest)
+    manifest.write_text(json.dumps([doc]))
+    with pytest.raises(DatasetError, match="JSON object"):
+        load_dataset(manifest)

@@ -20,38 +20,41 @@ from fsos.metabce import (
     oneclass_embed,
     prob_known,
 )
-from fsos.protonet import ScoredEpisode
+from fsos.protonet import ProtonetError, ScoredEpisode
 
 
 def test_prob_known_spot_values():
     head = init_head()
     e = np.zeros(4)
     # d=0, t=0 -> 0.5
-    assert prob_known(head, e, e) == 0.5
+    assert prob_known(head, e[None], e[None])[0, 0] == 0.5
     # d = ln 3, t = 0 -> sigmoid(-ln 3) = 1/4
     q = np.zeros(4)
     q[0] = np.sqrt(np.log(3.0))
-    assert abs(prob_known(head, q, e) - 0.25) < 1e-12
+    assert abs(prob_known(head, q[None], e[None])[0, 0] - 0.25) < 1e-12
     # d = 2, t = -2 -> offset cancels the distance
     head.t.data = np.asarray(-2.0)
     q2 = np.zeros(4)
     q2[0] = np.sqrt(2.0)
-    assert abs(prob_known(head, q2, e) - 0.5) < 1e-12
+    assert abs(prob_known(head, q2[None], e[None])[0, 0] - 0.5) < 1e-12
 
 
 def test_prob_known_monotone_in_distance_and_offset():
     head = init_head()
-    proto = np.zeros(3)
-    qs = [np.full(3, s) for s in (0.1, 0.5, 1.0)]
-    ps = [prob_known(head, q, proto) for q in qs]
+    proto = np.zeros((1, 3))
+    qs = np.array([np.full(3, s) for s in (0.1, 0.5, 1.0)])
+    ps = prob_known(head, qs, proto)[:, 0]
     assert ps[0] > ps[1] > ps[2]
     head.t.data = np.asarray(1.0)
-    assert prob_known(head, qs[0], proto) < ps[0]
+    assert prob_known(head, qs[:1], proto)[0, 0] < ps[0]
 
 
 def test_prob_known_dim_mismatch():
-    with pytest.raises(MetaBceError):
-        prob_known(init_head(), np.zeros(3), np.zeros(4))
+    with pytest.raises(ProtonetError):
+        prob_known(init_head(), np.zeros((1, 3)), np.zeros((1, 4)))
+    # unstacked vectors are refused, not squeezed
+    with pytest.raises(ProtonetError):
+        prob_known(init_head(), np.zeros(3), np.zeros(3))
 
 
 def test_prob_unknown_complement_and_ties():
@@ -63,7 +66,7 @@ def test_prob_unknown_complement_and_ties():
     assert score[0] == probs.max()  # p_unknown = 1 - score
     # n=1 reduces to the one-class probability
     single, _ = max_prob_decision(prob_known(head, q, protos[:1]))
-    assert single[0] == prob_known(head, q[0], protos[0])
+    assert single[0] == prob_known(head, q[:1], protos[:1])[0, 0]
     # d=0, t=0 gives exactly 0.5, and a tie at 0.5 resolves to known
     tie, tie_known = max_prob_decision(prob_known(head, np.zeros((1, 2)), protos[:1]))
     assert tie[0] == 0.5 and tie_known[0]

@@ -42,7 +42,7 @@ def test_generate_weight_identity_and_zero_maps():
     wz = generate_weight(_zero_transfer(3), proto)
     assert np.array_equal(wz.data, np.zeros(3))
     # zero weights give probability exactly one half for any query
-    assert prob_known(wz, np.array([4.0, 5.0, 6.0])) == 0.5
+    assert prob_known(wz.data[None], np.array([[4.0, 5.0, 6.0]]))[0, 0] == 0.5
 
 
 def test_generate_weight_deterministic_and_dim_checked():
@@ -55,18 +55,21 @@ def test_generate_weight_deterministic_and_dim_checked():
 
 def test_prob_known_spot_values():
     e = 3
-    w = np.zeros(e)
-    assert prob_known(w, np.ones(e)) == 0.5
+    w = np.zeros((1, e))
+    assert prob_known(w, np.ones((1, e)))[0, 0] == 0.5
     # w . f = ln 3 -> 3/4
-    w2 = np.array([np.log(3.0), 0.0, 0.0])
-    assert abs(prob_known(w2, np.array([1.0, 0.0, 0.0])) - 0.75) < 1e-12
+    w2 = np.array([[np.log(3.0), 0.0, 0.0]])
+    assert abs(prob_known(w2, np.array([[1.0, 0.0, 0.0]]))[0, 0] - 0.75) < 1e-12
+    # unstacked vectors are refused, not squeezed
+    with pytest.raises(OcmlError):
+        prob_known(w[0], np.ones(e))
 
 
 def test_prob_known_scaling_moves_toward_saturation():
-    w = np.array([0.4, -0.2])
-    f = np.array([1.0, 0.3])
-    base = prob_known(w, f)
-    up = prob_known(3.0 * w, f)
+    w = np.array([[0.4, -0.2]])
+    f = np.array([[1.0, 0.3]])
+    base = prob_known(w, f)[0, 0]
+    up = prob_known(3.0 * w, f)[0, 0]
     assert (base - 0.5) * (up - 0.5) > 0
     assert abs(up - 0.5) > abs(base - 0.5)
 
@@ -85,7 +88,7 @@ def test_prob_unknown_complement_and_duplicates():
     dup_score, _ = decide(np.vstack([protos, protos[:1]]))
     assert np.array_equal(dup_score, score)
     single, _ = decide(protos[:1])
-    assert single[0] == prob_known(generate_weight(g, protos[0]).data, q[0])
+    assert single[0] == prob_known(generate_weight(g, protos[:1]).data, q[:1])[0, 0]
     # zero weights give exactly 0.5, and a tie at 0.5 resolves to known
     tie, tie_known = max_prob_decision(prob_known(np.zeros((1, 2)), q))
     assert tie[0] == 0.5 and tie_known[0]

@@ -166,3 +166,57 @@ def test_calibrate_threshold_on_episodes(small_spec, small_dataset):
 def test_pairwise_distance_dim_mismatch():
     with pytest.raises(ProtonetError):
         pairwise_sq_distances(np.zeros((2, 3)), np.zeros((2, 4)))
+
+
+def test_pairwise_distance_refuses_unstacked_vectors():
+    with pytest.raises(ProtonetError):
+        pairwise_sq_distances(np.zeros(3), np.zeros((2, 3)))
+    with pytest.raises(ProtonetError):
+        pairwise_sq_distances(np.zeros((2, 3)), np.zeros(3))
+
+
+def _scan_threshold_loop(known_scores, unknown_scores):
+    """Reference: balanced accuracy at every midpoint, smallest best tau."""
+    ks = np.asarray(known_scores, dtype=np.float64)
+    us = np.asarray(unknown_scores, dtype=np.float64)
+    uniq = np.unique(np.concatenate([ks, us]))
+    if uniq.size == 1:
+        return float(uniq[0])
+    mids = (uniq[:-1] + uniq[1:]) / 2.0
+    best_tau, best_bal = None, -1.0
+    for tau in mids:
+        bal = 0.5 * np.mean(ks <= tau) + 0.5 * np.mean(us > tau)
+        if bal > best_bal:
+            best_tau, best_bal = float(tau), float(bal)
+    return best_tau
+
+
+def test_scan_threshold_matches_reference_loop():
+    rng = np.random.default_rng(11)
+    cases = [([3.0], [3.0]), ([2.5] * 4, [2.5] * 7), ([1.0], [0.5]), ([0.5], [1.0])]
+    for _ in range(100):
+        nk, nu = rng.integers(1, 40, size=2)
+        # scores are distances, so they are >= 0
+        cases.append((np.abs(rng.normal(size=nk)), np.abs(rng.normal(0.5, 1.0, size=nu))))
+        # heavy ties: few distinct values shared by both sides
+        cases.append((rng.integers(0, 5, size=nk) / 2.0, rng.integers(0, 5, size=nu) / 2.0))
+    for known, unknown in cases:
+        assert scan_threshold(known, unknown).tau == _scan_threshold_loop(known, unknown)
+
+
+def test_embed_episode_records_support_prototypes_then_queries(small_spec):
+    from fsos.autodiff import mean_rows
+    from fsos.backbone import embed
+    from fsos.protonet import embed_episode
+
+    params = init_backbone(small_spec, seed=5)
+    ep = _toy_episode(np.random.default_rng(6), n=3, k=2, q=4)
+    with Tape() as shared:
+        protos, queries = embed_episode(embed, params, ep)
+    with Tape() as manual:
+        want_protos = mean_rows(embed(params, ep.support.reshape(6, 16)), groups=3)
+        want_queries = embed(params, ep.query_known.reshape(12, 16))
+    assert [e.kind for e in shared.entries] == [e.kind for e in manual.entries]
+    assert np.array_equal(protos.data, want_protos.data)
+    assert np.array_equal(queries.data, want_queries.data)
+    assert protos.data.shape == (3, small_spec.embed_dim)
