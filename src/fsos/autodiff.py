@@ -8,13 +8,15 @@ loss depends on. Everything is float64 and deterministic.
 Primitive kinds: affine, relu, sigmoid, softmax_xent, bce, squared_distance,
 mean_rows, conv3x3_pool, dot, scale_shift. The distance/dot primitives also
 accept matrix operands (row-pairwise forms), mean_rows always returns [g, d]
-means of g row blocks, and scale_shift broadcasts scalar gamma/beta; these
-batched forms keep episode graphs to a handful of tape entries.
+means of g row blocks, conv3x3_pool takes only batched [n, c, h, w] images,
+and scale_shift broadcasts scalar gamma/beta; these batched forms keep
+episode graphs to a handful of tape entries.
 """
 
 import threading
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class PrimitiveError(ValueError):
@@ -339,66 +341,87 @@ def mean_rows(x, groups=1):
     return _finish("mean_rows", (x,), out, backward_fn)
 
 
+# zero padding of the two spatial axes of a channels-last [n, h, w, c] image
+_PAD_HW = ((0, 0), (1, 1), (1, 1), (0, 0))
+
+
+def _im2col(xp, h2, w2):
+    """3x3 patch rows of a zero-padded channels-last [n, 2*h2+2, 2*w2+2, c]
+    image: [4*n*h2*w2, 9*c], columns in (ki, kj, c) order. Rows run in
+    (di, dj, n, y, x) order for output pixel (2y+di, 2x+dj), so each
+    position of the 2x2 pool window is one contiguous block of rows."""
+    nb, c = xp.shape[0], xp.shape[3]
+    taps = sliding_window_view(xp, (3, 3), axis=(1, 2))  # [n, h, w, c, 3, 3]
+    taps = taps.reshape(nb, h2, 2, w2, 2, c, 3, 3).transpose(2, 4, 0, 1, 3, 6, 7, 5)
+    return taps.reshape(4 * nb * h2 * w2, 9 * c)
+
+
+def _unwindow(rows, nb, h2, w2):
+    """Rows in _im2col order, [4*n*h2*w2, k], as a channels-last
+    [n, 2*h2, 2*w2, k] image."""
+    k = rows.shape[1]
+    rows = rows.reshape(2, 2, nb, h2, w2, k).transpose(2, 3, 0, 4, 1, 5)
+    return rows.reshape(nb, 2 * h2, 2 * w2, k)
+
+
 def conv3x3_pool(x, kernel, bias):
     """One conv block: 3x3 conv (stride 1, zero pad 1), ReLU, 2x2 max-pool.
 
-    x: [c, h, w] or batched [n, c, h, w] with h, w even and >= 2;
-    kernel: [oc, c, 3, 3]; bias: [oc]. Output spatial dims halve.
+    x: [n, c, h, w] with h, w even and >= 2; kernel: [oc, c, 3, 3];
+    bias: [oc]. Returns [n, oc, h/2, w/2]. A pool tie goes to the first
+    window position in row-major order, as argmax does.
+
+    The conv is one channels-last im2col GEMM; the backward pass is one
+    GEMM for the kernel gradient and, when x needs a gradient, one more
+    im2col GEMM that correlates the output gradient with the flipped
+    kernel. The tape keeps the padded input, not the im2col matrix: the
+    backward pass rebuilds it.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     xd, kd, bd = x.data, kernel.data, bias.data
-    single = xd.ndim == 3
-    xb = xd[None] if single else xd
-    if xb.ndim != 4:
-        raise PrimitiveError("conv3x3_pool", f"input must be [c,h,w] or [n,c,h,w], got {xd.shape}")
-    if kd.ndim != 4 or kd.shape[2:] != (3, 3) or kd.shape[1] != xb.shape[1]:
+    if xd.ndim != 4:
+        raise PrimitiveError("conv3x3_pool", f"input must be [n,c,h,w], got {xd.shape}")
+    if kd.ndim != 4 or kd.shape[2:] != (3, 3) or kd.shape[1] != xd.shape[1]:
         raise PrimitiveError(
             "conv3x3_pool", f"kernel shape {kd.shape} does not fit input {xd.shape}"
         )
     if bd.shape != (kd.shape[0],):
         raise PrimitiveError("conv3x3_pool", f"bias shape {bd.shape} != ({kd.shape[0]},)")
-    nb, _, h, w = xb.shape
+    nb, c, h, w = xd.shape
     if h < 2 or w < 2 or h % 2 or w % 2:
         raise PrimitiveError("conv3x3_pool", f"spatial dims must be even and >= 2, got {h}x{w}")
     oc = kd.shape[0]
-    xp = np.pad(xb, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    conv = np.zeros((nb, oc, h, w))
-    for di in range(3):
-        for dj in range(3):
-            conv += np.einsum(
-                "oc,nchw->nohw", kd[:, :, di, dj], xp[:, :, di : di + h, dj : dj + w]
-            )
-    conv += bd[None, :, None, None]
-    act = np.maximum(conv, 0.0)
     h2, w2 = h // 2, w // 2
-    windows = act.reshape(nb, oc, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-        nb, oc, h2, w2, 4
-    )
-    arg = windows.argmax(axis=-1)  # first max wins ties, deterministic
-    pooled = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    out = pooled[0] if single else pooled
+    m = nb * h2 * w2
+    xp = np.pad(xd.transpose(0, 2, 3, 1), _PAD_HW)
+    act = _im2col(xp, h2, w2) @ kd.transpose(2, 3, 1, 0).reshape(9 * c, oc)
+    act += bd
+    np.maximum(act, 0.0, out=act)
+    act = act.reshape(4, m, oc)  # one [m, oc] block per pool window position
+    pooled = act[0].copy()
+    arg = np.zeros((m, oc), dtype=np.int8)
+    for i in range(1, 4):
+        # strict >: a tie keeps the earlier position; i exceeds every
+        # earlier position, so max() records the latest strict winner
+        np.maximum(arg, (act[i] > pooled) * np.int8(i), out=arg)
+        np.maximum(pooled, act[i], out=pooled)
 
     def backward_fn(g):
-        gb4 = g[None] if single else g
-        gwin = np.zeros((nb, oc, h2, w2, 4))
-        np.put_along_axis(gwin, arg[..., None], gb4[..., None], axis=-1)
-        gact = gwin.reshape(nb, oc, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
-            nb, oc, h, w
-        )
-        gconv = gact * (conv > 0.0)
-        gbias = gconv.sum(axis=(0, 2, 3))
-        gk = np.empty_like(kd)
-        gxp = np.zeros_like(xp)
-        for di in range(3):
-            for dj in range(3):
-                patch = xp[:, :, di : di + h, dj : dj + w]
-                gk[:, :, di, dj] = np.einsum("nohw,nchw->oc", gconv, patch)
-                gxp[:, :, di : di + h, dj : dj + w] += np.einsum(
-                    "oc,nohw->nchw", kd[:, :, di, dj], gconv
-                )
-        gx = gxp[:, :, 1:-1, 1:-1]
-        return ((gx[0] if single else gx), gk, gbias)
+        # only each window's winner gets gradient, through the ReLU mask of
+        # the pooled value
+        gpool = g.transpose(0, 2, 3, 1).reshape(m, oc) * (pooled > 0.0)
+        gbias = gpool.sum(axis=0)
+        winner = arg == np.arange(4, dtype=np.int8)[:, None, None]
+        gconv = (gpool * winner).reshape(4 * m, oc)
+        gk = (_im2col(xp, h2, w2).T @ gconv).reshape(3, 3, c, oc).transpose(3, 2, 0, 1)
+        if not x.requires_grad:
+            return (None, gk, gbias)
+        gimg = np.pad(_unwindow(gconv, nb, h2, w2), _PAD_HW)
+        kflip = kd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * oc, c)
+        gx = _unwindow(_im2col(gimg, h2, w2) @ kflip, nb, h2, w2)
+        return (gx.transpose(0, 3, 1, 2), gk, gbias)
 
+    out = pooled.reshape(nb, h2, w2, oc).transpose(0, 3, 1, 2)
     return _finish("conv3x3_pool", (x, kernel, bias), out, backward_fn)
 
 

@@ -94,7 +94,7 @@ def random_composition(seed):
             dmat = ad.squared_distance(h, protos)
             logits = ad.scale_shift(dmat, Tensor(-1.0), ps[6])
             loss_a = ad.bce(logits, Tensor(np.tile(labels[:, None], (1, 2))))
-            conv = ad.conv3x3_pool(Tensor(img), ps[2], ps[3])
+            conv = ad.conv3x3_pool(Tensor(img[None]), ps[2], ps[3])
             conv = ad.scale_shift(conv, ps[4], ps[5])
             flat = ad.reshape(conv, (8,))
             probs = ad.sigmoid(flat)

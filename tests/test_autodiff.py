@@ -212,6 +212,112 @@ def test_gradient_check_random_compositions(seed):
     assert report.passed, (seed, report.errors)
 
 
+def _reference_conv3x3_pool(x, kernel, bias, g):
+    """The per-tap einsum conv and argmax pool that conv3x3_pool replaced:
+    returns the output and the gradients of sum(out * g) for x, kernel, bias."""
+    nb, _, h, w = x.shape
+    oc = kernel.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    conv = np.zeros((nb, oc, h, w))
+    for di in range(3):
+        for dj in range(3):
+            conv += np.einsum(
+                "oc,nchw->nohw", kernel[:, :, di, dj], xp[:, :, di : di + h, dj : dj + w]
+            )
+    conv += bias[None, :, None, None]
+    act = np.maximum(conv, 0.0)
+    h2, w2 = h // 2, w // 2
+    windows = act.reshape(nb, oc, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(
+        nb, oc, h2, w2, 4
+    )
+    arg = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    gwin = np.zeros((nb, oc, h2, w2, 4))
+    np.put_along_axis(gwin, arg[..., None], g[..., None], axis=-1)
+    gact = gwin.reshape(nb, oc, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(nb, oc, h, w)
+    gconv = gact * (conv > 0.0)
+    gk = np.empty_like(kernel)
+    gxp = np.zeros_like(xp)
+    for di in range(3):
+        for dj in range(3):
+            patch = xp[:, :, di : di + h, dj : dj + w]
+            gk[:, :, di, dj] = np.einsum("nohw,nchw->oc", gconv, patch)
+            gxp[:, :, di : di + h, dj : dj + w] += np.einsum(
+                "oc,nohw->nchw", kernel[:, :, di, dj], gconv
+            )
+    return out, gxp[:, :, 1:-1, 1:-1], gk, gconv.sum(axis=(0, 2, 3))
+
+
+@pytest.mark.parametrize("case", ["random", "zero_input_ties"])
+def test_conv3x3_pool_matches_per_tap_reference(case):
+    # non-square [3, 2, 4, 6] input, so an h/w transpose slip cannot hide
+    rng = np.random.default_rng(8)
+    kernel = rng.normal(size=(5, 2, 3, 3)) * 0.5
+    if case == "random":
+        x = rng.normal(size=(3, 2, 4, 6))
+        bias = rng.normal(size=5) * 0.1
+    else:
+        # every conv output equals its bias, so all four positions of every
+        # pool window tie; the negative-bias channel is ReLU-masked
+        x = np.zeros((3, 2, 4, 6))
+        bias = np.array([0.3, -0.2, 0.7, 0.1, 1.5])
+    g = rng.normal(size=(3, 5, 2, 3))
+    ref_out, *ref_grads = _reference_conv3x3_pool(x, kernel, bias, g)
+
+    leaves = [Tensor(a, requires_grad=True) for a in (x, kernel, bias)]
+    with Tape() as tape:
+        out = ad.conv3x3_pool(*leaves)
+        loss = ad.dot(ad.reshape(out, (-1,)), Tensor(g.reshape(-1)))
+    backward(tape, loss)
+
+    assert out.shape == (3, 5, 2, 3)
+    np.testing.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+    for leaf, ref in zip(leaves, ref_grads):
+        np.testing.assert_allclose(leaf.grad, ref, rtol=0, atol=1e-12)
+    if case == "zero_input_ties":
+        # ties are real, and a gradient routed to any window position other
+        # than (0, 0) would move x's gradient away from the reference
+        relu_bias = np.maximum(bias, 0.0)[:, None, None]
+        assert np.array_equal(out.data, np.broadcast_to(relu_bias, out.shape))
+        assert np.abs(leaves[0].grad).max() > 0.1
+
+
+def test_conv3x3_pool_rejects_bad_shapes():
+    kernel, bias = np.zeros((2, 1, 3, 3)), np.zeros(2)
+    for x, k, b in [
+        (np.zeros((1, 4, 4)), kernel, bias),  # unbatched [c, h, w]
+        (np.zeros((1, 1, 4, 5)), kernel, bias),  # odd width
+        (np.zeros((1, 2, 4, 4)), kernel, bias),  # channel mismatch
+        (np.zeros((1, 1, 4, 4)), np.zeros((2, 1, 2, 2)), bias),  # not 3x3
+        (np.zeros((1, 1, 4, 4)), kernel, np.zeros(3)),  # bias length
+    ]:
+        with pytest.raises(PrimitiveError):
+            ad.conv3x3_pool(x, k, b)
+
+
+def test_gradient_check_batched_nonsquare_conv_block():
+    from conftest import _conv_margins_ok
+
+    for attempt in range(64):
+        rng = np.random.default_rng((41, attempt))
+        x = rng.normal(size=(2, 2, 4, 6))
+        kernel = rng.normal(size=(3, 2, 3, 3)) * 0.4
+        bias = rng.normal(size=3) * 0.2
+        if all(_conv_margins_ok(img, kernel, bias) for img in x):
+            break
+    else:
+        pytest.fail("no margin-safe conv input found")
+    weights = Tensor(rng.normal(size=2 * 3 * 2 * 3))
+
+    def build(ps):
+        y = ad.scale_shift(ad.conv3x3_pool(ps[0], ps[1], ps[2]), ps[3], ps[4])
+        return ad.dot(ad.reshape(y, (-1,)), weights)
+
+    point = [x, kernel, bias, 1.0 + rng.normal(size=3) * 0.1, rng.normal(size=3) * 0.1]
+    report = gradient_check(build, point)
+    assert report.passed, report.errors
+
+
 def test_optimizer_step_lr_zero_is_bit_identical():
     from fsos.optim import make_optimizer
 

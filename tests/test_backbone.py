@@ -193,7 +193,7 @@ def test_checkpoint_truncation_detected(tmp_path, small_spec):
         load_checkpoint(path)
 
 
-def test_image_mode_trains_end_to_end():
+def _train_small_image_protonet(episodes):
     from fsos.data import SyntheticSpec, generate_synthetic
     from fsos.episodes import EpisodeConfig, TrainSchedule, run_meta_training
 
@@ -202,14 +202,30 @@ def test_image_mode_trains_end_to_end():
         SyntheticSpec(num_classes=8, examples_per_class=12, dim=16, separation=8.0, seed=21),
         input_shape=(1, 4, 4),
     )
-    result = run_meta_training(
+    return run_meta_training(
         "protonet", ds, EpisodeConfig(n=2, k=2, q=3),
-        TrainSchedule(episodes=30, learning_rate=3e-3, val_interval=15, val_episodes=3),
+        TrainSchedule(episodes=episodes, learning_rate=3e-3, val_interval=15, val_episodes=3),
         seed=21, spec=spec,
     )
+
+
+def test_image_mode_trains_end_to_end():
+    result = _train_small_image_protonet(30)
     assert len(result.loss_curve) == 30
     assert np.isfinite(result.loss_curve).all()
     assert result.best_val > 0.4
+
+
+def test_image_mode_training_is_bit_reproducible():
+    first, second = _train_small_image_protonet(15), _train_small_image_protonet(15)
+    assert first.loss_curve == second.loss_curve
+    groups = first.params.named_groups()
+    assert [name for name, _ in groups] == ["trunk0", "head", "branch"]
+    for (name, params), (name2, params2) in zip(groups, second.params.named_groups()):
+        assert name == name2
+        for (pname, a), (pname2, b) in zip(params, params2):
+            assert pname == pname2
+            assert np.array_equal(a.data, b.data), (name, pname)
 
 
 def test_tapes_are_thread_independent():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fsos.autodiff import Tape, gradient_check
-from fsos.backbone import embed, init_backbone
+from fsos.backbone import SpecError, embed, init_backbone
 from fsos.episodes import (
     Episode,
     EpisodeConfig,
@@ -136,9 +136,8 @@ def test_variants_and_projection_requirement(small_spec):
         init_head("bogus")
     params = init_backbone(small_spec, seed=4)
     head = init_head("projected")
-    x = np.zeros(16)
-    with pytest.raises(Exception):
-        oneclass_embed(head, params, x)  # projection missing
+    with pytest.raises(SpecError, match="projection"):
+        oneclass_embed(head, params, np.zeros((1, 16)))
 
 
 def test_train_lr_zero_keeps_head_bit_identical(small_dataset, small_spec):
