@@ -144,16 +144,17 @@ def _finish(kind, inputs, out_data, backward_fn):
 
 
 def affine(x, w, b=None):
-    """x @ w + b for x of shape [d] or [n, d], w [d, m], b [m].
+    """x @ w + b for x of shape [d] or [..., d], w [d, m], b [m].
 
-    b may be omitted for bias-free layers.
+    b may be omitted for bias-free layers. Leading axes of x are batch axes:
+    each [n, d] slice is multiplied on its own, as a lone [n, d] x would be.
     """
     x, w = as_tensor(x), as_tensor(w)
     b = as_tensor(b) if b is not None else None
     xd, wd = x.data, w.data
     if wd.ndim != 2:
         raise PrimitiveError("affine", f"weight must be 2-d, got shape {wd.shape}")
-    if xd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[0]:
+    if xd.ndim == 0 or xd.shape[-1] != wd.shape[0]:
         raise PrimitiveError(
             "affine", f"input shape {xd.shape} does not match weight shape {wd.shape}"
         )
@@ -166,14 +167,14 @@ def affine(x, w, b=None):
         y = y + b.data
 
     def backward_fn(g):
+        gx = g @ wd.T
         if xd.ndim == 1:
-            gx = g @ wd.T
             gw = np.outer(xd, g)
             gb = g if b is not None else None
         else:
-            gx = g @ wd.T
-            gw = xd.T @ g
-            gb = g.sum(axis=0) if b is not None else None
+            gflat = g.reshape(-1, g.shape[-1])
+            gw = xd.reshape(-1, xd.shape[-1]).T @ gflat
+            gb = gflat.sum(axis=0) if b is not None else None
         return (gx, gw, gb) if b is not None else (gx, gw)
 
     inputs = (x, w, b) if b is not None else (x, w)
@@ -399,11 +400,14 @@ def conv3x3_pool(x, kernel, bias):
     np.maximum(act, 0.0, out=act)
     act = act.reshape(4, m, oc)  # one [m, oc] block per pool window position
     pooled = act[0].copy()
-    arg = np.zeros((m, oc), dtype=np.int8)
+    # the winner index is read only by the backward pass, so it is kept only
+    # while a tape records
+    arg = np.zeros((m, oc), dtype=np.int8) if active_tape() is not None else None
     for i in range(1, 4):
-        # strict >: a tie keeps the earlier position; i exceeds every
-        # earlier position, so max() records the latest strict winner
-        np.maximum(arg, (act[i] > pooled) * np.int8(i), out=arg)
+        if arg is not None:
+            # strict >: a tie keeps the earlier position; i exceeds every
+            # earlier position, so max() records the latest strict winner
+            np.maximum(arg, (act[i] > pooled) * np.int8(i), out=arg)
         np.maximum(pooled, act[i], out=pooled)
 
     def backward_fn(g):

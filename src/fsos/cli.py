@@ -379,6 +379,8 @@ def cmd_eval(settings):
             _require_out_dir(settings[key], key)
     if settings["episodes"] < 1:
         raise UsageError("episodes must be >= 1")
+    if settings["calib_episodes"] < 1:
+        raise UsageError("calib_episodes must be >= 1")
     if settings["n"] == 0:
         settings["n"] = 1 if settings["task"] == "oneclass" else 5
     if settings["task"] == "oneclass" and settings["n"] != 1:

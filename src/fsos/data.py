@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .episodes import MetaSplit
+from .episodes import MetaSplit, RowTable
 
 PAYLOAD_MAGIC = b"FSDS"
 PAYLOAD_VERSION = 1
@@ -80,6 +80,7 @@ class Dataset:
             )
         self.split = split
         self.meta = dict(meta or {})
+        self._row_tables = {}
         covered = set(split.meta_train) | set(split.meta_val) | set(split.meta_test)
         ids = set(self.class_examples)
         if covered != ids:
@@ -100,6 +101,16 @@ class Dataset:
             return self.class_examples[int(class_id)]
         except KeyError:
             raise DatasetError(f"unknown class id {class_id}")
+
+    def row_table(self, classes):
+        """The examples of the given classes as one RowTable, built on first
+        use and shared by every episode drawn from those classes."""
+        key = tuple(sorted(int(c) for c in classes))
+        if key not in self._row_tables:
+            self._row_tables[key] = RowTable.stack(
+                key, [self.examples(c) for c in key], self.dim
+            )
+        return self._row_tables[key]
 
 
 def default_split_counts(num_classes):

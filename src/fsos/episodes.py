@@ -4,9 +4,14 @@ Episodes draw n support classes and n_U unknown classes (disjoint, without
 replacement) from one meta-split partition; examples are drawn without
 replacement within each class. Every stochastic step derives its generator
 from (seed, stream, index), so training runs, evaluations, and reports are
-reproducible bit for bit. Every evaluator and validator scores an episode
-through protonet.ScoredEpisode, so each episode is embedded once and the
-gates read the same features as the closed-set classifier.
+reproducible bit for bit.
+
+Sampling is a draw and a gather: draw_episode picks classes and row indices
+into the partition's RowTable, and sample_episode (training) gathers the
+rows. Evaluation, threshold calibration and validation never gather: they
+score their episodes in chunks (protonet.ScoredChunk) from a per-call
+RowEmbeddings cache, so each drawn row is embedded once per call, and the
+gates read the same embeddings as the closed-set classifier.
 """
 
 import csv
@@ -115,45 +120,116 @@ class Episode:
         return len(self.unknown_class_ids)
 
 
-def sample_episode(dataset, classes, cfg, rng=None):
-    """Draw one episode from the given class partition, deterministically for
-    a given rng (or cfg.seed when rng is None)."""
+def _stacked(blocks, dim):
+    """[count, dim] float64 row blocks as one [N, dim] array: a view when
+    they lie back to back in one buffer, as the classes of a loaded dataset
+    do, so the table costs no copy; a copy otherwise."""
+    if not blocks:
+        return np.zeros((0, dim))
+    base, at = blocks[0].base, blocks[0].ctypes.data
+    for b in blocks:
+        if b.base is not base or b.ctypes.data != at or not b.flags.c_contiguous:
+            return np.concatenate(blocks)
+        at += b.nbytes
+    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
+        return np.concatenate(blocks)
+    rows = sum(b.shape[0] for b in blocks)
+    return np.ndarray((rows, dim), np.float64, base, blocks[0].ctypes.data - base.ctypes.data)
+
+
+@dataclass(frozen=True)
+class RowTable:
+    """The examples of a set of classes as one row array [N, dim]: classes
+    in id order, each a contiguous block of rows; spans maps a class id to
+    (first row, row count)."""
+
+    class_ids: np.ndarray
+    spans: dict
+    rows: np.ndarray
+
+    @staticmethod
+    def stack(class_ids, blocks, dim):
+        """Table of the given classes (id order) and their [count, dim]
+        example blocks."""
+        starts = np.cumsum([0] + [b.shape[0] for b in blocks])
+        spans = {c: (int(s), b.shape[0]) for c, s, b in zip(class_ids, starts, blocks)}
+        return RowTable(np.array(class_ids, dtype=np.int64), spans, _stacked(blocks, dim))
+
+    def permuted_rows(self, class_id, needed, rng, what):
+        """The rows of one class in random order; it must hold `needed`."""
+        start, count = self.spans[class_id]
+        if count < needed:
+            raise EpisodeError(f"class {class_id} has {count} examples, needs {what}={needed}")
+        return start + rng.permutation(count)
+
+    def gather(self, draw):
+        """The Episode of a drawn EpisodeDraw."""
+        return Episode(
+            draw.known_class_ids,
+            draw.unknown_class_ids,
+            self.rows[draw.support],
+            self.rows[draw.query_known],
+            self.rows[draw.query_unknown],
+        )
+
+
+@dataclass(frozen=True)
+class EpisodeDraw:
+    """One episode as row indices into a RowTable: support [n, k], known
+    queries [n, q] and unknown queries [n_U, q]."""
+
+    known_class_ids: tuple
+    unknown_class_ids: tuple
+    support: np.ndarray
+    query_known: np.ndarray
+    query_unknown: np.ndarray
+
+    @property
+    def query_rows(self):
+        """Stacked query rows [m]: known, then unknown."""
+        return np.concatenate([self.query_known.ravel(), self.query_unknown.ravel()])
+
+
+def draw_episode(table, cfg, rng=None):
+    """Draw one episode's classes and row indices from a RowTable,
+    deterministically for a given rng (or cfg.seed when rng is None).
+
+    n + n_U classes are chosen without replacement, then each known class
+    permutes its rows once for k support and q query rows, and each unknown
+    class once for q query rows.
+    """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    pool = sorted(int(c) for c in classes)
     needed = cfg.n + cfg.n_unknown
-    if len(pool) < needed:
+    if len(table.class_ids) < needed:
         raise EpisodeError(
-            f"partition has {len(pool)} classes, episode needs {needed} "
+            f"partition has {len(table.class_ids)} classes, episode needs {needed} "
             f"(n={cfg.n} known + n_unknown={cfg.n_unknown})"
         )
-    chosen = rng.choice(np.array(pool), size=needed, replace=False)
+    chosen = rng.choice(table.class_ids, size=needed, replace=False)
     known = tuple(int(c) for c in chosen[: cfg.n])
     unknown = tuple(int(c) for c in chosen[cfg.n :])
     support, query_known, query_unknown = [], [], []
     for cid in known:
-        ex = dataset.examples(cid)
-        if ex.shape[0] < cfg.k + cfg.q:
-            raise EpisodeError(
-                f"class {cid} has {ex.shape[0]} examples, needs k+q={cfg.k + cfg.q}"
-            )
-        idx = rng.permutation(ex.shape[0])
-        support.append(ex[idx[: cfg.k]])
-        query_known.append(ex[idx[cfg.k : cfg.k + cfg.q]])
+        idx = table.permuted_rows(cid, cfg.k + cfg.q, rng, "k+q")
+        support.append(idx[: cfg.k])
+        query_known.append(idx[cfg.k : cfg.k + cfg.q])
     for cid in unknown:
-        ex = dataset.examples(cid)
-        if ex.shape[0] < cfg.q:
-            raise EpisodeError(f"class {cid} has {ex.shape[0]} examples, needs q={cfg.q}")
-        idx = rng.permutation(ex.shape[0])
-        query_unknown.append(ex[idx[: cfg.q]])
-    dim = dataset.dim
-    return Episode(
+        query_unknown.append(table.permuted_rows(cid, cfg.q, rng, "q")[: cfg.q])
+    return EpisodeDraw(
         known,
         unknown,
-        np.stack(support),
-        np.stack(query_known),
-        np.stack(query_unknown) if unknown else np.zeros((0, cfg.q, dim)),
+        np.array(support),
+        np.array(query_known),
+        np.array(query_unknown, dtype=np.intp).reshape(len(unknown), cfg.q),
     )
+
+
+def sample_episode(dataset, classes, cfg, rng=None):
+    """Draw one episode from the given class partition and gather its rows,
+    deterministically for a given rng (or cfg.seed when rng is None)."""
+    table = dataset.row_table(classes)
+    return table.gather(draw_episode(table, cfg, rng))
 
 
 def _episode_rng(seed, stream, index):
@@ -175,11 +251,15 @@ def _eval_classes(dataset, partition):
 
 
 def max_prob_decision(probs):
-    """Decision rule of both one-class heads over [m, n] per-class known
+    """Decision rule of both one-class heads over [..., m, n] per-class known
     probabilities: score = max_c p_c, and a query is known when score >= 0.5
     (p_unknown = 1 - score, so a tie at 0.5 resolves to known)."""
-    score = probs.max(axis=1)
+    score = probs.max(axis=-1)
     return score, score >= 0.5
+
+
+# A gate has a name, the embedding spaces it reads, and judge(chunk), which
+# maps a protonet.ScoredChunk to (score [B, m], is_known [B, m]).
 
 
 class MetaBceGate:
@@ -189,12 +269,11 @@ class MetaBceGate:
 
     def __init__(self, head):
         self.head = head
+        self.spaces = (head.variant,)
 
-    def judge(self, scored):
+    def judge(self, chunk):
         space = self.head.variant
-        probs = metabce.prob_known(
-            self.head, scored.embeddings(space)[1], scored.prototypes(space)
-        )
+        probs = metabce.prob_known(self.head, chunk.queries(space), chunk.prototypes(space))
         return max_prob_decision(probs)
 
 
@@ -202,13 +281,14 @@ class OcmlGate:
     """Scores queries with generated one-class weights in the main space."""
 
     name = "ocml"
+    spaces = ("main",)
 
     def __init__(self, transfer):
         self.transfer = transfer
 
-    def judge(self, scored):
-        weights = ocml.generate_weight(self.transfer, scored.prototypes()).data
-        return max_prob_decision(ocml.prob_known(weights, scored.embeddings()[1]))
+    def judge(self, chunk):
+        weights = ocml.generate_weight(self.transfer, chunk.prototypes()).data
+        return max_prob_decision(ocml.prob_known(weights, chunk.queries()))
 
 
 class ThresholdGate:
@@ -216,12 +296,13 @@ class ThresholdGate:
     Scores rank by negative distance so higher still means more known."""
 
     name = "threshold"
+    spaces = ("main",)
 
     def __init__(self, baseline):
         self.baseline = baseline
 
-    def judge(self, scored):
-        dmin = scored.nearest_distance
+    def judge(self, chunk):
+        dmin = chunk.nearest_distance
         return -dmin, dmin <= self.baseline.tau
 
 
@@ -300,28 +381,75 @@ class TrainResult:
 METHODS = ("protonet", "mbce", "ocml_joint", "ocml_frozen")
 
 
-def _truth(ep):
-    """True labels of an episode's stacked queries: known, then UNKNOWN."""
-    known = np.repeat(np.array(ep.known_class_ids, dtype=np.int64), ep.q)
-    return np.concatenate([known, np.full(ep.n_U * ep.q, UNKNOWN)])
+# Episodes are scored in chunks of B episodes whose [B, m, e] query stack
+# holds at most this many values (750 KiB): 10 episodes of the 5-way,
+# 150-query shape at e = 64, which measured fastest. The distance kernel's
+# [B, m, n, e] difference tensor is n times that.
+CHUNK_VALUES = 10 * 150 * 64
 
 
-def _gated(gate, scored):
-    """(truth, final label, score) of the stacked queries: the gate decides
-    known or unknown, the closed-set classifier labels the known ones."""
-    score, is_known = gate.judge(scored)
-    final = np.where(is_known, scored.closed_predictions, UNKNOWN)
-    return _truth(scored.episode), final, score
+def _scored_chunks(params, table, cfg, episodes, seed, stream, spaces):
+    """Episodes 0 .. episodes - 1 of (seed, stream), drawn from table and
+    scored in chunks; yields (index of the chunk's first episode, chunk).
+    Every row is embedded at most once per call, in the given spaces."""
+    m = (cfg.n + cfg.n_unknown) * cfg.q
+    cache = protonet.RowEmbeddings(params, table.rows, spaces, slice_rows=m)
+    size = max(1, CHUNK_VALUES // (m * params.embed_dim))
+    for start in range(0, episodes, size):
+        draws = [
+            draw_episode(table, cfg, _episode_rng(seed, stream, i))
+            for i in range(start, min(start + size, episodes))
+        ]
+        yield start, protonet.ScoredChunk(
+            cache,
+            np.array([d.known_class_ids for d in draws]),
+            np.stack([d.support.ravel() for d in draws]),
+            np.stack([d.query_rows for d in draws]),
+            cfg.q,
+        )
+
+
+def score_episode(params, episode, spaces=("main",)):
+    """Score one Episode as a chunk of one, through a row table made of the
+    episode's own rows (support, known queries, unknown queries)."""
+    dim = episode.support.shape[-1]
+    rows = np.vstack([a.reshape(-1, dim) for a in
+                      (episode.support, episode.query_known, episode.query_unknown)])
+    n_support = episode.n * episode.k
+    m = rows.shape[0] - n_support
+    return protonet.ScoredChunk(
+        protonet.RowEmbeddings(params, rows, spaces, slice_rows=m),
+        np.array([episode.known_class_ids]),
+        np.arange(n_support)[None],
+        np.arange(n_support, rows.shape[0])[None],
+        episode.q,
+    )
+
+
+def _truth(chunk):
+    """True labels [B, m] of a chunk's stacked queries: known, then UNKNOWN."""
+    known = np.repeat(chunk.class_ids, chunk.q, axis=1)
+    unknown = np.full((known.shape[0], chunk.query_rows.shape[1] - chunk.n_known), UNKNOWN)
+    return np.concatenate([known, unknown], axis=1)
+
+
+def _gated(gate, chunk):
+    """(truth, final label, score) [B, m] of the stacked queries: the gate
+    decides known or unknown, the closed-set classifier labels the known
+    ones."""
+    score, is_known = gate.judge(chunk)
+    final = np.where(is_known, chunk.closed_predictions, UNKNOWN)
+    return _truth(chunk), final, score
 
 
 def _closed_accuracy(params, dataset, classes, cfg, episodes, seed, stream=_VAL_STREAM):
     correct, total = 0, 0
-    for i in range(episodes):
-        ep = sample_episode(dataset, classes, cfg, _episode_rng(seed, stream, i))
-        scored = protonet.ScoredEpisode(params, ep)
-        known = slice(0, scored.n_known)
-        correct += int(np.sum(scored.closed_predictions[known] == _truth(ep)[known]))
-        total += scored.n_known
+    table = dataset.row_table(classes)
+    for _, chunk in _scored_chunks(params, table, cfg, episodes, seed, stream, ("main",)):
+        known = slice(0, chunk.n_known)
+        hits = chunk.closed_predictions[:, known] == _truth(chunk)[:, known]
+        correct += int(np.sum(hits))
+        total += hits.size
     return correct / total
 
 
@@ -335,12 +463,13 @@ def _gate_val_na(gate, params, dataset, classes, k, episodes, seed, stream=_VAL_
     n = max(1, min(5, len(classes) - 1))
     n_u = max(1, min(n, len(classes) - n))
     cfg = EpisodeConfig(n=n, k=k, q=10, n_unknown=n_u)
+    spaces = ("main",) + gate.spaces
     nas = []
-    for i in range(episodes):
-        ep = sample_episode(dataset, classes, cfg, _episode_rng(seed, stream, i))
-        triple = _gated(gate, protonet.ScoredEpisode(params, ep))
+    table = dataset.row_table(classes)
+    for _, chunk in _scored_chunks(params, table, cfg, episodes, seed, stream, spaces):
+        triple = _gated(gate, chunk)
         nas.append(metrics.normalized_accuracy(metrics.aks(triple), metrics.aus(triple)))
-    return float(np.mean(nas))
+    return float(np.mean(np.concatenate(nas)))
 
 
 def run_meta_training(
@@ -475,11 +604,9 @@ def calibrate_threshold_baseline(params, dataset, cfg, episodes, seed, partition
     n = min(cfg.n, len(classes) - 1)
     n_unknown = min(cfg.n_unknown, len(classes) - n)
     cal_cfg = EpisodeConfig(n=n, k=cfg.k, q=cfg.q, n_unknown=n_unknown, seed=cfg.seed)
-    eps = [
-        sample_episode(dataset, classes, cal_cfg, _episode_rng(seed, _CALIB_STREAM, i))
-        for i in range(episodes)
-    ]
-    return protonet.calibrate_threshold(params, eps)
+    chunks = _scored_chunks(params, dataset.row_table(classes), cal_cfg, episodes, seed,
+                            _CALIB_STREAM, ("main",))
+    return protonet.calibrate_threshold(chunk for _, chunk in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -565,21 +692,26 @@ def _aggregate(task, config, seed, m, names, per_episode, records):
 
 
 def _evaluate(task, params, gate, dataset, cfg, m_episodes, seed, partition,
-              collect_records, score_row):
-    """Score m_episodes evaluation episodes in index order and aggregate.
+              collect_records, score_rows, spaces):
+    """Score m_episodes evaluation episodes in index order, chunk by chunk,
+    and aggregate.
 
-    score_row maps a ScoredEpisode to (metric row, (truth, pred, score)).
+    score_rows maps a ScoredChunk to ({metric name: [B] values}, (truth,
+    pred, score) [B, m]); spaces are the embedding spaces it reads.
     """
     if m_episodes < 1:
         raise EpisodeError("m_episodes must be >= 1")
-    classes = _eval_classes(dataset, partition)
+    table = dataset.row_table(_eval_classes(dataset, partition))
     per_episode, records = [], []
-    for i in range(m_episodes):
-        ep = sample_episode(dataset, classes, cfg, _episode_rng(seed, _EVAL_STREAM, i))
-        row, triple = score_row(protonet.ScoredEpisode(params, ep))
-        per_episode.append({"episode_id": i, **row})
-        if collect_records:
-            records.append((i, metrics.records_from_arrays(*triple)))
+    for start, chunk in _scored_chunks(params, table, cfg, m_episodes, seed, _EVAL_STREAM,
+                                       spaces):
+        columns, triple = score_rows(chunk)
+        for b in range(chunk.class_ids.shape[0]):
+            per_episode.append(
+                {"episode_id": start + b, **{name: float(v[b]) for name, v in columns.items()}}
+            )
+            if collect_records:
+                records.append((start + b, metrics.records_from_arrays(*(a[b] for a in triple))))
     config = {
         "task": task,
         "partition": partition,
@@ -587,7 +719,7 @@ def _evaluate(task, params, gate, dataset, cfg, m_episodes, seed, partition,
         **cfg.as_dict(),
         "m_episodes": m_episodes,
     }
-    return _aggregate(task, config, seed, m_episodes, list(row), per_episode, records)
+    return _aggregate(task, config, seed, m_episodes, list(columns), per_episode, records)
 
 
 def evaluate_oneclass(
@@ -607,20 +739,20 @@ def evaluate_oneclass(
     if cfg.n_unknown < 1:
         raise EpisodeError("one-class evaluation needs at least one unknown class")
 
-    def score_row(scored):
-        score, is_known = gate.judge(scored)
-        truth = _truth(scored.episode)
-        pred = np.where(is_known, scored.episode.known_class_ids[0], UNKNOWN)
+    def score_rows(chunk):
+        score, is_known = gate.judge(chunk)
+        truth = _truth(chunk)
+        pred = np.where(is_known, chunk.class_ids, UNKNOWN)
         triple = (truth, pred, score)
-        row = {
-            "accuracy": float(np.mean((truth != UNKNOWN) == is_known)),
+        columns = {
+            "accuracy": np.mean((truth != UNKNOWN) == is_known, axis=1),
             "f1": metrics.binary_f1(triple),
             "auroc": metrics.auroc(triple),
         }
-        return row, triple
+        return columns, triple
 
     return _evaluate("oneclass", params, gate, dataset, cfg, m_episodes, seed, partition,
-                     collect_records, score_row)
+                     collect_records, score_rows, gate.spaces)
 
 
 def evaluate_openset(
@@ -642,21 +774,21 @@ def evaluate_openset(
     if cfg.n_unknown < 1:
         raise EpisodeError("open-set evaluation needs n_unknown >= 1")
 
-    def score_row(scored):
-        triple = _gated(gate, scored)
-        known = slice(0, scored.n_known)
-        closed = scored.closed_predictions[known] == triple[0][known]
+    def score_rows(chunk):
+        triple = _gated(gate, chunk)
+        known = slice(0, chunk.n_known)
+        closed = chunk.closed_predictions[:, known] == triple[0][:, known]
         aks_v = metrics.aks(triple)
         aus_v = metrics.aus(triple)
-        row = {
-            "accuracy": float(np.mean(closed)),
+        columns = {
+            "accuracy": np.mean(closed, axis=1),
             "aks": aks_v,
             "aus": aus_v,
             "na": metrics.normalized_accuracy(aks_v, aus_v),
             "f1_open": metrics.f1_open(triple),
             "auroc": metrics.auroc(triple),
         }
-        return row, triple
+        return columns, triple
 
     return _evaluate("openset", params, gate, dataset, cfg, m_episodes, seed, partition,
-                     collect_records, score_row)
+                     collect_records, score_rows, ("main",) + gate.spaces)

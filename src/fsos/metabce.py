@@ -52,8 +52,8 @@ def oneclass_embed(head, params, x):
 
 
 def prob_known(head, queries, prototypes):
-    """sigmoid(-(d + t)) [m, n] for query rows [m, e] against prototype rows
-    [n, e], both in the head's one-class space."""
+    """sigmoid(-(d + t)) [..., m, n] for query rows [..., m, e] against
+    prototype rows [..., n, e], both in the head's one-class space."""
     d = pairwise_sq_distances(queries, prototypes)
     return sigmoid(Tensor(-(d + float(head.t.data)))).data
 

@@ -1,11 +1,17 @@
-"""Scalar metrics for one-class and open-set evaluation.
+"""Metrics for one-class and open-set evaluation.
 
 Records carry a true label, a final predicted label (after any known/unknown
 gating), and a real-valued known-ness score used for ranking. UNKNOWN is a
 distinguished marker; class ids are non-negative integers.
 
+The episode metrics (AKS, AUS, F1-open, binary F1, AUROC) take records, or
+a (true, pred, score) triple of [m] arrays, and return a float; given a
+triple of [B, m] arrays they score each row and return [B] values. They are
+integer counts and one division per row, so each row's value is the same,
+bit for bit, however many rows are scored together.
+
 Conventions: precision/recall/F1 are 0 whenever their denominator is 0, and
-AUROC counts tied pairs as half (rank-based Mann-Whitney form).
+AUROC counts tied pairs as half (Mann-Whitney form).
 """
 
 import csv
@@ -60,47 +66,74 @@ def accuracy(true_labels, predicted_labels):
     return float(np.mean(t == p))
 
 
+def _rows(records):
+    """(true, pred, score) as [B, m] arrays, plus whether the input was a
+    single row to be returned as a float."""
+    t, p, s = _arrays(records)
+    return np.atleast_2d(t), np.atleast_2d(p), np.atleast_2d(s), t.ndim == 1
+
+
+def _per_row(values, single):
+    return float(values[0]) if single else values
+
+
+def _f1(tp, fp, fn):
+    """Row-wise F1 from integer counts; 0 where tp is 0."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        prec = tp / (tp + fp)
+        rec = tp / (tp + fn)
+        f1 = 2.0 * prec * rec / (prec + rec)
+    return np.where(tp > 0, f1, 0.0)
+
+
 def binary_f1(records):
     """F1 of the known/unknown decision with known as the positive class."""
-    t, p, _ = _arrays(records)
-    if t.size == 0:
+    t, p, _, single = _rows(records)
+    if t.shape[1] == 0:
         raise MetricError("binary_f1 of an empty record set is undefined")
     pred_known = p != UNKNOWN
     true_known = t != UNKNOWN
-    tp = int(np.sum(pred_known & true_known))
-    fp = int(np.sum(pred_known & ~true_known))
-    fn = int(np.sum(~pred_known & true_known))
-    if tp == 0:
-        return 0.0
-    prec = tp / (tp + fp)
-    rec = tp / (tp + fn)
-    return 2.0 * prec * rec / (prec + rec)
+    tp = np.sum(pred_known & true_known, axis=1)
+    fp = np.sum(pred_known & ~true_known, axis=1)
+    fn = np.sum(~pred_known & true_known, axis=1)
+    return _per_row(_f1(tp, fp, fn), single)
 
 
 def auroc(records):
     """Probability a random known-truth record outscores a random
-    unknown-truth record, ties counted half. Computed from average ranks."""
-    t, _, s = _arrays(records)
+    unknown-truth record, ties counted half: (#greater + 0.5 * #equal) over
+    the known x unknown pairs, counted exactly from each row's sorted scores."""
+    t, _, s, single = _rows(records)
     known = t != UNKNOWN
-    ks, us = s[known], s[~known]
-    if ks.size == 0 or us.size == 0:
+    nk, nu = known.sum(axis=1), (~known).sum(axis=1)
+    if not (nk.all() and nu.all()):
         raise MetricError("auroc needs at least one known and one unknown record")
-    pooled = np.concatenate([ks, us])
-    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
-    upper = np.cumsum(counts)
-    avg_rank = (upper - counts + 1 + upper) / 2.0
-    rank_sum_known = float(avg_rank[inverse[: ks.size]].sum())
-    nk, nu = ks.size, us.size
-    return (rank_sum_known - nk * (nk + 1) / 2.0) / (nk * nu)
+    order = np.argsort(s, axis=1, kind="stable")
+    s = np.take_along_axis(s, order, axis=1)
+    unknown = ~np.take_along_axis(known, order, axis=1)
+    # equal scores form runs from sorted position first to last; for a known
+    # score, #greater counts the unknown scores below its run and
+    # #greater + #equal those up to the run's end
+    pos = np.arange(s.shape[1])
+    edge = np.ones((s.shape[0], s.shape[1] + 1), dtype=bool)
+    edge[:, 1:-1] = s[:, 1:] != s[:, :-1]
+    first = np.maximum.accumulate(np.where(edge[:, :-1], pos, 0), axis=1)
+    last = np.minimum.accumulate(np.where(edge[:, 1:], pos, pos[-1])[:, ::-1], axis=1)[:, ::-1]
+    upto = np.cumsum(unknown, axis=1)
+    below = np.take_along_axis(upto - unknown, first, axis=1)
+    at_most = np.take_along_axis(upto, last, axis=1)
+    halves = np.sum(below + at_most, axis=1, where=~unknown)
+    return _per_row(0.5 * halves / (nk * nu), single)
 
 
 def aks(records):
     """Accuracy on known samples: gated-UNKNOWN predictions count as wrong."""
-    t, p, _ = _arrays(records)
+    t, p, _, single = _rows(records)
     known = t != UNKNOWN
-    if not known.any():
+    nk = known.sum(axis=1)
+    if not nk.all():
         raise MetricError("aks needs at least one known-truth record")
-    return float(np.mean(t[known] == p[known]))
+    return _per_row(np.sum(known & (t == p), axis=1) / nk, single)
 
 
 def aks_one_vs_rest(records):
@@ -126,11 +159,12 @@ def aks_one_vs_rest(records):
 def aus(records):
     """Accuracy on unknown samples: fraction of unknown-truth records
     predicted UNKNOWN."""
-    t, p, _ = _arrays(records)
+    t, p, _, single = _rows(records)
     unknown = t == UNKNOWN
-    if not unknown.any():
+    nu = unknown.sum(axis=1)
+    if not nu.all():
         raise MetricError("aus needs at least one unknown-truth record")
-    return float(np.mean(p[unknown] == UNKNOWN))
+    return _per_row(np.sum(unknown & (p == UNKNOWN), axis=1) / nu, single)
 
 
 def normalized_accuracy(aks_value, aus_value, weight=0.5):
@@ -148,18 +182,14 @@ def f1_open(records):
     else, UNKNOWN included. Unknown-truth records therefore only ever count
     as false positives of the class they were labeled with.
     """
-    t, p, _ = _arrays(records)
-    if t.size == 0:
+    t, p, _, single = _rows(records)
+    if t.shape[1] == 0:
         raise MetricError("f1_open of an empty record set is undefined")
     known = t != UNKNOWN
-    tp = int(np.sum(known & (t == p)))
-    fp = int(np.sum((p != UNKNOWN) & (p != t)))
-    fn = int(np.sum(known & (p != t)))
-    if tp == 0:
-        return 0.0
-    prec = tp / (tp + fp)
-    rec = tp / (tp + fn)
-    return 2.0 * prec * rec / (prec + rec)
+    tp = np.sum(known & (t == p), axis=1)
+    fp = np.sum((p != UNKNOWN) & (p != t), axis=1)
+    fn = np.sum(known & (p != t), axis=1)
+    return _per_row(_f1(tp, fp, fn), single)
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def transfer_from_group(group_params, meta):
 
 
 def generate_weight(transfer, prototype):
-    """w_c = g(prototype); accepts [e] or a stack [n, e] of prototypes."""
+    """w_c = g(prototype); accepts [e] or stacks [..., n, e] of prototypes."""
     h = as_tensor(prototype)
     if h.data.shape[-1] != transfer.layers[0][0].data.shape[0]:
         raise OcmlError(
@@ -129,14 +129,15 @@ def generate_weight(transfer, prototype):
 
 
 def prob_known(weights, queries):
-    """sigmoid(w_c . f) [m, n] for generated weight rows [n, e] and
-    main-space query rows [m, e]."""
-    if weights.ndim != 2 or queries.ndim != 2 or weights.shape[1] != queries.shape[1]:
+    """sigmoid(w_c . f) [..., m, n] for generated weight rows [..., n, e] and
+    main-space query rows [..., m, e] with the same leading axes."""
+    if (weights.ndim < 2 or queries.ndim != weights.ndim
+            or weights.shape[:-2] != queries.shape[:-2] or weights.shape[-1] != queries.shape[-1]):
         raise OcmlError(
-            f"need weight rows [n, e] and query rows [m, e], got {weights.shape} and "
+            f"need weight rows [..., n, e] and query rows [..., m, e], got {weights.shape} and "
             f"{queries.shape}"
         )
-    return sigmoid(Tensor(queries @ weights.T)).data
+    return sigmoid(Tensor(queries @ np.swapaxes(weights, -1, -2))).data
 
 
 def episode_loss(transfer, params, episode):

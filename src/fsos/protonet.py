@@ -1,18 +1,21 @@
 """Prototypical-network closed-set classifier, the min-distance threshold
-baseline used as the open-set comparison point, and the one per-episode
-scoring routine every evaluator, validator and gate reads.
+baseline used as the open-set comparison point, and the chunk scorer every
+evaluator, validator, calibration and gate reads.
 
-Embeddings, prototypes and distances are row stacks. All three episode
-losses (ProtoNet, Meta-BCE, OCML) start with the taped step embed_episode.
+Embeddings, prototypes and distances are row stacks, batched over episodes
+by leading axes. All three episode losses (ProtoNet, Meta-BCE, OCML) start
+with the taped step embed_episode.
 
-ScoredEpisode runs the extractor's trunk once on an episode's support and
-once on its stacked queries (known, then unknown); main, branch and
-projected embeddings, their prototypes and the main-space distance matrix
-are derived from those trunk features the first time a reader asks. Closed-set
-logits are negative squared Euclidean distances to per-class prototypes;
-argmin ties break toward the lowest class id. The threshold baseline scores a
-query by its distance to the nearest prototype and accepts it as known when
-that distance is at most tau.
+Scoring is untaped. RowEmbeddings embeds each row of a row table at most once
+per call, in the spaces asked for: the trunk runs once per row for the main
+and branch blocks, and the projection is applied on top of main. A
+ScoredChunk stacks B episodes of one shape from that cache and derives their
+prototypes [B, n, e], main-space distances [B, m, n], nearest distances and
+closed predictions as batched arrays. Closed-set logits are negative squared
+Euclidean distances to per-class prototypes; argmin ties break toward the
+lowest class id. The threshold baseline scores a query by its distance to
+the nearest prototype and accepts it as known when that distance is at most
+tau.
 """
 
 from dataclasses import dataclass
@@ -23,91 +26,142 @@ import numpy as np
 from .autodiff import Tensor, mean_rows, row_block_mean, scale_shift, softmax_xent, squared_distance
 from .backbone import embed, last_block, project, trunk_features
 
+SPACES = ("main", "branch", "projected")
+
 
 class ProtonetError(ValueError):
     pass
 
 
 def prototypes(support_embeddings, n):
-    """Per-class means [n, e] of a class-ordered [n * k, e] support stack."""
+    """Per-class means [..., n, e] of class-ordered [..., n * k, e] support
+    stacks."""
     emb = np.asarray(support_embeddings, dtype=np.float64)
-    if emb.ndim != 2 or emb.shape[0] == 0 or n < 1 or emb.shape[0] % n:
+    if emb.ndim < 2 or emb.shape[-2] == 0 or n < 1 or emb.shape[-2] % n:
         raise ProtonetError(f"cannot split support embeddings {emb.shape} into {n} classes")
-    return row_block_mean(emb, n)
+    lead, e = emb.shape[:-2], emb.shape[-1]
+    groups = n * int(np.prod(lead))
+    return row_block_mean(emb.reshape(-1, e), groups).reshape(lead + (n, e))
 
 
 def pairwise_sq_distances(queries, protos_matrix):
-    """Squared Euclidean distances [m, n] between query rows [m, e] and
-    prototype rows [n, e]."""
+    """Squared Euclidean distances [..., m, n] between query rows [..., m, e]
+    and prototype rows [..., n, e] with the same leading axes."""
     q = np.asarray(queries, dtype=np.float64)
-    if q.ndim != 2 or protos_matrix.ndim != 2 or q.shape[1] != protos_matrix.shape[1]:
+    p = protos_matrix
+    if q.ndim < 2 or p.ndim != q.ndim or q.shape[:-2] != p.shape[:-2] or q.shape[-1] != p.shape[-1]:
         raise ProtonetError(
-            f"need query rows [m, e] and prototype rows [n, e], got {q.shape} and "
-            f"{protos_matrix.shape}"
+            f"need query rows [..., m, e] and prototype rows [..., n, e], got {q.shape} and "
+            f"{p.shape}"
         )
-    diff = q[:, None, :] - protos_matrix[None, :, :]
-    return np.einsum("mnd,mnd->mn", diff, diff)
+    diff = q[..., :, None, :] - p[..., None, :, :]
+    return np.einsum("...mnd,...mnd->...mn", diff, diff)
 
 
 def predict_closed(distances, class_ids):
     """Class id of the nearest prototype per query row; the columns of the
-    [m, n] distances follow class_ids, and ties go to the lowest class id."""
+    [..., m, n] distances follow the [..., n] class_ids, and ties go to the
+    lowest class id."""
     ids = np.asarray(class_ids)
-    order = np.argsort(ids, kind="stable")
-    return ids[order][np.argmin(distances[:, order], axis=1)]
+    order = np.argsort(ids, axis=-1, kind="stable")
+    nearest = np.argmin(np.take_along_axis(distances, order[..., None, :], axis=-1), axis=-1)
+    return np.take_along_axis(np.take_along_axis(ids, order, axis=-1), nearest, axis=-1)
 
 
-class ScoredEpisode:
-    """One episode embedded once; every derived quantity is computed on
-    first use and shared by the closed-set classifier and the gates."""
+class RowEmbeddings:
+    """Embeddings of a row table's rows in the given spaces, each row
+    embedded at most once: a cache for one evaluation, calibration or
+    validation call, whose episodes draw the same rows again and again.
 
-    def __init__(self, params, episode):
+    Missing rows are embedded in slices of at most slice_rows rows.
+    """
+
+    def __init__(self, params, rows, spaces, slice_rows):
         self.params = params
-        self.episode = episode
-        self.n = episode.n
-        dim = episode.support.shape[-1]
-        queries = np.vstack(
-            [episode.query_known.reshape(-1, dim), episode.query_unknown.reshape(-1, dim)]
-        )
-        self.n_known = episode.n * episode.q
-        self._features = (
-            trunk_features(params, episode.support.reshape(-1, dim)),
-            trunk_features(params, queries),
-        )
-        self._spaces = {}
+        self.rows = rows
+        self.spaces = tuple(s for s in SPACES if s in spaces)
+        self.slice_rows = slice_rows
+        self._values = {s: np.empty((rows.shape[0], params.embed_dim)) for s in self.spaces}
+        self._done = np.zeros(rows.shape[0], dtype=bool)
+
+    def fill(self, indices):
+        """Embed the rows among indices that are not embedded yet."""
+        todo = np.unique(indices[~self._done[indices]])
+        params = self.params
+        for start in range(0, todo.size, self.slice_rows):
+            part = todo[start : start + self.slice_rows]
+            # numpy multiplies a single row by gemv, which rounds differently
+            # from gemm: embed at least two rows, so that a row's embedding
+            # never depends on the slice it falls in
+            h = trunk_features(params, self.rows[np.repeat(part, 2) if part.size == 1 else part])
+            fresh = {}
+            if "branch" in self.spaces:
+                fresh["branch"] = last_block(params, h, params.branch)
+            if "main" in self.spaces or "projected" in self.spaces:
+                fresh["main"] = last_block(params, h, params.head)
+            if "projected" in self.spaces:
+                fresh["projected"] = project(params, fresh["main"])
+            for space, values in self._values.items():
+                values[part] = fresh[space].data[: part.size]
+        self._done[todo] = True
+
+    def take(self, space, indices):
+        """Embeddings [*indices.shape, e] of embedded rows in one space."""
+        if space not in self._values:
+            raise ProtonetError(f"embedding space {space!r} was not requested ({self.spaces})")
+        return self._values[space][indices]
+
+
+class ScoredChunk:
+    """B episodes of one shape scored as stacked arrays.
+
+    class_ids [B, n] are each episode's known classes in episode order;
+    support_rows [B, n * k] (class-ordered) and query_rows [B, m] (the n * q
+    known queries, then the unknown ones) index the rows of cache, a
+    RowEmbeddings. Every derived quantity is computed on first use and
+    shared by the closed-set classifier and the gates.
+    """
+
+    def __init__(self, cache, class_ids, support_rows, query_rows, q):
+        cache.fill(np.concatenate([support_rows.ravel(), query_rows.ravel()]))
+        self.cache = cache
+        self.class_ids = class_ids
+        self.support_rows = support_rows
+        self.query_rows = query_rows
+        self.n = class_ids.shape[1]
+        self.q = q
+        self.n_known = self.n * q
+        self._queries = {}
         self._prototypes = {}
 
-    def embeddings(self, space="main"):
-        """(support [n * k, e], queries [m, e]) in the "main", "branch" or
-        "projected" space."""
-        if space not in self._spaces:
-            if space == "projected":
-                pair = tuple(project(self.params, e).data for e in self.embeddings("main"))
-            else:
-                block = {"main": self.params.head, "branch": self.params.branch}[space]
-                pair = tuple(last_block(self.params, f, block).data for f in self._features)
-            self._spaces[space] = pair
-        return self._spaces[space]
+    def queries(self, space="main"):
+        """Query embeddings [B, m, e] in the "main", "branch" or "projected"
+        space."""
+        if space not in self._queries:
+            self._queries[space] = self.cache.take(space, self.query_rows)
+        return self._queries[space]
 
     def prototypes(self, space="main"):
-        """Per-class prototypes [n, e] in the given space, episode class order."""
+        """Per-class prototypes [B, n, e] in the given space, episode class order."""
         if space not in self._prototypes:
-            self._prototypes[space] = prototypes(self.embeddings(space)[0], self.n)
+            self._prototypes[space] = prototypes(self.cache.take(space, self.support_rows), self.n)
         return self._prototypes[space]
 
     @cached_property
     def distances(self):
-        """Main-space squared distances [m, n]; closed logits are their negation."""
-        return pairwise_sq_distances(self.embeddings()[1], self.prototypes())
+        """Main-space squared distances [B, m, n]; closed logits are their negation."""
+        return pairwise_sq_distances(self.queries(), self.prototypes())
 
     @cached_property
     def nearest_distance(self):
-        """Threshold-baseline score per query: distance to the nearest prototype."""
-        return self.distances.min(axis=1)
+        """Threshold-baseline score per query [B, m]: distance to the nearest
+        prototype."""
+        return self.distances.min(axis=-1)
 
     @cached_property
     def closed_predictions(self):
-        return predict_closed(self.distances, self.episode.known_class_ids)
+        """Closed-set label per query [B, m]."""
+        return predict_closed(self.distances, self.class_ids)
 
 
 def embed_episode(embed_fn, params, episode):
@@ -166,16 +220,15 @@ def scan_threshold(known_scores, unknown_scores):
     return ThresholdBaseline(float(mids[np.argmax(balanced)]))
 
 
-def calibrate_threshold(params, episodes):
-    """Calibrate tau on validation episodes in the main embedding space."""
+def calibrate_threshold(chunks):
+    """Calibrate tau on scored validation chunks in the main embedding space."""
     known_scores, unknown_scores = [], []
-    for ep in episodes:
-        scored = ScoredEpisode(params, ep)
-        known_scores.append(scored.nearest_distance[: scored.n_known])
-        if ep.n_U:
-            unknown_scores.append(scored.nearest_distance[scored.n_known :])
+    for chunk in chunks:
+        known_scores.append(chunk.nearest_distance[:, : chunk.n_known].ravel())
+        unknown_scores.append(chunk.nearest_distance[:, chunk.n_known :].ravel())
     if not known_scores:
         raise ProtonetError("threshold calibration needs at least one episode")
-    if not unknown_scores:
+    unknown = np.concatenate(unknown_scores)
+    if unknown.size == 0:
         raise ProtonetError("threshold calibration needs episodes with unknown queries")
-    return scan_threshold(np.concatenate(known_scores), np.concatenate(unknown_scores))
+    return scan_threshold(np.concatenate(known_scores), unknown)

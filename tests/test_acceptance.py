@@ -31,9 +31,9 @@ from fsos.episodes import (
     evaluate_openset,
     run_meta_training,
     sample_episode,
+    score_episode,
 )
 from fsos.metrics import UNKNOWN, aks, auroc, f1_open, normalized_accuracy
-from fsos.protonet import ScoredEpisode
 
 SEEDS = (1, 2, 3)
 EVAL_SEED = 20_000
@@ -275,14 +275,14 @@ def test_criterion_5_augmentation_no_degradation(bench):
 
     def logits_and_accuracy(params):
         # closed logits are the negated main-space distances of the shared
-        # scoring routine, which every evaluator and gate reads
+        # chunk scorer, which every evaluator and gate reads
         logit_blobs, correct, total = [], 0, 0
         for ep in suite:
-            scored = ScoredEpisode(params, ep)
+            scored = score_episode(params, ep)
             logit_blobs.append(-scored.distances)
             known = slice(0, scored.n_known)
             truth = np.repeat(np.array(ep.known_class_ids), ep.q)
-            correct += int(np.sum(scored.closed_predictions[known] == truth))
+            correct += int(np.sum(scored.closed_predictions[0, known] == truth))
             total += truth.size
         return logit_blobs, correct / total
 

@@ -88,6 +88,20 @@ def test_dot_pairwise_matches_vector_form():
     assert abs(pair[1, 0] - float(ad.dot(Tensor(a[1]), Tensor(b[0])).data)) < 1e-12
 
 
+def test_affine_batched_input_matches_each_slice():
+    rng = np.random.default_rng(3)
+    x, w, b = rng.normal(size=(3, 1, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)
+    out = ad.affine(x, w, b).data
+    # each [1, 4] slice alone, as an unbatched caller would multiply it
+    assert all(np.array_equal(out[i], ad.affine(x[i], w, b).data) for i in range(3))
+    report = gradient_check(
+        lambda ps: ad.dot(ad.reshape(ad.affine(ps[0], ps[1], ps[2]), (-1,)),
+                          Tensor(np.arange(6.0))),
+        [rng.normal(size=(3, 1, 4)), w, b],
+    )
+    assert report.passed, report
+
+
 def test_shape_errors_name_the_primitive():
     with pytest.raises(PrimitiveError) as exc:
         ad.affine(Tensor([1.0, 2.0, 3.0]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
@@ -280,6 +294,19 @@ def test_conv3x3_pool_matches_per_tap_reference(case):
         relu_bias = np.maximum(bias, 0.0)[:, None, None]
         assert np.array_equal(out.data, np.broadcast_to(relu_bias, out.shape))
         assert np.abs(leaves[0].grad).max() > 0.1
+
+
+@pytest.mark.parametrize("bias_offset", [0.0, 5.0], ids=["random", "all_ties"])
+def test_conv3x3_pool_output_same_with_and_without_tape(bias_offset):
+    # without a tape the pool skips its winner index; the output must not move
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(3, 2, 4, 6)) * (bias_offset == 0.0)
+    kernel, bias = rng.normal(size=(4, 2, 3, 3)), rng.normal(size=4) + bias_offset
+    untaped = ad.conv3x3_pool(x, kernel, bias)
+    with Tape() as tape:
+        taped = ad.conv3x3_pool(x, kernel, bias)
+    assert len(tape) == 1
+    assert np.array_equal(untaped.data, taped.data)
 
 
 def test_conv3x3_pool_rejects_bad_shapes():

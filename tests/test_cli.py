@@ -113,6 +113,20 @@ def test_eval_zero_episodes_rejected(workdir, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_eval_bad_calib_episodes_is_usage_error(workdir, capsys, value):
+    out = workdir / f"calib{value}.json"
+    code = run([
+        "eval", "--task=openset", "--head=threshold", f"--checkpoint={workdir}/pn.ckpt",
+        f"--dataset={workdir}/ds.json", f"--calib_episodes={value}", f"--out={out}",
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "calib_episodes" in lines[0]
+    assert not out.exists()
+
+
 def test_eval_reports_deterministic(workdir, tmp_path):
     base = [
         "eval", "--task=openset", "--head=ocml", f"--checkpoint={workdir}/ocml.ckpt",

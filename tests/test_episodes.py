@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsos.backbone import init_backbone
 from fsos.episodes import (
@@ -15,6 +17,7 @@ from fsos.episodes import (
     calibrate_threshold_baseline,
     confidence_interval,
     default_schedule,
+    draw_episode,
     evaluate_oneclass,
     evaluate_openset,
     run_meta_training,
@@ -101,6 +104,45 @@ def test_sample_episode_insufficiency_errors(small_dataset):
     assert "examples" in str(exc.value)
 
 
+def _reference_sample_episode(dataset, classes, cfg, rng):
+    """Episode sampling as it was before the draw/gather split: per-class
+    permutations applied to each class's own example matrix."""
+    chosen = rng.choice(np.array(sorted(classes)), size=cfg.n + cfg.n_unknown, replace=False)
+    support, query_known, query_unknown = [], [], []
+    for cid in chosen[: cfg.n]:
+        ex = dataset.examples(cid)
+        idx = rng.permutation(ex.shape[0])
+        support.append(ex[idx[: cfg.k]])
+        query_known.append(ex[idx[cfg.k : cfg.k + cfg.q]])
+    for cid in chosen[cfg.n :]:
+        ex = dataset.examples(cid)
+        query_unknown.append(ex[rng.permutation(ex.shape[0])[: cfg.q]])
+    unknown = np.stack(query_unknown) if query_unknown else np.zeros((0, cfg.q, dataset.dim))
+    return tuple(int(c) for c in chosen), np.stack(support), np.stack(query_known), unknown
+
+
+@given(n=st.integers(1, 6), k=st.integers(1, 10), q=st.integers(1, 15),
+       n_unknown=st.integers(0, 6), index=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_draw_gathers_the_sampled_episode(small_dataset, n, k, q, n_unknown, index):
+    cfg = EpisodeConfig(n=n, k=k, q=q, n_unknown=n_unknown)
+    classes = small_dataset.classes()
+    table = small_dataset.row_table(classes)
+    draw = draw_episode(table, cfg, _episode_rng(7, 0, index))
+    episode = table.gather(draw)
+    sampled = sample_episode(small_dataset, classes, cfg, _episode_rng(7, 0, index))
+    ids, support, query_known, query_unknown = _reference_sample_episode(
+        small_dataset, classes, cfg, _episode_rng(7, 0, index))
+    assert draw.known_class_ids + draw.unknown_class_ids == ids
+    assert draw.support.shape == (n, k) and draw.query_unknown.shape == (n_unknown, q)
+    for ep in (episode, sampled):
+        assert ep.known_class_ids + ep.unknown_class_ids == ids
+        assert np.array_equal(ep.support, support)
+        assert np.array_equal(ep.query_known, query_known)
+        assert ep.query_unknown.shape == query_unknown.shape
+        assert np.array_equal(ep.query_unknown, query_unknown)
+
+
 def test_confidence_interval_values():
     mean, half, degenerate = confidence_interval([0.7, 0.7, 0.7])
     assert mean == pytest.approx(0.7)
@@ -144,18 +186,20 @@ class ConstantGate:
     """Accepts everything with probability one; for protocol tests."""
 
     name = "constant"
+    spaces = ()
 
-    def judge(self, scored):
-        m = scored.distances.shape[0]
-        return np.ones(m), np.ones(m, dtype=bool)
+    def judge(self, chunk):
+        shape = chunk.query_rows.shape
+        return np.ones(shape), np.ones(shape, dtype=bool)
 
 
 class RejectGate:
     name = "reject"
+    spaces = ()
 
-    def judge(self, scored):
-        m = scored.distances.shape[0]
-        return np.zeros(m), np.zeros(m, dtype=bool)
+    def judge(self, chunk):
+        shape = chunk.query_rows.shape
+        return np.zeros(shape), np.zeros(shape, dtype=bool)
 
 
 def test_evaluate_oneclass_all_positive_gate(small_dataset, small_spec):

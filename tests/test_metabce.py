@@ -11,6 +11,7 @@ from fsos.episodes import (
     max_prob_decision,
     run_meta_training,
     sample_episode,
+    score_episode,
     _episode_rng,
 )
 from fsos.metabce import (
@@ -20,7 +21,7 @@ from fsos.metabce import (
     oneclass_embed,
     prob_known,
 )
-from fsos.protonet import ProtonetError, ScoredEpisode
+from fsos.protonet import ProtonetError
 
 
 def test_prob_known_spot_values():
@@ -196,7 +197,7 @@ def test_trained_head_separates_known_from_unknown(small_dataset, small_spec):
     for i in range(20):
         ep = sample_episode(small_dataset, small_dataset.split.meta_test, cfg,
                             _episode_rng(99, 2, i))
-        score, _ = gate.judge(ScoredEpisode(mb.params, ep))
-        known_p.extend(score[: ep.q])
-        unknown_p.extend(score[ep.q :])
+        score, _ = gate.judge(score_episode(mb.params, ep, gate.spaces))
+        known_p.extend(score[0, : ep.q])
+        unknown_p.extend(score[0, ep.q :])
     assert np.mean(known_p) > np.mean(unknown_p)

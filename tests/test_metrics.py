@@ -101,6 +101,85 @@ def test_oracle_agreement_sampled(seed):
 
 
 # ---------------------------------------------------------------------------
+# the scalar metrics as they were before the row-wise forms, kept as
+# references: one (true, pred, score) row of 1-d arrays at a time
+
+
+def _scalar_binary_f1(t, p, s):
+    pred_known, true_known = p != UNKNOWN, t != UNKNOWN
+    tp = int(np.sum(pred_known & true_known))
+    fp = int(np.sum(pred_known & ~true_known))
+    fn = int(np.sum(~pred_known & true_known))
+    if tp == 0:
+        return 0.0
+    prec, rec = tp / (tp + fp), tp / (tp + fn)
+    return 2.0 * prec * rec / (prec + rec)
+
+
+def _scalar_auroc(t, p, s):
+    known = t != UNKNOWN
+    ks, us = s[known], s[~known]
+    pooled = np.concatenate([ks, us])
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    upper = np.cumsum(counts)
+    avg_rank = (upper - counts + 1 + upper) / 2.0
+    rank_sum_known = float(avg_rank[inverse[: ks.size]].sum())
+    nk, nu = ks.size, us.size
+    return (rank_sum_known - nk * (nk + 1) / 2.0) / (nk * nu)
+
+
+def _scalar_aks(t, p, s):
+    known = t != UNKNOWN
+    return float(np.mean(t[known] == p[known]))
+
+
+def _scalar_aus(t, p, s):
+    return float(np.mean(p[t == UNKNOWN] == UNKNOWN))
+
+
+def _scalar_f1_open(t, p, s):
+    known = t != UNKNOWN
+    tp = int(np.sum(known & (t == p)))
+    fp = int(np.sum((p != UNKNOWN) & (p != t)))
+    fn = int(np.sum(known & (p != t)))
+    if tp == 0:
+        return 0.0
+    prec, rec = tp / (tp + fp), tp / (tp + fn)
+    return 2.0 * prec * rec / (prec + rec)
+
+
+ROW_WISE = ((aks, _scalar_aks), (aus, _scalar_aus), (f1_open, _scalar_f1_open),
+            (binary_f1, _scalar_binary_f1), (auroc, _scalar_auroc))
+
+
+@given(seed=st.integers(0, 10**6), rows=st.integers(1, 6), m=st.integers(2, 40),
+       decimals=st.sampled_from([None, 0, 1, 3]), mode=st.sampled_from(
+           ["mixed", "one_known", "one_unknown", "no_true_positive"]))
+@settings(max_examples=150, deadline=None)
+def test_row_wise_metrics_equal_scalar_references_bit_for_bit(seed, rows, m, decimals, mode):
+    rng = np.random.default_rng(seed)
+    t = np.where(rng.random((rows, m)) < 0.4, UNKNOWN, rng.integers(0, 4, (rows, m)))
+    t[:, 0], t[:, 1] = rng.integers(0, 4, rows), UNKNOWN  # a known and an unknown per row
+    if mode == "one_known":
+        t[:, 2:] = UNKNOWN
+    elif mode == "one_unknown":
+        t[:, 2:] = np.where(t[:, 2:] == UNKNOWN, 0, t[:, 2:])
+    p = np.where(rng.random((rows, m)) < 0.3, UNKNOWN, rng.integers(0, 4, (rows, m)))
+    if mode == "no_true_positive":
+        p = np.where(t == UNKNOWN, rng.integers(0, 4, (rows, m)), UNKNOWN)
+    # heavy ties: constant scores, or scores rounded to few digits
+    s = np.zeros((rows, m)) if decimals is None else np.round(rng.normal(size=(rows, m)), decimals)
+    for fn, reference in ROW_WISE:
+        want = [reference(t[r], p[r], s[r]) for r in range(rows)]
+        got = fn((t, p, s))
+        assert got.shape == (rows,)
+        assert got.tolist() == want, fn.__name__
+        assert [fn((t[r], p[r], s[r])) for r in range(rows)] == want, fn.__name__
+    if mode == "no_true_positive":
+        assert f1_open((t, p, s)).tolist() == binary_f1((t, p, s)).tolist() == [0.0] * rows
+
+
+# ---------------------------------------------------------------------------
 # spot values
 
 

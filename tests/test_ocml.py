@@ -11,6 +11,7 @@ from fsos.episodes import (
     max_prob_decision,
     run_meta_training,
     sample_episode,
+    score_episode,
     _episode_rng,
 )
 from fsos.ocml import (
@@ -24,7 +25,6 @@ from fsos.ocml import (
     transfer_from_group,
     transfer_to_group,
 )
-from fsos.protonet import ScoredEpisode
 
 
 def _identity_transfer(e):
@@ -203,9 +203,9 @@ def test_trained_module_separates_known_from_unknown(small_dataset, small_spec):
     for i in range(20):
         ep = sample_episode(small_dataset, small_dataset.split.meta_test, cfg,
                             _episode_rng(98, 2, i))
-        score, _ = gate.judge(ScoredEpisode(pn.params, ep))
-        known_s.extend(score[: ep.q])
-        unknown_s.extend(score[ep.q :])
+        score, _ = gate.judge(score_episode(pn.params, ep, gate.spaces))
+        known_s.extend(score[0, : ep.q])
+        unknown_s.extend(score[0, ep.q :])
     assert np.mean(known_s) > np.mean(unknown_s)
 
 

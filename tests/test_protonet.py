@@ -3,10 +3,9 @@ import pytest
 
 from fsos.autodiff import Tape, backward
 from fsos.backbone import init_backbone
-from fsos.episodes import Episode, EpisodeConfig, sample_episode
+from fsos.episodes import Episode, EpisodeConfig, sample_episode, score_episode
 from fsos.protonet import (
     ProtonetError,
-    ScoredEpisode,
     ThresholdBaseline,
     calibrate_threshold,
     episode_loss,
@@ -111,14 +110,14 @@ def test_episode_loss_nonnegative_and_trains(small_spec):
 def test_threshold_score_properties(small_spec):
     params = init_backbone(small_spec, seed=3)
     ep = _toy_episode(np.random.default_rng(4))
-    scored = ScoredEpisode(params, ep)
-    assert np.array_equal(scored.nearest_distance, scored.distances.min(axis=1))
+    scored = score_episode(params, ep)
+    assert np.array_equal(scored.nearest_distance, scored.distances.min(axis=2))
     assert np.all(scored.nearest_distance >= 0.0)
     # adding a class (prototype) cannot raise the min; the two episodes embed
     # different row counts, so allow for last-bit matmul differences
-    one = ScoredEpisode(params, Episode(ep.known_class_ids[:1], ep.unknown_class_ids,
+    one = score_episode(params, Episode(ep.known_class_ids[:1], ep.unknown_class_ids,
                                         ep.support[:1], ep.query_known[:1], ep.query_unknown))
-    assert np.all(scored.nearest_distance[: ep.q] <= one.nearest_distance[: ep.q] + 1e-9)
+    assert np.all(scored.nearest_distance[0, : ep.q] <= one.nearest_distance[0, : ep.q] + 1e-9)
 
 
 def test_scan_threshold_separable_and_single_pair():
@@ -148,7 +147,9 @@ def test_calibrate_threshold_needs_unknowns(small_spec, small_dataset):
     cfg = EpisodeConfig(n=2, k=3, q=5, n_unknown=0)
     eps = [sample_episode(small_dataset, small_dataset.split.meta_val, cfg)]
     with pytest.raises(ProtonetError):
-        calibrate_threshold(params, eps)
+        calibrate_threshold(score_episode(params, ep) for ep in eps)
+    with pytest.raises(ProtonetError):
+        calibrate_threshold([])
 
 
 def test_calibrate_threshold_on_episodes(small_spec, small_dataset):
@@ -159,7 +160,7 @@ def test_calibrate_threshold_on_episodes(small_spec, small_dataset):
                        np.random.default_rng([3, i]))
         for i in range(8)
     ]
-    baseline = calibrate_threshold(params, eps)
+    baseline = calibrate_threshold(score_episode(params, ep) for ep in eps)
     assert baseline.tau >= 0.0
 
 

@@ -1,12 +1,12 @@
-"""The shared per-episode scoring path against a direct recomputation per
-gate: each gate embeds the episode itself and builds its own prototypes, and
-closed predictions come from per-class prototypes in class-id order. Every
-output must match bit for bit."""
+"""The shared chunk scorer, on one episode, against a direct recomputation
+per gate: each gate embeds the episode itself and builds its own prototypes,
+and closed predictions come from per-class prototypes in class-id order.
+Every output must match bit for bit."""
 
 import numpy as np
 import pytest
 
-from fsos import metabce, ocml
+from fsos import episodes, metabce, ocml
 from fsos.autodiff import Tensor, row_block_mean
 from fsos.backbone import add_projection, embed, embed_branch, embed_projected, init_backbone
 from fsos.episodes import (
@@ -16,9 +16,13 @@ from fsos.episodes import (
     OcmlGate,
     ThresholdGate,
     _episode_rng,
+    calibrate_threshold_baseline,
+    evaluate_oneclass,
+    evaluate_openset,
     sample_episode,
+    score_episode,
 )
-from fsos.protonet import ScoredEpisode, ThresholdBaseline
+from fsos.protonet import RowEmbeddings, ThresholdBaseline
 
 
 @pytest.fixture(scope="module")
@@ -97,13 +101,13 @@ def _gates(params, ep):
 def test_gates_match_per_gate_recipe(small_dataset, params, n):
     ep = _episode(small_dataset, n)
     for gate in _gates(params, ep):
-        scored = ScoredEpisode(params, ep)
+        scored = score_episode(params, ep, ("main",) + gate.spaces)
         score, is_known = gate.judge(scored)
         want_score, want_known = _recipe_judge(gate, params, ep)
-        assert np.array_equal(score, want_score), gate.name
-        assert np.array_equal(is_known, want_known), gate.name
+        assert np.array_equal(score[0], want_score), gate.name
+        assert np.array_equal(is_known[0], want_known), gate.name
         assert 0 < is_known.sum() < is_known.size, gate.name  # both decisions occur
-        assert np.array_equal(scored.closed_predictions, _recipe_closed(params, ep))
+        assert np.array_equal(scored.closed_predictions[0], _recipe_closed(params, ep))
 
 
 def test_distance_tie_resolves_to_lowest_class_id(small_dataset, params):
@@ -111,6 +115,44 @@ def test_distance_tie_resolves_to_lowest_class_id(small_dataset, params):
     # classes 9 and 4 share one support set, so every query ties between them
     tied = Episode((9, 4), (), np.stack([ep.support[0], ep.support[0]]),
                    ep.query_known[:2], np.zeros((0, ep.q, ep.support.shape[-1])))
-    scored = ScoredEpisode(params, tied)
-    assert np.array_equal(scored.distances[:, 0], scored.distances[:, 1])
-    assert scored.closed_predictions.tolist() == [4] * (2 * ep.q)
+    scored = score_episode(params, tied)
+    assert np.array_equal(scored.distances[0, :, 0], scored.distances[0, :, 1])
+    assert scored.closed_predictions.tolist() == [[4] * (2 * ep.q)]
+
+
+@pytest.mark.parametrize("task", ["openset", "oneclass"])
+def test_chunk_boundaries_match_one_episode_chunks(small_dataset, params, monkeypatch, task):
+    """Per-episode rows, records and tau from chunks of 3 episodes equal
+    those from chunks of one episode, for 1, 3 and 4 episodes."""
+    n = 2 if task == "openset" else 1
+    cfg = EpisodeConfig(n=n, k=2, q=3, n_unknown=1)
+    evaluate = evaluate_openset if task == "openset" else evaluate_oneclass
+    chunk = 3
+    three = chunk * (n + 1) * cfg.q * params.embed_dim  # CHUNK_VALUES for 3 episodes
+
+    def scored(values, m_episodes, gate):
+        monkeypatch.setattr(episodes, "CHUNK_VALUES", values)
+        rep = evaluate(params, gate, small_dataset, cfg, m_episodes, seed=5, collect_records=True)
+        tau = calibrate_threshold_baseline(params, small_dataset, cfg, m_episodes, seed=5).tau
+        return rep.per_episode, rep.records, tau
+
+    for m_episodes in (1, chunk, chunk + 1):
+        for gate in _gates(params, _episode(small_dataset, 3)):
+            rows, records, tau = scored(three, m_episodes, gate)
+            assert [row["episode_id"] for row in rows] == list(range(m_episodes))
+            assert (rows, records, tau) == scored(1, m_episodes, gate), (m_episodes, gate.name)
+
+
+def test_row_embeddings_do_not_depend_on_the_slice(small_dataset, params):
+    """A row embedded alone gets the same bits as inside a slice of rows
+    (numpy would multiply a lone row by gemv)."""
+    rows = small_dataset.row_table(small_dataset.split.meta_test).rows[:7]
+    spaces = ("main", "branch", "projected")
+    together = RowEmbeddings(params, rows, spaces, slice_rows=7)
+    together.fill(np.arange(7))
+    one_by_one = RowEmbeddings(params, rows, spaces, slice_rows=7)
+    for i in range(7):
+        one_by_one.fill(np.array([i, i]))
+    for space in spaces:
+        assert np.array_equal(together.take(space, np.arange(7)),
+                              one_by_one.take(space, np.arange(7))), space
