@@ -148,6 +148,8 @@ def affine(x, w, b=None):
 
     b may be omitted for bias-free layers. Leading axes of x are batch axes:
     each [n, d] slice is multiplied on its own, as a lone [n, d] x would be.
+    The backward pass skips the input-gradient GEMM when x needs no gradient
+    (data rows, cached embeddings).
     """
     x, w = as_tensor(x), as_tensor(w)
     b = as_tensor(b) if b is not None else None
@@ -167,7 +169,7 @@ def affine(x, w, b=None):
         y = y + b.data
 
     def backward_fn(g):
-        gx = g @ wd.T
+        gx = g @ wd.T if x.requires_grad else None
         if xd.ndim == 1:
             gw = np.outer(xd, g)
             gb = g if b is not None else None
@@ -431,7 +433,8 @@ def conv3x3_pool(x, kernel, bias):
 
 def dot(a, b):
     """Dot product a[d] . b[d] -> scalar, or pairwise a[m, d], b[n, d] ->
-    [m, n] of row dot products."""
+    [m, n] of row dot products. The backward pass computes the gradient of
+    an operand only when it needs one."""
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
     if ad.ndim == 1 and bd.ndim == 1:
@@ -440,14 +443,15 @@ def dot(a, b):
         out = np.float64(np.dot(ad, bd))
 
         def backward_fn(g):
-            return (float(g) * bd, float(g) * ad)
+            return (float(g) * bd if a.requires_grad else None,
+                    float(g) * ad if b.requires_grad else None)
 
         return _finish("dot", (a, b), out, backward_fn)
     if ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[1]:
         out = ad @ bd.T
 
         def backward_fn(g):
-            return (g @ bd, g.T @ ad)
+            return (g @ bd if a.requires_grad else None, g.T @ ad if b.requires_grad else None)
 
         return _finish("dot", (a, b), out, backward_fn)
     raise PrimitiveError("dot", f"unsupported operand shapes {ad.shape} and {bd.shape}")

@@ -4,10 +4,13 @@ The extractor is a stack of blocks (dense or conv). Its last block is the
 "head"; a shape-identical "branch" copy of that block provides the separate
 one-class feature space, and an optional dense projection maps main
 embeddings into a one-class space without a branch. The trunk (all blocks
-before the last) is shared by every embedding path. Inputs are rows
-[n, prod(input_shape)], as datasets store them; embeddings are [n, embed_dim].
+before the last) is shared by every embedding path; its features can be
+cached as flat rows and fed back to a last block (trunk_from_rows). Inputs
+are rows [n, prod(input_shape)], as datasets store them; embeddings are
+[n, embed_dim].
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,14 +60,22 @@ class BackboneSpec:
                     raise SpecError("image dims must stay even and >= 2 through every pool")
                 h, w = h // 2, w // 2
 
+    def _shape_after(self, blocks):
+        if self.input_kind == "vector":
+            return (blocks[-1][1],)
+        c, h, w = self.input_shape
+        for _, oc in blocks:
+            c, h, w = oc, h // 2, w // 2
+        return (c, h, w)
+
+    @property
+    def trunk_shape(self):
+        """Shape of one row's trunk features: (d,) or (c, h, w)."""
+        return self._shape_after(self.blocks[:-1])
+
     @property
     def embed_dim(self):
-        if self.input_kind == "vector":
-            return self.blocks[-1][1]
-        c, h, w = self.input_shape
-        for _, oc in self.blocks:
-            c, h, w = oc, h // 2, w // 2
-        return c * h * w
+        return math.prod(self._shape_after(self.blocks))
 
     def to_dict(self):
         return {
@@ -217,6 +228,13 @@ def trunk_features(params, x):
     for (kind, _), block in zip(spec.blocks[:-1], params.trunk):
         h = _run_block(kind, block, h)
     return h
+
+
+def trunk_from_rows(params, rows):
+    """Trunk features kept as flat rows [n, prod(trunk_shape)], the form
+    protonet.RowEmbeddings caches, shaped as trunk_features returns them: a
+    constant input of last_block."""
+    return Tensor(rows.reshape((-1,) + params.spec.trunk_shape))
 
 
 def last_block(params, h, block):

@@ -288,6 +288,11 @@ def _resolve_schedule(settings, method):
 
 
 def cmd_train(settings):
+    for key in ("episodes", "learning_rate", "offset_learning_rate", "val_interval",
+                "val_episodes"):
+        if not settings[key] >= 0:  # also refuses nan
+            raise UsageError(f"{key} must be >= 0 (0 uses the method default), "
+                             f"got {settings[key]}")
     _require_file(settings["dataset"], "dataset manifest")
     _require_out_dir(settings["out"], "the checkpoint")
     if settings["loss_csv"]:

@@ -7,22 +7,27 @@ from (seed, stream, index), so training runs, evaluations, and reports are
 reproducible bit for bit.
 
 Sampling is a draw and a gather: draw_episode picks classes and row indices
-into the partition's RowTable, and sample_episode (training) gathers the
-rows. Evaluation, threshold calibration and validation never gather: they
-score their episodes in chunks (protonet.ScoredChunk) from a per-call
-RowEmbeddings cache, so each drawn row is embedded once per call, and the
-gates read the same embeddings as the closed-set classifier.
+into the partition's RowTable, and sample_episode gathers the rows. Only
+the methods that train the extractor (protonet, ocml_joint) gather: they
+embed each training episode's rows on the tape. The heads trained on a
+frozen extractor (mbce, ocml_frozen) read their episodes' rows from a
+per-run RowEmbeddings cache of the meta_train table, filled lazily as
+episodes draw rows. Evaluation, threshold calibration and validation score
+their episodes in chunks (protonet.ScoredChunk) from a per-call cache, so
+each drawn row is embedded once per call, and the gates read the same
+embeddings as the closed-set classifier.
 """
 
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import metabce, metrics, ocml, protonet
 from .autodiff import Tape, backward
-from .backbone import add_projection, init_backbone
+from .backbone import add_projection, embed, init_backbone
 from .metrics import UNKNOWN
 from .optim import make_optimizer
 
@@ -183,6 +188,14 @@ class EpisodeDraw:
     support: np.ndarray
     query_known: np.ndarray
     query_unknown: np.ndarray
+
+    @property
+    def n(self):
+        return len(self.known_class_ids)
+
+    @property
+    def q(self):
+        return self.query_known.shape[1]
 
     @property
     def query_rows(self):
@@ -487,8 +500,9 @@ def run_meta_training(
 
     protonet trains the extractor (trunk + head) from scratch or from
     base_params. mbce and ocml_frozen require base_params (augmentation of a
-    pretrained extractor) and never touch trunk or head. ocml_joint trains
-    the transfer module together with the extractor.
+    pretrained extractor) and never touch trunk or head: they read the
+    extractor's output for each drawn row from a cache filled once per run.
+    ocml_joint trains the transfer module together with the extractor.
     """
     if method not in METHODS:
         raise EpisodeError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -500,7 +514,18 @@ def run_meta_training(
         n=episode_cfg.n, k=episode_cfg.k, q=episode_cfg.q, n_unknown=0, seed=episode_cfg.seed
     )
 
-    head = None
+    table = dataset.row_table(train_classes)
+
+    def frozen_cache(space):
+        # every fill embeds one episode's support and known-query rows
+        fill_rows = episode_cfg.n * (episode_cfg.k + episode_cfg.q)
+        return protonet.RowEmbeddings(params, table.rows, (space,), slice_rows=fill_rows)
+
+    head = cache = None
+    if method in ("mbce", "ocml_frozen") and base_params is None:
+        raise EpisodeError(
+            f"{method} training augments a pretrained backbone: base_params required"
+        )
     if method == "protonet":
         params = base_params.copy() if base_params is not None else init_backbone(
             spec, seed
@@ -508,30 +533,29 @@ def run_meta_training(
         trainable = params.trunk_tensors() + params.head_tensors()
         loss_fn = lambda ep: protonet.episode_loss(params, ep)
     elif method == "mbce":
-        if base_params is None:
-            raise EpisodeError("mbce training augments a pretrained backbone: base_params required")
         params = base_params.copy()
         if variant == "projected" and params.projection is None:
             add_projection(params)
         head = metabce.init_head(variant)
         trainable = metabce.trainable_tensors(head, params)
-        loss_fn = lambda ep: metabce.episode_loss(head, params, ep)
+        cache = frozen_cache(metabce.FROZEN_SPACE[variant])
+        embed_fn = partial(metabce.cached_oneclass_embed, head, params, cache)
+        loss_fn = lambda ep: metabce.episode_loss(head, embed_fn, ep)
     else:
         if method == "ocml_frozen":
-            if base_params is None:
-                raise EpisodeError(
-                    "ocml_frozen training augments a pretrained backbone: base_params required"
-                )
             params = base_params.copy()
+            cache = frozen_cache("main")
+            embed_fn = partial(cache.take, "main")
         else:
             params = base_params.copy() if base_params is not None else init_backbone(
                 spec, seed
             )
+            embed_fn = partial(embed, params)
         head = ocml.make_transfer_module(params.embed_dim, transfer_middle, seed)
         trainable = head.tensors()
         if method == "ocml_joint":
             trainable = trainable + params.trunk_tensors() + params.head_tensors()
-        loss_fn = lambda ep: ocml.episode_loss(head, params, ep)
+        loss_fn = lambda ep: ocml.episode_loss(head, embed_fn, ep)
 
     optimizers = []
     if method == "mbce" and schedule.offset_learning_rate is not None:
@@ -570,9 +594,13 @@ def run_meta_training(
     best_val = -np.inf
     best = snapshot()
     for i in range(schedule.episodes):
-        ep = sample_episode(
-            dataset, train_classes, episode_cfg, _episode_rng(seed, _TRAIN_STREAM, i)
-        )
+        rng = _episode_rng(seed, _TRAIN_STREAM, i)
+        if cache is None:
+            ep = sample_episode(dataset, train_classes, episode_cfg, rng)
+        else:
+            ep = draw_episode(table, episode_cfg, rng)
+            # outside the tape: the frozen extractor is never differentiated
+            cache.fill(np.concatenate([ep.support.ravel(), ep.query_rows]))
         with Tape() as tape:
             loss = loss_fn(ep)
         backward(tape, loss)

@@ -9,20 +9,23 @@ embedding ("projected", the ablation variant that keeps the main branch).
 
 Meta-training minimizes binary cross-entropy over every (query, episode
 class) pair; negatives are the episode's other classes, so no background
-categories are needed. For n classes, a query is unknown when even its
-best-matching class rejects it (episodes.max_prob_decision).
+categories are needed. The extractor stays frozen: training reads its
+output from a per-run cache (FROZEN_SPACE) and tapes only the trained block.
+For n classes, a query is unknown when even its best-matching class rejects
+it (episodes.max_prob_decision).
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .autodiff import Tensor, bce, scale_shift, sigmoid, squared_distance
-from .backbone import embed_branch, embed_projected
+from .backbone import embed_branch, embed_projected, last_block, project, trunk_from_rows
 from .protonet import embed_episode, pairwise_sq_distances
 
 VARIANTS = ("branch", "projected")
+# the frozen extractor's output each variant trains on, as a RowEmbeddings space
+FROZEN_SPACE = {"branch": "trunk", "projected": "main"}
 
 
 class MetaBceError(ValueError):
@@ -45,10 +48,21 @@ def init_head(variant="branch"):
 
 
 def oneclass_embed(head, params, x):
-    """Embed into the head's one-class feature space."""
+    """Embed input rows into the head's one-class feature space."""
     if head.variant == "branch":
         return embed_branch(params, x)
     return embed_projected(params, x)
+
+
+def cached_oneclass_embed(head, params, cache, rows):
+    """One-class embeddings [N, e] of row indices [N] into a RowEmbeddings
+    cache of the head's FROZEN_SPACE: the branch block on cached trunk
+    features, or the projection of cached main embeddings. Only that block
+    reaches the tape."""
+    if head.variant == "branch":
+        trunk = trunk_from_rows(params, cache.take("trunk", rows))
+        return last_block(params, trunk, params.branch)
+    return project(params, cache.take("main", rows))
 
 
 def prob_known(head, queries, prototypes):
@@ -58,12 +72,15 @@ def prob_known(head, queries, prototypes):
     return sigmoid(Tensor(-(d + float(head.t.data)))).data
 
 
-def episode_loss(head, params, episode):
+def episode_loss(head, embed_fn, episode):
     """Mean BCE over all (known query, episode class) pairs, with target 1
-    exactly when the query belongs to the class."""
+    exactly when the query belongs to the class. embed_fn maps the episode's
+    stacked rows or row indices into the one-class space (protonet.
+    embed_episode): partial(oneclass_embed, head, params) or
+    partial(cached_oneclass_embed, head, params, cache)."""
     if episode.query_known.size == 0:
         raise MetaBceError("episode has no known queries")
-    protos, emb_q = embed_episode(partial(oneclass_embed, head), params, episode)
+    protos, emb_q = embed_episode(embed_fn, episode)
     d = squared_distance(emb_q, protos)
     neg_t = scale_shift(head.t, Tensor(-1.0), Tensor(0.0))
     logits = scale_shift(d, Tensor(-1.0), neg_t)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, affine, as_tensor, bce, dot, relu, sigmoid
-from .backbone import embed
 from .protonet import embed_episode
 
 
@@ -112,9 +111,11 @@ def transfer_from_group(group_params, meta):
     return TransferModule(layers, meta.get("architecture", "1layer"))
 
 
-def generate_weight(transfer, prototype):
-    """w_c = g(prototype); accepts [e] or stacks [..., n, e] of prototypes."""
-    h = as_tensor(prototype)
+def generate_weight(transfer, prototypes):
+    """w_c = g(prototype_c) [..., n, e] for prototype stacks [..., n, e]."""
+    h = as_tensor(prototypes)
+    if h.data.ndim < 2:
+        raise OcmlError(f"need prototype rows [..., n, e], got {h.data.shape}")
     if h.data.shape[-1] != transfer.layers[0][0].data.shape[0]:
         raise OcmlError(
             f"prototype dim {h.data.shape[-1]} != transfer input dim "
@@ -140,12 +141,15 @@ def prob_known(weights, queries):
     return sigmoid(Tensor(queries @ np.swapaxes(weights, -1, -2))).data
 
 
-def episode_loss(transfer, params, episode):
+def episode_loss(transfer, embed_fn, episode):
     """Mean BCE over all (known query, episode class) pairs using
-    sigmoid(w_c . f(x)) probabilities; prototypes come from the support set."""
+    sigmoid(w_c . f(x)) probabilities; prototypes come from the support set.
+    embed_fn maps the episode's stacked rows or row indices to main
+    embeddings (protonet.embed_episode): partial(embed, params) when the
+    extractor trains too, cached main embeddings when it is frozen."""
     if episode.query_known.size == 0:
         raise OcmlError("episode has no known queries")
-    protos, emb_q = embed_episode(embed, params, episode)
+    protos, emb_q = embed_episode(embed_fn, episode)
     weights = generate_weight(transfer, protos)
     logits = dot(emb_q, weights)
     targets = np.repeat(np.eye(episode.n), episode.q, axis=0)

@@ -4,29 +4,32 @@ evaluator, validator, calibration and gate reads.
 
 Embeddings, prototypes and distances are row stacks, batched over episodes
 by leading axes. All three episode losses (ProtoNet, Meta-BCE, OCML) start
-with the taped step embed_episode.
+with the taped step embed_episode: through the extractor from gathered rows
+when the extractor trains, or from cached rows when it is frozen.
 
-Scoring is untaped. RowEmbeddings embeds each row of a row table at most once
-per call, in the spaces asked for: the trunk runs once per row for the main
-and branch blocks, and the projection is applied on top of main. A
-ScoredChunk stacks B episodes of one shape from that cache and derives their
-prototypes [B, n, e], main-space distances [B, m, n], nearest distances and
-closed predictions as batched arrays. Closed-set logits are negative squared
-Euclidean distances to per-class prototypes; argmin ties break toward the
-lowest class id. The threshold baseline scores a query by its distance to
-the nearest prototype and accepts it as known when that distance is at most
-tau.
+RowEmbeddings embeds each row of a row table at most once per cache, untaped,
+in the spaces asked for: the trunk runs once per row for the main and branch
+blocks, and the projection is applied on top of main. A cache lives for one
+evaluation, calibration or validation call, or for one training run of a
+head on a frozen extractor. A ScoredChunk stacks B episodes of one shape
+from a cache and derives their prototypes [B, n, e], main-space distances
+[B, m, n], nearest distances and closed predictions as batched arrays.
+Closed-set logits are negative squared Euclidean distances to per-class
+prototypes; argmin ties break toward the lowest class id. The threshold
+baseline scores a query by its distance to the nearest prototype and
+accepts it as known when that distance is at most tau.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .autodiff import Tensor, mean_rows, row_block_mean, scale_shift, softmax_xent, squared_distance
 from .backbone import embed, last_block, project, trunk_features
 
-SPACES = ("main", "branch", "projected")
+SPACES = ("trunk", "main", "branch", "projected")
 
 
 class ProtonetError(ValueError):
@@ -71,9 +74,12 @@ def predict_closed(distances, class_ids):
 class RowEmbeddings:
     """Embeddings of a row table's rows in the given spaces, each row
     embedded at most once: a cache for one evaluation, calibration or
-    validation call, whose episodes draw the same rows again and again.
+    validation call, or for one training run of a head on a frozen
+    extractor, whose episodes draw the same rows again and again.
 
-    Missing rows are embedded in slices of at most slice_rows rows.
+    The "trunk" space holds trunk features as flat rows (backbone.
+    trunk_from_rows restores their shape), the others embed_dim values per
+    row. Missing rows are embedded in slices of at most slice_rows rows.
     """
 
     def __init__(self, params, rows, spaces, slice_rows):
@@ -81,7 +87,11 @@ class RowEmbeddings:
         self.rows = rows
         self.spaces = tuple(s for s in SPACES if s in spaces)
         self.slice_rows = slice_rows
-        self._values = {s: np.empty((rows.shape[0], params.embed_dim)) for s in self.spaces}
+        trunk_dim = math.prod(params.spec.trunk_shape)
+        self._values = {
+            s: np.empty((rows.shape[0], trunk_dim if s == "trunk" else params.embed_dim))
+            for s in self.spaces
+        }
         self._done = np.zeros(rows.shape[0], dtype=bool)
 
     def fill(self, indices):
@@ -94,7 +104,7 @@ class RowEmbeddings:
             # from gemm: embed at least two rows, so that a row's embedding
             # never depends on the slice it falls in
             h = trunk_features(params, self.rows[np.repeat(part, 2) if part.size == 1 else part])
-            fresh = {}
+            fresh = {"trunk": h}
             if "branch" in self.spaces:
                 fresh["branch"] = last_block(params, h, params.branch)
             if "main" in self.spaces or "projected" in self.spaces:
@@ -102,7 +112,7 @@ class RowEmbeddings:
             if "projected" in self.spaces:
                 fresh["projected"] = project(params, fresh["main"])
             for space, values in self._values.items():
-                values[part] = fresh[space].data[: part.size]
+                values[part] = fresh[space].data[: part.size].reshape(part.size, -1)
         self._done[todo] = True
 
     def take(self, space, indices):
@@ -164,15 +174,22 @@ class ScoredChunk:
         return predict_closed(self.distances, self.class_ids)
 
 
-def embed_episode(embed_fn, params, episode):
+def _stack(entries):
+    """[n, k, ...] class blocks of rows or row indices as one [n * k, ...] stack."""
+    return entries.reshape((-1,) + entries.shape[2:])
+
+
+def embed_episode(embed_fn, episode):
     """The taped step every episode loss starts with: support prototypes
-    [n, e] and known-query embeddings [n * q, e], both through
-    embed_fn(params, rows). Records the support embedding, then the
-    prototypes, then the query embedding."""
-    dim = episode.support.shape[-1]
-    support = embed_fn(params, episode.support.reshape(-1, dim))
+    [n, e] and known-query embeddings [n * q, e].
+
+    episode is an episodes.Episode, which holds rows, or an
+    episodes.EpisodeDraw, which holds row indices; embed_fn maps a
+    class-ordered stack of them to embeddings [N, e]. Records the support
+    embedding, then the prototypes, then the query embedding."""
+    support = embed_fn(_stack(episode.support))
     protos = mean_rows(support, groups=episode.n)
-    queries = embed_fn(params, episode.query_known.reshape(-1, dim))
+    queries = embed_fn(_stack(episode.query_known))
     return protos, queries
 
 
@@ -181,7 +198,7 @@ def episode_loss(params, episode):
     n, q = episode.n, episode.q
     if n < 2:
         raise ProtonetError(f"closed-set episode loss needs n >= 2 classes, got {n}")
-    protos, emb_q = embed_episode(embed, params, episode)
+    protos, emb_q = embed_episode(partial(embed, params), episode)
     d = squared_distance(emb_q, protos)
     logits = scale_shift(d, Tensor(-1.0), Tensor(0.0))
     labels = Tensor(np.repeat(np.arange(n), q).astype(np.float64))

@@ -7,6 +7,8 @@ xfail rather than weakened; see the assertions' reasons and the test
 docstrings for the measured evidence.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from conftest import random_composition
@@ -14,7 +16,7 @@ from conftest import random_composition
 import fsos.autodiff as ad
 from fsos import metabce, ocml
 from fsos.autodiff import Tensor, gradient_check
-from fsos.backbone import DEFAULT_VECTOR_SPEC, init_backbone
+from fsos.backbone import DEFAULT_VECTOR_SPEC, embed, init_backbone
 from fsos.cli import main as cli_main
 from fsos.data import SyntheticSpec, generate_synthetic
 from fsos.episodes import (
@@ -129,7 +131,7 @@ def test_criterion_1_gradient_correctness(small_dataset, small_spec):
     def build_loss(ps):
         head.t = ps[0]
         params.branch["W"], params.branch["b"] = ps[1], ps[2]
-        return metabce.episode_loss(head, params, ep)
+        return metabce.episode_loss(head, partial(metabce.oneclass_embed, head, params), ep)
 
     rep = gradient_check(
         build_loss,
@@ -154,7 +156,7 @@ def test_criterion_1_gradient_correctness(small_dataset, small_spec):
         transfer.layers[0] = (ps[0], None)
         params.head["W"], params.head["b"] = ps[1], ps[2]
         params.trunk[0]["W"] = ps[3]
-        return ocml.episode_loss(transfer, params, ep)
+        return ocml.episode_loss(transfer, partial(embed, params), ep)
 
     rep = gradient_check(
         build_ocml,

@@ -102,6 +102,46 @@ def test_affine_batched_input_matches_each_slice():
     assert report.passed, report
 
 
+@pytest.mark.parametrize("constant_side", ["left", "right"])
+def test_affine_and_dot_skip_the_gradient_of_constant_operands(constant_side):
+    """Data rows and cached embeddings need no gradient: affine and dot return
+    None for them without computing it, and every other gradient keeps its
+    bits."""
+    rng = np.random.default_rng(4)
+    x, w, b, p = (rng.normal(size=(6, 4)), rng.normal(size=(4, 3)), rng.normal(size=3),
+                  rng.normal(size=(2, 3)))
+    targets = np.eye(2)[np.arange(6) % 2]
+
+    def run(constants):
+        leaves = [Tensor(x, requires_grad=not constants), Tensor(w, requires_grad=True),
+                  Tensor(b, requires_grad=True), Tensor(p, requires_grad=not constants)]
+        with Tape() as tape:
+            h = ad.affine(*leaves[:3])
+            if constant_side == "right":
+                loss = ad.bce(ad.dot(h, leaves[3]), Tensor(targets))
+            else:
+                loss = ad.bce(ad.dot(leaves[3], h), Tensor(targets.T))
+        returned = {}
+
+        def spy(entry):
+            fn = entry.backward_fn
+            entry.backward_fn = lambda g: returned.setdefault(entry.kind, fn(g))
+
+        for entry in tape.entries:
+            spy(entry)
+        backward(tape, loss)
+        return [t.grad for t in leaves], returned
+
+    (gx, gw, gb, gp), taped = run(constants=False)
+    (fx, fw, fb, fp), frozen = run(constants=True)
+    assert np.array_equal(fw, gw) and np.array_equal(fb, gb)
+    assert fx is None and fp is None
+    assert taped["affine"][0] is not None and frozen["affine"][0] is None
+    side = 1 if constant_side == "right" else 0
+    assert taped["dot"][side] is not None and frozen["dot"][side] is None
+    assert frozen["dot"][1 - side] is not None
+
+
 def test_shape_errors_name_the_primitive():
     with pytest.raises(PrimitiveError) as exc:
         ad.affine(Tensor([1.0, 2.0, 3.0]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))

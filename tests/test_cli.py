@@ -127,6 +127,22 @@ def test_eval_bad_calib_episodes_is_usage_error(workdir, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option", [
+    "episodes=-1", "val_interval=-3", "val_episodes=-2", "learning_rate=-0.5",
+    "offset_learning_rate=-1e-3", "learning_rate=nan",
+])
+def test_train_negative_numbers_are_usage_errors(tmp_path, capsys, option):
+    # the dataset and backbone do not exist: the check must come before any work
+    code = run([
+        "train", "--method=mbce", f"--dataset={tmp_path}/ds.json",
+        f"--backbone={tmp_path}/pn.ckpt", f"--out={tmp_path}/mbce.ckpt", f"--{option}",
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert option.split("=")[0] in lines[0]
+
+
 def test_eval_reports_deterministic(workdir, tmp_path):
     base = [
         "eval", "--task=openset", "--head=ocml", f"--checkpoint={workdir}/ocml.ckpt",

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ def test_episode_loss_half_probabilities_is_log_two(small_spec):
     x = np.random.default_rng(0).normal(size=16)
     ep = _episode_of([np.tile(x, (2, 1)), np.tile(x, (2, 1))], k=1, q=1, dim=16)
     with Tape():
-        loss = episode_loss(head, params, ep)
+        loss = episode_loss(head, partial(oneclass_embed, head, params), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
 
 
@@ -107,7 +109,7 @@ def test_episode_loss_single_positive_pair(small_spec):
     x = np.random.default_rng(1).normal(size=16)
     ep = _episode_of([np.tile(x, (2, 1))], k=1, q=1, dim=16)
     with Tape():
-        loss = episode_loss(head, params, ep)
+        loss = episode_loss(head, partial(oneclass_embed, head, params), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
 
 
@@ -121,7 +123,7 @@ def test_episode_loss_gradients_pass_check(small_spec, small_dataset):
     def build(ps):
         head.t = ps[0]
         params.branch["W"], params.branch["b"] = ps[1], ps[2]
-        return episode_loss(head, params, ep)
+        return episode_loss(head, partial(oneclass_embed, head, params), ep)
 
     point = [
         np.array(0.1),

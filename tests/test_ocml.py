@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -37,20 +39,23 @@ def _zero_transfer(e):
 
 def test_generate_weight_identity_and_zero_maps():
     proto = np.array([1.0, -2.0, 0.5])
-    w = generate_weight(_identity_transfer(3), proto)
-    assert np.array_equal(w.data, proto)
-    wz = generate_weight(_zero_transfer(3), proto)
-    assert np.array_equal(wz.data, np.zeros(3))
+    w = generate_weight(_identity_transfer(3), proto[None])
+    assert np.array_equal(w.data[0], proto)
+    wz = generate_weight(_zero_transfer(3), proto[None])
+    assert np.array_equal(wz.data[0], np.zeros(3))
     # zero weights give probability exactly one half for any query
-    assert prob_known(wz.data[None], np.array([[4.0, 5.0, 6.0]]))[0, 0] == 0.5
+    assert prob_known(wz.data, np.array([[4.0, 5.0, 6.0]]))[0, 0] == 0.5
 
 
 def test_generate_weight_deterministic_and_dim_checked():
     g = make_transfer_module(4, seed=3)
-    proto = np.arange(4.0)
-    assert np.array_equal(generate_weight(g, proto).data, generate_weight(g, proto).data)
+    proto = np.arange(4.0)[None]
+    assert np.array_equal(generate_weight(g, proto).data[0], generate_weight(g, proto).data[0])
     with pytest.raises(OcmlError):
-        generate_weight(g, np.zeros(5))
+        generate_weight(g, np.zeros((1, 5)))
+    # a lone [e] prototype is refused, not treated as one row
+    with pytest.raises(OcmlError):
+        generate_weight(g, np.arange(4.0))
 
 
 def test_prob_known_spot_values():
@@ -108,8 +113,8 @@ def test_two_layer_module_shapes_and_bias_rules():
     (w1, b1), (w2, b2) = g.layers
     assert w1.data.shape == (6, 3) and b1 is not None
     assert w2.data.shape == (3, 6) and b2 is None
-    out = generate_weight(g, np.ones(6))
-    assert out.data.shape == (6,)
+    out = generate_weight(g, np.ones((1, 6)))
+    assert out.data[0].shape == (6,)
 
 
 def test_episode_loss_half_logits_is_log_two(small_spec):
@@ -120,7 +125,7 @@ def test_episode_loss_half_logits_is_log_two(small_spec):
     qk = rng.normal(size=(2, 3, 16))
     ep = Episode((0, 1), (), sup, qk, np.zeros((0, 3, 16)))
     with Tape():
-        loss = episode_loss(g, params, ep)
+        loss = episode_loss(g, partial(embed, params), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
 
 
@@ -134,7 +139,7 @@ def test_episode_loss_gradients_pass_check(small_spec, small_dataset):
     def build(ps):
         g.layers[0] = (ps[0], None)
         params.head["W"], params.head["b"] = ps[1], ps[2]
-        return episode_loss(g, params, ep)
+        return episode_loss(g, partial(embed, params), ep)
 
     point = [
         g.layers[0][0].data.copy(),
@@ -214,7 +219,7 @@ def test_transfer_group_round_trip():
     group, meta = transfer_to_group(g)
     rebuilt = transfer_from_group(group[1], meta)
     assert rebuilt.architecture == g.architecture
-    proto = np.random.default_rng(1).normal(size=5)
+    proto = np.random.default_rng(1).normal(size=5)[None]
     assert np.array_equal(
-        generate_weight(g, proto).data, generate_weight(rebuilt, proto).data
+        generate_weight(g, proto).data[0], generate_weight(rebuilt, proto).data[0]
     )

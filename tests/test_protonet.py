@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -213,7 +215,7 @@ def test_embed_episode_records_support_prototypes_then_queries(small_spec):
     params = init_backbone(small_spec, seed=5)
     ep = _toy_episode(np.random.default_rng(6), n=3, k=2, q=4)
     with Tape() as shared:
-        protos, queries = embed_episode(embed, params, ep)
+        protos, queries = embed_episode(partial(embed, params), ep)
     with Tape() as manual:
         want_protos = mean_rows(embed(params, ep.support.reshape(6, 16)), groups=3)
         want_queries = embed(params, ep.query_known.reshape(12, 16))
