@@ -16,7 +16,8 @@ b = Tensor([0.5, -0.5], requires_grad=True)
 y = ad.relu(ad.affine(x, w, b))
 print("relu(affine(x, I, b)) =\n", y.data)
 print("sigmoid(0) =", float(ad.sigmoid(Tensor(0.0)).data))
-print("squared_distance([1,2],[4,6]) =", float(ad.squared_distance(Tensor([1.0, 2.0]), Tensor([4.0, 6.0])).data))
+d = ad.squared_distance(Tensor([[1.0, 2.0]]), Tensor([[4.0, 6.0]]))
+print("squared_distance([[1,2]],[[4,6]]) =", d.data)
 
 print("\n== record a loss on a tape, backpropagate ==")
 targets = Tensor([[1.0, 0.0], [0.0, 1.0]])

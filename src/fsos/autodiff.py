@@ -6,11 +6,14 @@ pass over the tape populates ``grad`` on every ``requires_grad`` tensor the
 loss depends on. Everything is float64 and deterministic.
 
 Primitive kinds: affine, relu, sigmoid, softmax_xent, bce, squared_distance,
-mean_rows, conv3x3_pool, dot, scale_shift. The distance/dot primitives also
-accept matrix operands (row-pairwise forms), mean_rows always returns [g, d]
-means of g row blocks, conv3x3_pool takes only batched [n, c, h, w] images,
-and scale_shift broadcasts scalar gamma/beta; these batched forms keep
-episode graphs to a handful of tape entries.
+mean_rows, conv3x3_pool, dot, scale_shift. Each takes the one operand form
+the model feeds it, and any other form raises PrimitiveError: affine maps
+rows [..., d]; squared_distance and dot are row-pairwise, [m, d] x [n, d]
+-> [m, n]; softmax_xent takes [m, n] logits; mean_rows returns [g, d] means
+of g row blocks; conv3x3_pool takes batched [n, c, h, w] images; and
+scale_shift takes a scalar gamma/beta on any input or a per-channel one on
+[n, c, h, w] images. These batched forms keep episode graphs to a handful
+of tape entries.
 """
 
 import threading
@@ -144,7 +147,7 @@ def _finish(kind, inputs, out_data, backward_fn):
 
 
 def affine(x, w, b=None):
-    """x @ w + b for x of shape [d] or [..., d], w [d, m], b [m].
+    """x @ w + b for rows x of shape [..., d], w [d, m], b [m].
 
     b may be omitted for bias-free layers. Leading axes of x are batch axes:
     each [n, d] slice is multiplied on its own, as a lone [n, d] x would be.
@@ -156,9 +159,9 @@ def affine(x, w, b=None):
     xd, wd = x.data, w.data
     if wd.ndim != 2:
         raise PrimitiveError("affine", f"weight must be 2-d, got shape {wd.shape}")
-    if xd.ndim == 0 or xd.shape[-1] != wd.shape[0]:
+    if xd.ndim < 2 or xd.shape[-1] != wd.shape[0]:
         raise PrimitiveError(
-            "affine", f"input shape {xd.shape} does not match weight shape {wd.shape}"
+            "affine", f"input must be rows [..., {wd.shape[0]}], got {xd.shape}"
         )
     if b is not None and b.data.shape != (wd.shape[1],):
         raise PrimitiveError(
@@ -170,13 +173,9 @@ def affine(x, w, b=None):
 
     def backward_fn(g):
         gx = g @ wd.T if x.requires_grad else None
-        if xd.ndim == 1:
-            gw = np.outer(xd, g)
-            gb = g if b is not None else None
-        else:
-            gflat = g.reshape(-1, g.shape[-1])
-            gw = xd.reshape(-1, xd.shape[-1]).T @ gflat
-            gb = gflat.sum(axis=0) if b is not None else None
+        gflat = g.reshape(-1, g.shape[-1])
+        gw = xd.reshape(-1, xd.shape[-1]).T @ gflat
+        gb = gflat.sum(axis=0) if b is not None else None
         return (gx, gw, gb) if b is not None else (gx, gw)
 
     inputs = (x, w, b) if b is not None else (x, w)
@@ -213,15 +212,13 @@ def sigmoid(x):
 def softmax_xent(logits, labels):
     """Mean cross-entropy of row-wise softmax against integer labels.
 
-    logits: [m, n] (or [n], treated as one row); labels: [m] class indices.
+    logits: [m, n]; labels: [m] class indices.
     Labels are data, not a differentiable input.
     """
     logits, labels = as_tensor(logits), as_tensor(labels)
     z = logits.data
-    if z.ndim == 1:
-        z = z[None, :]
     if z.ndim != 2:
-        raise PrimitiveError("softmax_xent", f"logits must be 1-d or 2-d, got {logits.data.shape}")
+        raise PrimitiveError("softmax_xent", f"logits must be [m, n], got {z.shape}")
     idx = labels.data.reshape(-1)
     if idx.shape[0] != z.shape[0]:
         raise PrimitiveError(
@@ -241,10 +238,7 @@ def softmax_xent(logits, labels):
         soft = np.exp(shifted)
         soft /= soft.sum(axis=1, keepdims=True)
         soft[np.arange(m), ints] -= 1.0
-        gz = (float(g) / m) * soft
-        if logits.data.ndim == 1:
-            gz = gz[0]
-        return (gz, None)
+        return ((float(g) / m) * soft, None)
 
     return _finish("softmax_xent", (logits, labels), loss, backward_fn)
 
@@ -275,39 +269,28 @@ def bce(logits, targets):
     return _finish("bce", (logits, targets), loss, backward_fn)
 
 
-def squared_distance(a, b):
-    """Squared Euclidean distance.
-
-    Vector form: a[d], b[d] -> scalar. Pairwise form: a[m, d], b[n, d] ->
-    [m, n] of distances between every row pair.
-    """
+def _row_pair(kind, a, b):
+    """The operands of a row-pairwise primitive: rows a [m, d] and b [n, d]."""
     a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
-    if ad.ndim == 1 and bd.ndim == 1:
-        if ad.shape != bd.shape:
-            raise PrimitiveError(
-                "squared_distance", f"length mismatch {ad.shape} vs {bd.shape}"
-            )
-        diff = ad - bd
-        out = np.float64(np.dot(diff, diff))
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
+        raise PrimitiveError(
+            kind, f"need rows [m, d] and [n, d], got {a.data.shape} and {b.data.shape}"
+        )
+    return a, b
 
-        def backward_fn(g):
-            gd = 2.0 * float(g) * diff
-            return (gd, -gd)
 
-        return _finish("squared_distance", (a, b), out, backward_fn)
-    if ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[1]:
-        diff = ad[:, None, :] - bd[None, :, :]  # [m, n, d]
-        out = np.einsum("mnd,mnd->mn", diff, diff)
+def squared_distance(a, b):
+    """Squared Euclidean distances [m, n] between every row pair of a [m, d]
+    and b [n, d]."""
+    a, b = _row_pair("squared_distance", a, b)
+    diff = a.data[:, None, :] - b.data[None, :, :]  # [m, n, d]
+    out = np.einsum("mnd,mnd->mn", diff, diff)
 
-        def backward_fn(g):
-            gd = 2.0 * g[:, :, None] * diff
-            return (gd.sum(axis=1), -gd.sum(axis=0))
+    def backward_fn(g):
+        gd = 2.0 * g[:, :, None] * diff
+        return (gd.sum(axis=1), -gd.sum(axis=0))
 
-        return _finish("squared_distance", (a, b), out, backward_fn)
-    raise PrimitiveError(
-        "squared_distance", f"unsupported operand shapes {ad.shape} and {bd.shape}"
-    )
+    return _finish("squared_distance", (a, b), out, backward_fn)
 
 
 def row_block_mean(values, groups=1):
@@ -432,72 +415,42 @@ def conv3x3_pool(x, kernel, bias):
 
 
 def dot(a, b):
-    """Dot product a[d] . b[d] -> scalar, or pairwise a[m, d], b[n, d] ->
-    [m, n] of row dot products. The backward pass computes the gradient of
-    an operand only when it needs one."""
-    a, b = as_tensor(a), as_tensor(b)
+    """Row dot products [m, n] of every row pair of a [m, d] and b [n, d].
+    The backward pass computes the gradient of an operand only when it
+    needs one."""
+    a, b = _row_pair("dot", a, b)
     ad, bd = a.data, b.data
-    if ad.ndim == 1 and bd.ndim == 1:
-        if ad.shape != bd.shape:
-            raise PrimitiveError("dot", f"length mismatch {ad.shape} vs {bd.shape}")
-        out = np.float64(np.dot(ad, bd))
 
-        def backward_fn(g):
-            return (float(g) * bd if a.requires_grad else None,
-                    float(g) * ad if b.requires_grad else None)
+    def backward_fn(g):
+        return (g @ bd if a.requires_grad else None, g.T @ ad if b.requires_grad else None)
 
-        return _finish("dot", (a, b), out, backward_fn)
-    if ad.ndim == 2 and bd.ndim == 2 and ad.shape[1] == bd.shape[1]:
-        out = ad @ bd.T
-
-        def backward_fn(g):
-            return (g @ bd if a.requires_grad else None, g.T @ ad if b.requires_grad else None)
-
-        return _finish("dot", (a, b), out, backward_fn)
-    raise PrimitiveError("dot", f"unsupported operand shapes {ad.shape} and {bd.shape}")
+    return _finish("dot", (a, b), ad @ bd.T, backward_fn)
 
 
 def scale_shift(x, gamma, beta):
-    """Per-channel affine gamma * x + beta.
-
-    gamma/beta of size 1 broadcast over every element; otherwise they must
-    match the channel axis (axis 1 for batched [n, c, h, w] images, axis 0
-    for anything else).
-    """
+    """Affine gamma * x + beta: gamma/beta of size 1 broadcast over any x;
+    per-channel ones of shape [c] scale the channels of batched [n, c, h, w]
+    images."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd, gd, bd = x.data, gamma.data, beta.data
     if gd.shape != bd.shape:
         raise PrimitiveError("scale_shift", f"gamma shape {gd.shape} != beta shape {bd.shape}")
     if gd.size == 1:
-        axes = tuple(range(xd.ndim))
-        shape = (1,) * xd.ndim
-
-        def reduce_param(g):
-            return g.sum().reshape(gd.shape)
-
+        shape, axes = (1,) * xd.ndim, None
+    elif xd.ndim == 4 and gd.shape == (xd.shape[1],):
+        shape, axes = (1, gd.shape[0], 1, 1), (0, 2, 3)
     else:
-        channel_axis = 1 if xd.ndim == 4 else 0
-        if xd.ndim == 0 or gd.shape != (xd.shape[channel_axis],):
-            raise PrimitiveError(
-                "scale_shift",
-                f"gamma shape {gd.shape} does not match channel axis of input {xd.shape}",
-            )
-        shape = [1] * xd.ndim
-        shape[channel_axis] = gd.shape[0]
-        shape = tuple(shape)
-        axes = tuple(i for i in range(xd.ndim) if i != channel_axis)
-
-        def reduce_param(g):
-            return g.sum(axis=axes) if axes else g.copy()
-
-    gb = gd.reshape(shape) if xd.ndim else gd.reshape(())
-    bb = bd.reshape(shape) if xd.ndim else bd.reshape(())
+        raise PrimitiveError(
+            "scale_shift",
+            f"gamma shape {gd.shape} is neither scalar nor the channels of an [n, c, h, w] "
+            f"input, got input {xd.shape}",
+        )
+    gb, bb = gd.reshape(shape), bd.reshape(shape)
     out = gb * xd + bb
 
     def backward_fn(g):
-        ggamma = reduce_param(g * xd)
-        gbeta = reduce_param(g)
-        return (g * gb, ggamma.reshape(gd.shape), gbeta.reshape(bd.shape))
+        ggamma = (g * xd).sum(axis=axes).reshape(gd.shape)
+        return (g * gb, ggamma, g.sum(axis=axes).reshape(bd.shape))
 
     return _finish("scale_shift", (x, gamma, beta), out, backward_fn)
 

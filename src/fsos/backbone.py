@@ -89,9 +89,20 @@ class BackboneSpec:
         missing = sorted({"input_kind", "input_shape", "blocks"} - set(d))
         if missing:
             raise SpecError(f"backbone spec is missing {missing}")
-        return BackboneSpec(d["input_kind"], tuple(d["input_shape"]), tuple(
-            (k, v) for k, v in d["blocks"]
-        ))
+        shape, blocks = d["input_shape"], d["blocks"]
+        if not (isinstance(shape, list) and all(_is_int(v) for v in shape)):
+            raise SpecError(f"backbone spec input_shape must be a list of integers, got {shape!r}")
+        if not (isinstance(blocks, list) and all(
+            isinstance(b, list) and len(b) == 2 and _is_int(b[1]) for b in blocks
+        )):
+            raise SpecError(
+                f"backbone spec blocks must be a list of [kind, integer dim], got {blocks!r}"
+            )
+        return BackboneSpec(d["input_kind"], tuple(shape), tuple(tuple(b) for b in blocks))
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 DEFAULT_VECTOR_SPEC = BackboneSpec("vector", (32,), (("dense", 64), ("dense", 64)))

@@ -41,12 +41,16 @@ class UsageError(ValueError):
 
 
 class Option:
-    def __init__(self, default, parse=str, choices=None, required=False, help=""):
+    """One setting: parsed from its text, then checked against choices and,
+    for numbers and int lists, a lower bound on each value."""
+
+    def __init__(self, default, parse=str, choices=None, required=False, help="", minimum=None):
         self.default = default
         self.parse = parse
         self.choices = choices
         self.required = required
         self.help = help
+        self.minimum = minimum
 
 
 def _parse_int_list(s):
@@ -92,15 +96,17 @@ SCHEMAS = {
         "out": Option(None, str, required=True, help="checkpoint path to write"),
         "backbone": Option("", str, help="base checkpoint (required for augmentation methods)"),
         "loss_csv": Option("", str, help="optional per-episode loss curve CSV"),
-        "episodes": Option(0, int, help="0 uses the method default"),
+        "episodes": Option(0, int, help="0 uses the method default", minimum=0),
         "n": Option(5, int),
         "k": Option(5, int),
         "q": Option(10, int),
         "optimizer": Option("auto", str, choices=("auto", "sgd", "adam")),
-        "learning_rate": Option(0.0, float, help="0 uses the method default"),
-        "offset_learning_rate": Option(0.0, float, help="0 uses the method default (mbce)"),
-        "val_interval": Option(0, int),
-        "val_episodes": Option(0, int),
+        "learning_rate": Option(0.0, float, help="0 uses the method default", minimum=0),
+        "offset_learning_rate": Option(
+            0.0, float, help="0 uses the method default (mbce)", minimum=0
+        ),
+        "val_interval": Option(0, int, help="0 uses the method default", minimum=0),
+        "val_episodes": Option(0, int, help="0 uses the method default", minimum=0),
         "seed": Option(0, int),
         "blocks": Option((64, 64), _parse_int_list, help="dense widths for a fresh backbone"),
         "ocml_arch": Option(None, _parse_ocml_arch, help="1layer or mid<N> transfer module"),
@@ -117,10 +123,10 @@ SCHEMAS = {
         "k": Option(5, int),
         "q": Option(15, int),
         "n_unknown": Option(-1, int, help="-1 matches n"),
-        "episodes": Option(10000, int, help="number of evaluation episodes"),
+        "episodes": Option(10000, int, help="number of evaluation episodes", minimum=1),
         "seed": Option(0, int),
         "partition": Option("meta_test", str, choices=("meta_val", "meta_test")),
-        "calib_episodes": Option(200, int, help="threshold calibration episodes"),
+        "calib_episodes": Option(200, int, help="threshold calibration episodes", minimum=1),
     },
     "ablate": {
         "grid": Option(
@@ -129,13 +135,13 @@ SCHEMAS = {
         "dataset": Option(None, str, required=True),
         "backbone": Option(None, str, required=True, help="pretrained backbone checkpoint"),
         "out_dir": Option(None, str, required=True),
-        "k_values": Option((1, 2, 3, 5, 10, 20), _parse_int_list),
-        "n_values": Option((2, 3, 5), _parse_int_list),
-        "n": Option(5, int),
-        "k": Option(5, int),
-        "q": Option(15, int),
-        "train_episodes": Option(0, int, help="0 uses the method default"),
-        "eval_episodes": Option(200, int),
+        "k_values": Option((1, 2, 3, 5, 10, 20), _parse_int_list, minimum=1),
+        "n_values": Option((2, 3, 5), _parse_int_list, minimum=1),
+        "n": Option(5, int, minimum=1),
+        "k": Option(5, int, minimum=1),
+        "q": Option(15, int, minimum=1),
+        "train_episodes": Option(0, int, help="0 uses the method default", minimum=0),
+        "eval_episodes": Option(200, int, minimum=1),
         "seed": Option(0, int),
     },
     "report": {
@@ -189,6 +195,10 @@ def parse_command(command, argv):
             raise UsageError(f"bad value for {key!r}: {exc}")
         if opt.choices and parsed not in opt.choices:
             raise UsageError(f"{key!r} must be one of {opt.choices}, got {parsed!r}")
+        if opt.minimum is not None:
+            for v in parsed if isinstance(parsed, tuple) else (parsed,):
+                if not v >= opt.minimum:  # also refuses nan
+                    raise UsageError(f"{key!r} must be >= {opt.minimum}, got {value!r}")
         settings[key] = parsed
     for key, opt in schema.items():
         if key not in settings:
@@ -244,6 +254,8 @@ def load_pipeline_checkpoint(path):
     heads = {}
     by_name = dict(groups)
     head_meta = header.get("heads", {})
+    if not isinstance(head_meta, dict) or not all(isinstance(m, dict) for m in head_meta.values()):
+        raise CheckpointError(f"checkpoint {path} header 'heads' must map head names to objects")
     if "mbce" in by_name:
         heads["mbce"] = metabce.head_from_group(by_name["mbce"], head_meta.get("mbce", {}))
     if "ocml" in by_name:
@@ -288,11 +300,6 @@ def _resolve_schedule(settings, method):
 
 
 def cmd_train(settings):
-    for key in ("episodes", "learning_rate", "offset_learning_rate", "val_interval",
-                "val_episodes"):
-        if not settings[key] >= 0:  # also refuses nan
-            raise UsageError(f"{key} must be >= 0 (0 uses the method default), "
-                             f"got {settings[key]}")
     _require_file(settings["dataset"], "dataset manifest")
     _require_out_dir(settings["out"], "the checkpoint")
     if settings["loss_csv"]:
@@ -382,10 +389,6 @@ def cmd_eval(settings):
     for key in ("episode_csv", "records_csv"):
         if settings[key]:
             _require_out_dir(settings[key], key)
-    if settings["episodes"] < 1:
-        raise UsageError("episodes must be >= 1")
-    if settings["calib_episodes"] < 1:
-        raise UsageError("calib_episodes must be >= 1")
     if settings["n"] == 0:
         settings["n"] = 1 if settings["task"] == "oneclass" else 5
     if settings["task"] == "oneclass" and settings["n"] != 1:

@@ -6,10 +6,11 @@ replacement within each class. Every stochastic step derives its generator
 from (seed, stream, index), so training runs, evaluations, and reports are
 reproducible bit for bit.
 
-Sampling is a draw and a gather: draw_episode picks classes and row indices
-into the partition's RowTable, and sample_episode gathers the rows. Only
-the methods that train the extractor (protonet, ocml_joint) gather: they
-embed each training episode's rows on the tape. The heads trained on a
+Sampling is a draw and a gather: draw_episode picks classes and returns an
+Episode of row indices into the partition's RowTable, and sample_episode
+gathers it into an Episode of rows (RowTable.gather). Only the methods
+that train the extractor (protonet, ocml_joint) gather: they embed each
+training episode's rows on the tape. The heads trained on a
 frozen extractor (mbce, ocml_frozen) read their episodes' rows from a
 per-run RowEmbeddings cache of the meta_train table, filled lazily as
 episodes draw rows. Evaluation, threshold calibration and validation score
@@ -20,7 +21,7 @@ embeddings as the closed-set classifier.
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -98,11 +99,16 @@ class EpisodeConfig:
 
 @dataclass
 class Episode:
+    """One episode: the known and unknown class ids, support [n, k, ...],
+    known queries [n, q, ...] and unknown queries [n_U, q, ...]. A drawn
+    episode (draw_episode) holds row indices into a RowTable; a gathered
+    one (sample_episode) holds the rows, one [dim] row per index."""
+
     known_class_ids: tuple
     unknown_class_ids: tuple
-    support: np.ndarray  # [n, k, dim]
-    query_known: np.ndarray  # [n, q, dim]
-    query_unknown: np.ndarray  # [n_U, q, dim]
+    support: np.ndarray
+    query_known: np.ndarray
+    query_unknown: np.ndarray
 
     def __post_init__(self):
         if set(self.known_class_ids) & set(self.unknown_class_ids):
@@ -123,6 +129,12 @@ class Episode:
     @property
     def n_U(self):
         return len(self.unknown_class_ids)
+
+    @property
+    def query_rows(self):
+        """Stacked queries [m, ...]: known, then unknown."""
+        stacked = np.concatenate([self.query_known, self.query_unknown])
+        return stacked.reshape((-1,) + stacked.shape[2:])
 
 
 def _stacked(blocks, dim):
@@ -168,39 +180,13 @@ class RowTable:
         return start + rng.permutation(count)
 
     def gather(self, draw):
-        """The Episode of a drawn EpisodeDraw."""
-        return Episode(
-            draw.known_class_ids,
-            draw.unknown_class_ids,
-            self.rows[draw.support],
-            self.rows[draw.query_known],
-            self.rows[draw.query_unknown],
+        """The rows of a drawn Episode, as an Episode of rows."""
+        return replace(
+            draw,
+            support=self.rows[draw.support],
+            query_known=self.rows[draw.query_known],
+            query_unknown=self.rows[draw.query_unknown],
         )
-
-
-@dataclass(frozen=True)
-class EpisodeDraw:
-    """One episode as row indices into a RowTable: support [n, k], known
-    queries [n, q] and unknown queries [n_U, q]."""
-
-    known_class_ids: tuple
-    unknown_class_ids: tuple
-    support: np.ndarray
-    query_known: np.ndarray
-    query_unknown: np.ndarray
-
-    @property
-    def n(self):
-        return len(self.known_class_ids)
-
-    @property
-    def q(self):
-        return self.query_known.shape[1]
-
-    @property
-    def query_rows(self):
-        """Stacked query rows [m]: known, then unknown."""
-        return np.concatenate([self.query_known.ravel(), self.query_unknown.ravel()])
 
 
 def draw_episode(table, cfg, rng=None):
@@ -229,7 +215,7 @@ def draw_episode(table, cfg, rng=None):
         query_known.append(idx[cfg.k : cfg.k + cfg.q])
     for cid in unknown:
         query_unknown.append(table.permuted_rows(cid, cfg.q, rng, "q")[: cfg.q])
-    return EpisodeDraw(
+    return Episode(
         known,
         unknown,
         np.array(support),
@@ -425,10 +411,9 @@ def _scored_chunks(params, table, cfg, episodes, seed, stream, spaces):
 def score_episode(params, episode, spaces=("main",)):
     """Score one Episode as a chunk of one, through a row table made of the
     episode's own rows (support, known queries, unknown queries)."""
-    dim = episode.support.shape[-1]
-    rows = np.vstack([a.reshape(-1, dim) for a in
-                      (episode.support, episode.query_known, episode.query_unknown)])
-    n_support = episode.n * episode.k
+    support = episode.support.reshape(-1, episode.support.shape[-1])
+    rows = np.concatenate([support, episode.query_rows])
+    n_support = support.shape[0]
     m = rows.shape[0] - n_support
     return protonet.ScoredChunk(
         protonet.RowEmbeddings(params, rows, spaces, slice_rows=m),

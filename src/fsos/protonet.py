@@ -183,9 +183,8 @@ def embed_episode(embed_fn, episode):
     """The taped step every episode loss starts with: support prototypes
     [n, e] and known-query embeddings [n * q, e].
 
-    episode is an episodes.Episode, which holds rows, or an
-    episodes.EpisodeDraw, which holds row indices; embed_fn maps a
-    class-ordered stack of them to embeddings [N, e]. Records the support
+    episode is an episodes.Episode of rows or of row indices; embed_fn maps
+    a class-ordered stack of them to embeddings [N, e]. Records the support
     embedding, then the prototypes, then the query embedding."""
     support = embed_fn(_stack(episode.support))
     protos = mean_rows(support, groups=episode.n)

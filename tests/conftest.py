@@ -96,9 +96,9 @@ def random_composition(seed):
             loss_a = ad.bce(logits, Tensor(np.tile(labels[:, None], (1, 2))))
             conv = ad.conv3x3_pool(Tensor(img[None]), ps[2], ps[3])
             conv = ad.scale_shift(conv, ps[4], ps[5])
-            flat = ad.reshape(conv, (8,))
+            flat = ad.reshape(conv, (1, 8))
             probs = ad.sigmoid(flat)
-            loss_b = ad.dot(probs, probs)
+            loss_b = ad.reshape(ad.dot(probs, probs), ())
             pair = ad.dot(protos, protos)
             loss_c = ad.softmax_xent(pair, Tensor([0.0, 1.0]))
             combo = ad.scale_shift(loss_b, Tensor(1.0), loss_a)

@@ -36,9 +36,14 @@ def test_sigmoid_extremes_stay_open_interval():
         assert np.isfinite(p)
 
 
+def _scalar(t):
+    """A [1, 1] result as a 0-d tensor."""
+    return ad.reshape(t, ())
+
+
 def test_squared_distance_identical_vectors():
-    v = Tensor([1.0, 2.0])
-    assert float(ad.squared_distance(v, Tensor([1.0, 2.0])).data) == 0.0
+    v = Tensor([[1.0, 2.0]])
+    assert float(_scalar(ad.squared_distance(v, Tensor([[1.0, 2.0]]))).data) == 0.0
 
 
 @given(
@@ -49,8 +54,8 @@ def test_squared_distance_identical_vectors():
 def test_squared_distance_symmetric_nonnegative(a, b):
     m = min(len(a), len(b))
     a, b = a[:m], b[:m]
-    dab = float(ad.squared_distance(Tensor(a), Tensor(b)).data)
-    dba = float(ad.squared_distance(Tensor(b), Tensor(a)).data)
+    dab = float(_scalar(ad.squared_distance(Tensor([a]), Tensor([b]))).data)
+    dba = float(_scalar(ad.squared_distance(Tensor([b]), Tensor([a]))).data)
     assert dab == dba
     assert dab >= 0.0
     if a == b:
@@ -64,12 +69,14 @@ def test_squared_distance_pairwise_matches_vector_form():
     pair = ad.squared_distance(Tensor(a), Tensor(b)).data
     for i in range(4):
         for j in range(3):
-            single = float(ad.squared_distance(Tensor(a[i]), Tensor(b[j])).data)
+            single = float(_scalar(ad.squared_distance(Tensor(a[i : i + 1]),
+                                                       Tensor(b[j : j + 1]))).data)
             assert np.isclose(pair[i, j], single, rtol=1e-12, atol=0.0)
 
 
 def test_affine_identity_map():
-    out = ad.affine(Tensor([1.0, 1.0]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
+    out = ad.affine(Tensor([[1.0, 1.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
+    out = ad.reshape(out, (2,))
     assert np.array_equal(out.data, [1.0, 1.0])
 
 
@@ -85,7 +92,7 @@ def test_dot_pairwise_matches_vector_form():
     a, b = rng.normal(size=(3, 5)), rng.normal(size=(2, 5))
     pair = ad.dot(Tensor(a), Tensor(b)).data
     assert pair.shape == (3, 2)
-    assert abs(pair[1, 0] - float(ad.dot(Tensor(a[1]), Tensor(b[0])).data)) < 1e-12
+    assert abs(pair[1, 0] - float(_scalar(ad.dot(Tensor(a[1:2]), Tensor(b[0:1]))).data)) < 1e-12
 
 
 def test_affine_batched_input_matches_each_slice():
@@ -95,8 +102,8 @@ def test_affine_batched_input_matches_each_slice():
     # each [1, 4] slice alone, as an unbatched caller would multiply it
     assert all(np.array_equal(out[i], ad.affine(x[i], w, b).data) for i in range(3))
     report = gradient_check(
-        lambda ps: ad.dot(ad.reshape(ad.affine(ps[0], ps[1], ps[2]), (-1,)),
-                          Tensor(np.arange(6.0))),
+        lambda ps: ad.dot(ad.reshape(ad.affine(ps[0], ps[1], ps[2]), (1, -1)),
+                          Tensor(np.arange(6.0)[None])),
         [rng.normal(size=(3, 1, 4)), w, b],
     )
     assert report.passed, report
@@ -144,11 +151,41 @@ def test_affine_and_dot_skip_the_gradient_of_constant_operands(constant_side):
 
 def test_shape_errors_name_the_primitive():
     with pytest.raises(PrimitiveError) as exc:
-        ad.affine(Tensor([1.0, 2.0, 3.0]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
+        ad.affine(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))
     assert "affine" in str(exc.value)
     with pytest.raises(PrimitiveError) as exc:
-        ad.squared_distance(Tensor([1.0]), Tensor([1.0, 2.0]))
+        ad.squared_distance(Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
     assert "squared_distance" in str(exc.value)
+
+
+# the operand forms no model path feeds a primitive, one list per primitive
+_REMOVED_FORMS = {
+    "squared_distance": [
+        lambda: ad.squared_distance(Tensor([1.0, 2.0]), Tensor([4.0, 6.0])),  # vectors
+        lambda: ad.squared_distance(Tensor(np.ones((3, 2))), Tensor([4.0, 6.0])),
+    ],
+    "dot": [
+        lambda: ad.dot(Tensor([1.0, 2.0]), Tensor([4.0, 6.0])),  # vectors
+        lambda: ad.dot(Tensor([1.0, 2.0]), Tensor(np.ones((3, 2)))),
+    ],
+    "affine": [lambda: ad.affine(Tensor([1.0, 1.0]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))],
+    "softmax_xent": [lambda: ad.softmax_xent(Tensor([0.0, 1.0, 2.0]), Tensor([1.0]))],
+    "scale_shift": [
+        # per-channel parameters on anything but [n, c, h, w] images
+        lambda: ad.scale_shift(Tensor(np.ones((3, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3))),
+        lambda: ad.scale_shift(Tensor(np.ones((2, 4, 4))), Tensor(np.ones(2)),
+                               Tensor(np.zeros(2))),
+    ],
+}
+
+
+@pytest.mark.parametrize("primitive", sorted(_REMOVED_FORMS))
+def test_removed_operand_forms_raise(primitive):
+    for call in _REMOVED_FORMS[primitive]:
+        with pytest.raises(PrimitiveError) as exc:
+            call()
+        assert exc.value.primitive == primitive
+        assert str(exc.value).startswith(f"{primitive}: ")
 
 
 def test_softmax_xent_uniform_is_log_n():
@@ -172,8 +209,8 @@ def test_bce_safe_at_extreme_logits():
 
 
 def test_backward_sigmoid_dot():
-    w = Tensor(np.zeros(1), requires_grad=True)
-    x = Tensor([1.0])
+    w = Tensor(np.zeros((1, 1)), requires_grad=True)
+    x = Tensor([[1.0]])
     with Tape() as tape:
         loss = ad.sigmoid(ad.dot(w, x))
     backward(tape, loss)
@@ -184,7 +221,7 @@ def test_backward_distance_minimum_gives_zero_gradient():
     a = Tensor([1.0, 2.0], requires_grad=True)
     b = Tensor([1.0, 2.0])
     with Tape() as tape:
-        loss = ad.squared_distance(a, b)
+        loss = ad.squared_distance(ad.reshape(a, (1, 2)), ad.reshape(b, (1, 2)))
     backward(tape, loss)
     assert np.array_equal(a.grad, [0.0, 0.0])
 
@@ -202,7 +239,7 @@ def test_backward_requires_scalar_and_on_tape_loss():
 
 
 def test_backward_consumes_tape():
-    x = Tensor([3.0], requires_grad=True)
+    x = Tensor([[3.0]], requires_grad=True)
     with Tape() as tape:
         loss = ad.dot(x, x)
     backward(tape, loss)
@@ -211,7 +248,7 @@ def test_backward_consumes_tape():
 
 
 def test_gradients_accumulate_until_cleared():
-    x = Tensor([2.0], requires_grad=True)
+    x = Tensor([[2.0]], requires_grad=True)
     for _ in range(2):
         with Tape() as tape:
             loss = ad.dot(x, x)
@@ -321,7 +358,7 @@ def test_conv3x3_pool_matches_per_tap_reference(case):
     leaves = [Tensor(a, requires_grad=True) for a in (x, kernel, bias)]
     with Tape() as tape:
         out = ad.conv3x3_pool(*leaves)
-        loss = ad.dot(ad.reshape(out, (-1,)), Tensor(g.reshape(-1)))
+        loss = ad.dot(ad.reshape(out, (1, -1)), Tensor(g.reshape(1, -1)))
     backward(tape, loss)
 
     assert out.shape == (3, 5, 2, 3)
@@ -374,11 +411,11 @@ def test_gradient_check_batched_nonsquare_conv_block():
             break
     else:
         pytest.fail("no margin-safe conv input found")
-    weights = Tensor(rng.normal(size=2 * 3 * 2 * 3))
+    weights = Tensor(rng.normal(size=(1, 2 * 3 * 2 * 3)))
 
     def build(ps):
         y = ad.scale_shift(ad.conv3x3_pool(ps[0], ps[1], ps[2]), ps[3], ps[4])
-        return ad.dot(ad.reshape(y, (-1,)), weights)
+        return ad.dot(ad.reshape(y, (1, -1)), weights)
 
     point = [x, kernel, bias, 1.0 + rng.normal(size=3) * 0.1, rng.normal(size=3) * 0.1]
     report = gradient_check(build, point)

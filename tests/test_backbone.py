@@ -236,7 +236,7 @@ def test_tapes_are_thread_independent():
     grads = {}
 
     def work(tag, value):
-        x = Tensor(np.array([value]), requires_grad=True)
+        x = Tensor(np.array([[value]]), requires_grad=True)
         for _ in range(200):
             with Tape() as tape:
                 loss = dot(x, x)
@@ -249,6 +249,8 @@ def test_tapes_are_thread_independent():
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+    # a worker that raised, or still runs, recorded nothing
+    assert sorted(grads) == [0, 1, 2, 3]
     for got, expect in grads.values():
         assert np.allclose(got, [expect])

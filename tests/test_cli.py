@@ -190,22 +190,42 @@ def test_eval_manifest_without_key_is_runtime_error(workdir, tmp_path, capsys, k
     assert f"manifest is missing '{key}'" in _one_runtime_error(capsys)
 
 
-def _cut_trunk_rows(groups):
-    return [
+def _cut_trunk_rows(header, groups):
+    return header, [
         (g, [(p, a[:3] if (g, p) == ("trunk0", "W") else a) for p, a in items])
         for g, items in groups
     ]
 
 
+def _set_header(keys, value):
+    """An alteration that sets header[keys[0]]...[keys[-1]] to value."""
+    def alter(header, groups):
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return header, groups
+
+    return alter
+
+
 @pytest.mark.parametrize("alter, reason", [
     (_cut_trunk_rows, "trunk0.W has shape (3, 64), expected (16, 64)"),
-    (lambda groups: groups + [("bogus", [("W", [[1.0]])])], "unknown parameter groups"),
-], ids=["truncated_trunk_weight", "unknown_group"])
+    (lambda header, groups: (header, groups + [("bogus", [("W", [[1.0]])])]),
+     "unknown parameter groups"),
+    (_set_header(["heads"], ["mbce"]), "'heads' must map head names to objects"),
+    (_set_header(["heads", "mbce"], ["branch"]), "'heads' must map head names to objects"),
+    (_set_header(["backbone_spec", "input_shape"], 5), "input_shape must be a list of integers"),
+    (_set_header(["backbone_spec", "blocks"], 5), "blocks must be a list of [kind, integer dim]"),
+    (_set_header(["backbone_spec", "blocks", 0, 1], [1]),
+     "blocks must be a list of [kind, integer dim]"),
+], ids=["truncated_trunk_weight", "unknown_group", "heads_list", "heads_entry_list",
+        "input_shape_int", "blocks_int", "block_dim_list"])
 def test_eval_checkpoint_with_bad_parameters_is_runtime_error(
     workdir, tmp_path, capsys, alter, reason
 ):
     header, groups = load_checkpoint(f"{workdir}/pn.ckpt")
-    save_checkpoint(f"{tmp_path}/bad.ckpt", header, alter(groups))
+    save_checkpoint(f"{tmp_path}/bad.ckpt", *alter(header, groups))
     code = run([
         "eval", "--task=openset", "--head=threshold", f"--checkpoint={tmp_path}/bad.ckpt",
         f"--dataset={workdir}/ds.json", "--n=2", "--n_unknown=1", "--episodes=2",
@@ -311,6 +331,25 @@ def test_ablate_empty_grid_rejected(workdir, tmp_path, capsys):
     ])
     assert code == 1
     assert "non-empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [
+    "eval_episodes=0", "n=0", "k=0", "q=-1", "k_values=0,5", "n_values=2,0",
+    "train_episodes=-5",
+])
+def test_ablate_bad_numbers_are_usage_errors_before_training(workdir, tmp_path, capsys, option):
+    out = tmp_path / "abl"
+    out.mkdir()
+    code = run([
+        "ablate", "--grid=kshot", f"--dataset={workdir}/ds.json",
+        f"--backbone={workdir}/pn.ckpt", f"--out_dir={out}", "--train_episodes=20",
+        "--eval_episodes=4", f"--{option}",
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert f"'{option.split('=')[0]}'" in lines[0]
+    assert list(out.iterdir()) == []
 
 
 def test_config_file_with_overrides(workdir, tmp_path, capsys):
