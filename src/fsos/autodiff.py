@@ -13,7 +13,8 @@ rows [..., d]; squared_distance and dot are row-pairwise, [m, d] x [n, d]
 of g row blocks; conv3x3_pool takes batched [n, c, h, w] images; and
 scale_shift takes a scalar gamma/beta on any input or a per-channel one on
 [n, c, h, w] images. These batched forms keep episode graphs to a handful
-of tape entries.
+of tape entries. sq_distances, the one squared-distance kernel, is untaped:
+squared_distance and protonet's chunk scorer both call it.
 """
 
 import threading
@@ -279,18 +280,26 @@ def _row_pair(kind, a, b):
     return a, b
 
 
+def sq_distances(a, b):
+    """Squared distances [..., m, n] of rows a [..., m, d] and b [..., n, d]:
+    (|a|^2 + |b|^2) - 2 a.b clamped at 0, each dot an einsum sum in one order,
+    so d(a, b) is d(b, a).T bit for bit, 0 on equal rows and equal per slice."""
+    na, nb = (np.einsum("...id,...id->...i", x, x) for x in (a, b))
+    out = (na[..., :, None] + nb[..., None, :]) - 2.0 * np.einsum("...md,...nd->...mn", a, b)
+    return np.maximum(out, 0.0, out=out)
+
+
 def squared_distance(a, b):
     """Squared Euclidean distances [m, n] between every row pair of a [m, d]
-    and b [n, d]."""
+    and b [n, d], by sq_distances; the backward pass is GEMMs only."""
     a, b = _row_pair("squared_distance", a, b)
-    diff = a.data[:, None, :] - b.data[None, :, :]  # [m, n, d]
-    out = np.einsum("mnd,mnd->mn", diff, diff)
+    ad, bd = a.data, b.data
 
     def backward_fn(g):
-        gd = 2.0 * g[:, :, None] * diff
-        return (gd.sum(axis=1), -gd.sum(axis=0))
+        return (2.0 * (g.sum(axis=1)[:, None] * ad - g @ bd) if a.requires_grad else None,
+                2.0 * (g.sum(axis=0)[:, None] * bd - g.T @ ad) if b.requires_grad else None)
 
-    return _finish("squared_distance", (a, b), out, backward_fn)
+    return _finish("squared_distance", (a, b), sq_distances(ad, bd), backward_fn)
 
 
 def row_block_mean(values, groups=1):

@@ -97,9 +97,9 @@ SCHEMAS = {
         "backbone": Option("", str, help="base checkpoint (required for augmentation methods)"),
         "loss_csv": Option("", str, help="optional per-episode loss curve CSV"),
         "episodes": Option(0, int, help="0 uses the method default", minimum=0),
-        "n": Option(5, int),
-        "k": Option(5, int),
-        "q": Option(10, int),
+        "n": Option(5, int, minimum=1),
+        "k": Option(5, int, minimum=1),
+        "q": Option(10, int, minimum=1),
         "optimizer": Option("auto", str, choices=("auto", "sgd", "adam")),
         "learning_rate": Option(0.0, float, help="0 uses the method default", minimum=0),
         "offset_learning_rate": Option(
@@ -119,10 +119,10 @@ SCHEMAS = {
         "out": Option(None, str, required=True, help="report JSON path"),
         "episode_csv": Option("", str),
         "records_csv": Option("", str),
-        "n": Option(0, int, help="0 -> 1 for oneclass, 5 for openset"),
-        "k": Option(5, int),
-        "q": Option(15, int),
-        "n_unknown": Option(-1, int, help="-1 matches n"),
+        "n": Option(0, int, help="0 -> 1 for oneclass, 5 for openset", minimum=0),
+        "k": Option(5, int, minimum=1),
+        "q": Option(15, int, minimum=1),
+        "n_unknown": Option(-1, int, help="-1 matches n", minimum=-1),
         "episodes": Option(10000, int, help="number of evaluation episodes", minimum=1),
         "seed": Option(0, int),
         "partition": Option("meta_test", str, choices=("meta_val", "meta_test")),

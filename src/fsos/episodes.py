@@ -383,7 +383,7 @@ METHODS = ("protonet", "mbce", "ocml_joint", "ocml_frozen")
 # Episodes are scored in chunks of B episodes whose [B, m, e] query stack
 # holds at most this many values (750 KiB): 10 episodes of the 5-way,
 # 150-query shape at e = 64, which measured fastest. The distance kernel's
-# [B, m, n, e] difference tensor is n times that.
+# [B, m, n] result is e / n times smaller than the query stack.
 CHUNK_VALUES = 10 * 150 * 64
 
 

@@ -15,7 +15,8 @@ head on a frozen extractor. A ScoredChunk stacks B episodes of one shape
 from a cache and derives their prototypes [B, n, e], main-space distances
 [B, m, n], nearest distances and closed predictions as batched arrays.
 Closed-set logits are negative squared Euclidean distances to per-class
-prototypes; argmin ties break toward the lowest class id. The threshold
+prototypes, from autodiff's Gram-form kernel, which clamps at 0; argmin
+ties, exact zeros included, break toward the lowest class id. The threshold
 baseline scores a query by its distance to the nearest prototype and
 accepts it as known when that distance is at most tau.
 """
@@ -26,7 +27,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .autodiff import Tensor, mean_rows, row_block_mean, scale_shift, softmax_xent, squared_distance
+from .autodiff import Tensor, mean_rows, row_block_mean, scale_shift, softmax_xent
+from .autodiff import sq_distances, squared_distance
 from .backbone import embed, last_block, project, trunk_features
 
 SPACES = ("trunk", "main", "branch", "projected")
@@ -49,7 +51,7 @@ def prototypes(support_embeddings, n):
 
 def pairwise_sq_distances(queries, protos_matrix):
     """Squared Euclidean distances [..., m, n] between query rows [..., m, e]
-    and prototype rows [..., n, e] with the same leading axes."""
+    and prototype rows [..., n, e] with the same leading axes, by sq_distances."""
     q = np.asarray(queries, dtype=np.float64)
     p = protos_matrix
     if q.ndim < 2 or p.ndim != q.ndim or q.shape[:-2] != p.shape[:-2] or q.shape[-1] != p.shape[-1]:
@@ -57,8 +59,7 @@ def pairwise_sq_distances(queries, protos_matrix):
             f"need query rows [..., m, e] and prototype rows [..., n, e], got {q.shape} and "
             f"{p.shape}"
         )
-    diff = q[..., :, None, :] - p[..., None, :, :]
-    return np.einsum("...mnd,...mnd->...mn", diff, diff)
+    return sq_distances(q, p)
 
 
 def predict_closed(distances, class_ids):

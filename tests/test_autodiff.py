@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import fsos.autodiff as ad
 from fsos.autodiff import (
@@ -72,6 +73,56 @@ def test_squared_distance_pairwise_matches_vector_form():
             single = float(_scalar(ad.squared_distance(Tensor(a[i : i + 1]),
                                                        Tensor(b[j : j + 1]))).data)
             assert np.isclose(pair[i, j], single, rtol=1e-12, atol=0.0)
+
+
+def _broadcast_sq_distances(a, b):
+    """Reference: the [..., m, n, d] difference-tensor formula."""
+    diff = a[..., :, None, :] - b[..., None, :, :]
+    return np.einsum("...mnd,...mnd->...mn", diff, diff)
+
+
+@st.composite
+def _row_stacks(draw):
+    """Row stacks a [B, m, d] and b [B, n, d]. b ends with a copy of a's
+    rows, so row i of a and row n - 2m + i of b are identical, and then with
+    a copy one ulp away, where the Gram form before its clamp can go below 0."""
+    batch, m, n, d = (draw(st.integers(1, hi)) for hi in (3, 6, 6, 70))
+    values = st.floats(min_value=-100, max_value=100, allow_nan=False)
+    a = draw(hnp.arrays(np.float64, (batch, m, d), elements=values))
+    b = draw(hnp.arrays(np.float64, (batch, n, d), elements=values))
+    return a, np.concatenate([b, a, np.nextafter(a, np.inf)], axis=1)
+
+
+@given(_row_stacks())
+@settings(max_examples=200, deadline=None)
+def test_sq_distances_kernel_properties(stacks):
+    a, b = stacks
+    m, n = a.shape[1], b.shape[1]
+    d = ad.sq_distances(a, b)
+    assert d.shape == (a.shape[0], m, n)
+    assert np.array_equal(d, ad.sq_distances(b, a).swapaxes(1, 2))  # symmetric, bit for bit
+    assert np.all(d >= 0.0)
+    assert np.all(d[:, np.arange(m), n - 2 * m + np.arange(m)] == 0.0)  # identical rows
+    # a batched call is its per-slice 2-d calls, as the taped primitive makes them
+    for i in range(a.shape[0]):
+        assert np.array_equal(d[i], ad.sq_distances(a[i], b[i]))
+        assert np.array_equal(d[i], ad.squared_distance(Tensor(a[i]), Tensor(b[i])).data)
+    # the Gram form's error is a few ulps of the squared norms; near 0 that
+    # is what remains of a cancellation, so it is allowed on top of 1e-12
+    norms = (a * a).sum(axis=-1)[:, :, None] + (b * b).sum(axis=-1)[:, None, :]
+    want = _broadcast_sq_distances(a, b)
+    assert np.all(np.abs(d - want) <= 1e-12 * (want + norms))
+
+
+def test_squared_distance_gradient_check_both_operands():
+    rng = np.random.default_rng(5)
+    weights = Tensor(rng.normal(size=(1, 12)))
+    report = gradient_check(
+        lambda ps: ad.dot(ad.reshape(ad.squared_distance(ps[0], ps[1]), (1, 12)), weights),
+        [rng.normal(size=(4, 5)), rng.normal(size=(3, 5))],
+    )
+    assert report.passed, report
+    assert len(report.errors) == 2
 
 
 def test_affine_identity_map():

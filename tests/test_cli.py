@@ -143,6 +143,25 @@ def test_train_negative_numbers_are_usage_errors(tmp_path, capsys, option):
     assert option.split("=")[0] in lines[0]
 
 
+@pytest.mark.parametrize("command,option", [
+    ("train", "n=0"), ("train", "k=0"), ("train", "q=0"), ("train", "n=-2"),
+    ("eval", "k=0"), ("eval", "q=-1"), ("eval", "n=-1"), ("eval", "n_unknown=-2"),
+])
+def test_episode_shape_bounds_are_usage_errors_before_loading(tmp_path, capsys, command, option):
+    # the dataset and checkpoints do not exist: the check must come before any load
+    args = {
+        "train": ["--method=protonet", f"--out={tmp_path}/pn.ckpt"],
+        "eval": ["--task=openset", "--head=threshold", f"--checkpoint={tmp_path}/pn.ckpt",
+                 f"--out={tmp_path}/report.json"],
+    }[command]
+    code = run([command, *args, f"--dataset={tmp_path}/ds.json", f"--{option}"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert f"'{option.split('=')[0]}'" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_reports_deterministic(workdir, tmp_path):
     base = [
         "eval", "--task=openset", "--head=ocml", f"--checkpoint={workdir}/ocml.ckpt",

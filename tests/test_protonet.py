@@ -56,6 +56,22 @@ def test_closed_prediction_tie_breaks_to_lowest_id():
     assert predict_closed(d, (3, 8)).tolist() == [3]
 
 
+def test_closed_prediction_exact_zero_ties_break_to_lowest_id():
+    # the query is identical to two duplicate prototypes: the clamped kernel
+    # puts both exactly 0 away, and the lower of their two ids wins
+    rng = np.random.default_rng(12)
+    query = 30.0 * rng.normal(size=(1, 6))
+    protos = np.vstack([rng.normal(size=(1, 6)), query, rng.normal(size=(1, 6)), query])
+    ids = np.array([4, 9, 2, 7])
+    for _ in range(8):
+        order = rng.permutation(4)
+        d = pairwise_sq_distances(query, protos[order])
+        assert np.count_nonzero(d == 0.0) == 2
+        assert predict_closed(d, ids[order]).tolist() == [7]
+        batched = pairwise_sq_distances(np.stack([query, query]), np.stack([protos[order]] * 2))
+        assert predict_closed(batched, np.stack([ids[order]] * 2)).tolist() == [[7], [7]]
+
+
 def test_closed_logits_translation_invariant():
     rng = np.random.default_rng(1)
     emb = rng.normal(size=(6, 4))
@@ -196,13 +212,19 @@ def _scan_threshold_loop(known_scores, unknown_scores):
 
 def test_scan_threshold_matches_reference_loop():
     rng = np.random.default_rng(11)
-    cases = [([3.0], [3.0]), ([2.5] * 4, [2.5] * 7), ([1.0], [0.5]), ([0.5], [1.0])]
+    cases = [([3.0], [3.0]), ([2.5] * 4, [2.5] * 7), ([1.0], [0.5]), ([0.5], [1.0]),
+             ([0.0] * 5, [0.0] * 3), ([0.0, 0.0, 1.0], [0.0, 2.0]), ([0.0, 0.7], [0.0] * 4)]
     for _ in range(100):
         nk, nu = rng.integers(1, 40, size=2)
         # scores are distances, so they are >= 0
         cases.append((np.abs(rng.normal(size=nk)), np.abs(rng.normal(0.5, 1.0, size=nu))))
         # heavy ties: few distinct values shared by both sides
         cases.append((rng.integers(0, 5, size=nk) / 2.0, rng.integers(0, 5, size=nu) / 2.0))
+        # zero-heavy: the clamped kernel scores many queries exactly 0.0 on both sides
+        known, unknown = np.abs(rng.normal(size=nk)), np.abs(rng.normal(0.5, 1.0, size=nu))
+        known[rng.random(nk) < 0.7] = 0.0
+        unknown[rng.random(nu) < 0.5] = 0.0
+        cases.append((known, unknown))
     for known, unknown in cases:
         assert scan_threshold(known, unknown).tau == _scan_threshold_loop(known, unknown)
 

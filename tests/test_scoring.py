@@ -48,8 +48,9 @@ def _flat(ep):
 
 
 def _sq_distances(q, p):
-    diff = q[:, None, :] - p[None, :, :]
-    return np.einsum("mnd,mnd->mn", diff, diff)
+    """The distance kernel's Gram formula, (|q|^2 + |p|^2) - 2 q.p clamped at 0."""
+    norms = np.einsum("md,md->m", q, q)[:, None] + np.einsum("nd,nd->n", p, p)[None, :]
+    return np.maximum(norms - 2.0 * np.einsum("md,nd->mn", q, p), 0.0)
 
 
 def _recipe_protos(emb_s, ep):
