@@ -300,6 +300,8 @@ def _resolve_schedule(settings, method):
 
 
 def cmd_train(settings):
+    if settings["method"] == "protonet" and settings["n"] < 2:
+        raise UsageError(f"'n' must be >= 2 for method 'protonet', got {settings['n']!r}")
     _require_file(settings["dataset"], "dataset manifest")
     _require_out_dir(settings["out"], "the checkpoint")
     if settings["loss_csv"]:

@@ -2,20 +2,23 @@
 
 Episodes draw n support classes and n_U unknown classes (disjoint, without
 replacement) from one meta-split partition; examples are drawn without
-replacement within each class. Every stochastic step derives its generator
-from (seed, stream, index), so training runs, evaluations, and reports are
-reproducible bit for bit.
+replacement within each class. Training episode i draws with its own
+generator from (seed, stream, i); evaluation, threshold calibration and
+validation draw with one generator from (seed, stream) per call, in blocks
+(draw_block) whose episodes each take a fixed number of uniforms, so a
+call's first M episodes do not depend on its length or chunking. Training
+runs, evaluations, and reports are reproducible bit for bit.
 
-Sampling is a draw and a gather: draw_episode picks classes and returns an
-Episode of row indices into the partition's RowTable, and sample_episode
-gathers it into an Episode of rows (RowTable.gather). Only the methods
-that train the extractor (protonet, ocml_joint) gather: they embed each
-training episode's rows on the tape. The heads trained on a
+Training samples by a draw and a gather: draw_episode picks classes and
+returns an Episode of row indices into the partition's RowTable, and
+sample_episode gathers it into an Episode of rows (RowTable.gather). Only
+the methods that train the extractor (protonet, ocml_joint) gather: they
+embed each training episode's rows on the tape. The heads trained on a
 frozen extractor (mbce, ocml_frozen) read their episodes' rows from a
 per-run RowEmbeddings cache of the meta_train table, filled lazily as
 episodes draw rows. Evaluation, threshold calibration and validation score
-their episodes in chunks (protonet.ScoredChunk) from a per-call cache, so
-each drawn row is embedded once per call, and the gates read the same
+each drawn block as a chunk (protonet.ScoredChunk) from a per-call cache,
+so each drawn row is embedded once per call, and the gates read the same
 embeddings as the closed-set classifier.
 """
 
@@ -176,7 +179,7 @@ class RowTable:
         """The rows of one class in random order; it must hold `needed`."""
         start, count = self.spans[class_id]
         if count < needed:
-            raise EpisodeError(f"class {class_id} has {count} examples, needs {what}={needed}")
+            raise _shortfall(class_id, count, needed, what)
         return start + rng.permutation(count)
 
     def gather(self, draw):
@@ -189,6 +192,21 @@ class RowTable:
         )
 
 
+def _shortfall(class_id, count, needed, what):
+    return EpisodeError(f"class {class_id} has {count} examples, needs {what}={needed}")
+
+
+def _class_count(table, cfg):
+    """n + n_U, the classes an episode draws; the table must hold them."""
+    needed = cfg.n + cfg.n_unknown
+    if len(table.class_ids) < needed:
+        raise EpisodeError(
+            f"partition has {len(table.class_ids)} classes, episode needs {needed} "
+            f"(n={cfg.n} known + n_unknown={cfg.n_unknown})"
+        )
+    return needed
+
+
 def draw_episode(table, cfg, rng=None):
     """Draw one episode's classes and row indices from a RowTable,
     deterministically for a given rng (or cfg.seed when rng is None).
@@ -199,12 +217,7 @@ def draw_episode(table, cfg, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    needed = cfg.n + cfg.n_unknown
-    if len(table.class_ids) < needed:
-        raise EpisodeError(
-            f"partition has {len(table.class_ids)} classes, episode needs {needed} "
-            f"(n={cfg.n} known + n_unknown={cfg.n_unknown})"
-        )
+    needed = _class_count(table, cfg)
     chosen = rng.choice(table.class_ids, size=needed, replace=False)
     known = tuple(int(c) for c in chosen[: cfg.n])
     unknown = tuple(int(c) for c in chosen[cfg.n :])
@@ -222,6 +235,34 @@ def draw_episode(table, cfg, rng=None):
         np.array(query_known),
         np.array(query_unknown, dtype=np.intp).reshape(len(unknown), cfg.q),
     )
+
+
+def draw_block(table, cfg, rng, count):
+    """Draw count episodes from a RowTable: class_ids [B, n], support rows
+    [B, n * k] (class-ordered) and query rows [B, m] (known, then unknown).
+
+    Each episode takes C + (n + n_U) * W uniforms (C classes, W rows in the
+    largest): the first C rank the classes, the first n + n_U ranked are
+    drawn, and the rest rank each drawn class's rows, keying slots past its
+    row count last. So a block of B equals B blocks of 1 from the same rng.
+    """
+    needed = _class_count(table, cfg)
+    starts, counts = np.array([table.spans[int(c)] for c in table.class_ids]).T
+    width = int(counts.max())
+    keys = rng.random((count, len(counts) + needed * width))
+    chosen = np.argsort(keys[:, : len(counts)], axis=1)[:, :needed]
+    wanted = np.repeat([cfg.k + cfg.q, cfg.q], [cfg.n, cfg.n_unknown])
+    short = np.argwhere(counts[chosen] < wanted)
+    if short.size:
+        b, j = short[0]
+        c = chosen[b, j]
+        raise _shortfall(table.class_ids[c], counts[c], wanted[j], "k+q" if j < cfg.n else "q")
+    keys = keys[:, len(counts) :].reshape(count, needed, width)
+    keys[np.arange(width) >= counts[chosen][..., None]] = 2.0
+    rows = starts[chosen][..., None] + np.argsort(keys, axis=2)[..., : cfg.k + cfg.q]
+    known, unknown = rows[:, : cfg.n], rows[:, cfg.n :, : cfg.q].reshape(count, -1)
+    queries = np.concatenate([known[..., cfg.k :].reshape(count, -1), unknown], axis=1)
+    return table.class_ids[chosen[:, : cfg.n]], known[..., : cfg.k].reshape(count, -1), queries
 
 
 def sample_episode(dataset, classes, cfg, rng=None):
@@ -394,18 +435,10 @@ def _scored_chunks(params, table, cfg, episodes, seed, stream, spaces):
     m = (cfg.n + cfg.n_unknown) * cfg.q
     cache = protonet.RowEmbeddings(params, table.rows, spaces, slice_rows=m)
     size = max(1, CHUNK_VALUES // (m * params.embed_dim))
+    rng = np.random.default_rng([int(seed), int(stream)])
     for start in range(0, episodes, size):
-        draws = [
-            draw_episode(table, cfg, _episode_rng(seed, stream, i))
-            for i in range(start, min(start + size, episodes))
-        ]
-        yield start, protonet.ScoredChunk(
-            cache,
-            np.array([d.known_class_ids for d in draws]),
-            np.stack([d.support.ravel() for d in draws]),
-            np.stack([d.query_rows for d in draws]),
-            cfg.q,
-        )
+        block = draw_block(table, cfg, rng, min(size, episodes - start))
+        yield start, protonet.ScoredChunk(cache, *block, cfg.q)
 
 
 def score_episode(params, episode, spaces=("main",)):

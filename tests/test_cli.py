@@ -162,6 +162,18 @@ def test_episode_shape_bounds_are_usage_errors_before_loading(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_protonet_one_way_is_usage_error_before_loading(tmp_path, capsys):
+    # closed-set training needs two classes; the dataset does not exist, so
+    # the check must come before any load
+    code = run(["train", "--method=protonet", f"--dataset={tmp_path}/ds.json",
+                f"--out={tmp_path}/pn.ckpt", "--n=1"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "'n'" in lines[0] and "protonet" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_reports_deterministic(workdir, tmp_path):
     base = [
         "eval", "--task=openset", "--head=ocml", f"--checkpoint={workdir}/ocml.ckpt",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,14 @@ from fsos.episodes import (
     MetaBceGate,
     MetaSplit,
     OcmlGate,
+    RowTable,
     SplitError,
     ThresholdGate,
     TrainSchedule,
     calibrate_threshold_baseline,
     confidence_interval,
     default_schedule,
+    draw_block,
     draw_episode,
     evaluate_oneclass,
     evaluate_openset,
@@ -141,6 +145,140 @@ def test_draw_gathers_the_sampled_episode(small_dataset, n, k, q, n_unknown, ind
         assert np.array_equal(ep.query_known, query_known)
         assert ep.query_unknown.shape == query_unknown.shape
         assert np.array_equal(ep.query_unknown, query_unknown)
+
+
+def _table(sizes, first_id=3):
+    """A RowTable of len(sizes) classes (ids first_id, first_id + 2, ...)
+    whose rows hold their own row index."""
+    ids = [first_id + 2 * i for i in range(len(sizes))]
+    starts = np.cumsum([0] + list(sizes))
+    blocks = [np.arange(s, s + c, dtype=np.float64)[:, None] for s, c in zip(starts, sizes)]
+    return RowTable.stack(ids, blocks, 1)
+
+
+_shapes = dict(n=st.integers(1, 3), k=st.integers(1, 4), q=st.integers(1, 4),
+               n_unknown=st.integers(0, 3), count=st.integers(1, 6), seed=st.integers(0, 2**32))
+
+
+@given(extra=st.lists(st.integers(0, 9), min_size=1, max_size=8), **_shapes)
+@settings(max_examples=80, deadline=None)
+def test_draw_block_episodes_are_valid_and_blocks_compose(extra, n, k, q, n_unknown, count, seed):
+    """Uneven classes that each hold k + q rows: classes are distinct, known
+    and unknown disjoint, rows lie in their class's span, support and query
+    rows disjoint, and a block of B equals B blocks of 1."""
+    table = _table([k + q + e for e in extra])
+    cfg = EpisodeConfig(n=n, k=k, q=q, n_unknown=n_unknown)
+    if len(extra) < n + n_unknown:
+        with pytest.raises(EpisodeError, match="classes, episode needs"):
+            draw_block(table, cfg, np.random.default_rng(seed), count)
+        return
+    class_ids, support, query = draw_block(table, cfg, np.random.default_rng(seed), count)
+    assert class_ids.shape == (count, n) and support.shape == (count, n * k)
+    assert query.shape == (count, (n + n_unknown) * q)
+    owner = np.repeat(table.class_ids, [table.spans[int(c)][1] for c in table.class_ids])
+    for b in range(count):
+        unknown = set(owner[query[b, n * q :]])
+        assert len(set(class_ids[b])) == n and not unknown & set(class_ids[b])
+        assert len(unknown) == n_unknown
+        for j, cid in enumerate(class_ids[b]):
+            sup, qry = support[b, j * k : (j + 1) * k], query[b, j * q : (j + 1) * q]
+            assert set(owner[sup]) == set(owner[qry]) == {cid}
+            assert len(set(sup) | set(qry)) == k + q
+        for j in range(n_unknown):
+            rows = query[b, (n + j) * q : (n + j + 1) * q]
+            assert len(set(owner[rows])) == 1 and len(set(rows)) == q
+    rng = np.random.default_rng(seed)
+    ones = [draw_block(table, cfg, rng, 1) for _ in range(count)]
+    for whole, pieces in zip((class_ids, support, query), zip(*ones)):
+        assert np.array_equal(whole, np.concatenate(pieces))
+
+
+def _normalized(message):
+    return re.sub(r"^class \d+ ", "class C ", message)
+
+
+def _error(draw):
+    with pytest.raises(EpisodeError) as exc:
+        draw()
+    return str(exc.value)
+
+
+@given(size=st.integers(1, 8), classes=st.integers(1, 6), **_shapes)
+@settings(max_examples=80, deadline=None)
+def test_draw_block_shortfalls_raise_draw_episodes_errors(size, classes, n, k, q, n_unknown,
+                                                         count, seed):
+    """With equal class sizes a shortfall does not depend on the draw:
+    draw_block fails exactly when draw_episode does, with its message."""
+    table = _table([size] * classes)
+    cfg = EpisodeConfig(n=n, k=k, q=q, n_unknown=n_unknown)
+    if classes >= n + n_unknown and size >= k + q:
+        draw_block(table, cfg, np.random.default_rng(seed), count)
+        return
+    expected = _error(lambda: draw_episode(table, cfg, np.random.default_rng(seed)))
+    got = _error(lambda: draw_block(table, cfg, np.random.default_rng(seed), count))
+    assert _normalized(got) == _normalized(expected)
+
+
+@given(sizes=st.lists(st.integers(1, 9), min_size=2, max_size=8), **_shapes)
+@settings(max_examples=80, deadline=None)
+def test_draw_block_uneven_shortfall_is_the_first_short_episodes(sizes, n, k, q, n_unknown,
+                                                                 count, seed):
+    """On uneven classes a block raises when one of its episodes draws a
+    class too small for its role, with the error of the first such episode
+    drawn alone."""
+    table = _table(sizes)
+    cfg = EpisodeConfig(n=n, k=k, q=q, n_unknown=n_unknown)
+    rng = np.random.default_rng(seed)
+    first = None
+    for _ in range(count):
+        try:
+            draw_block(table, cfg, rng, 1)
+        except EpisodeError as exc:
+            first = str(exc)
+            break
+    if first is None:
+        draw_block(table, cfg, np.random.default_rng(seed), count)
+        return
+    assert _error(lambda: draw_block(table, cfg, np.random.default_rng(seed), count)) == first
+    found = re.fullmatch(r"class (\d+) has (\d+) examples, needs (k\+q|q)=(\d+)", first)
+    if found:
+        cid, have, what, needed = found.groups()
+        assert table.spans[int(cid)][1] == int(have) < int(needed)
+        assert int(needed) == (k + q if what == "k+q" else q)
+
+
+def test_draw_block_samples_classes_and_rows_uniformly():
+    """20 000 episodes of an uneven 6-class table: each class is drawn with
+    rate (n + n_U) / 6 and known with rate n / 6, each within 0.02, and a
+    known class's rows each land in the support with rate k / rows, within
+    0.03 (more than 5 standard deviations at every rate)."""
+    sizes = [5, 8, 12, 7, 20, 9]
+    table = _table(sizes)
+    cfg = EpisodeConfig(n=2, k=2, q=3, n_unknown=1)
+    draws = 20_000
+    class_ids, support, query = draw_block(table, cfg, np.random.default_rng(2024), draws)
+    owner = np.repeat(table.class_ids, sizes)
+    unknown = owner[query[:, cfg.n * cfg.q :: cfg.q]]
+    for cid, size in zip(table.class_ids, sizes):
+        known_rate = np.mean(np.any(class_ids == cid, axis=1))
+        drawn_rate = known_rate + np.mean(np.any(unknown == cid, axis=1))
+        assert abs(known_rate - 2 / 6) < 0.02, cid
+        assert abs(drawn_rate - 3 / 6) < 0.02, cid
+        start = table.spans[int(cid)][0]
+        times_known = np.sum(class_ids == cid)
+        hits = np.bincount(support[owner[support] == cid] - start, minlength=size)
+        assert np.all(np.abs(hits / times_known - cfg.k / size) < 0.03), cid
+
+
+def test_evaluation_reports_are_prefix_stable(small_dataset, small_spec):
+    """The first episodes of a longer evaluation are the episodes of a
+    shorter one."""
+    params = init_backbone(small_spec, seed=18)
+    cfg = EpisodeConfig(n=2, k=2, q=4, n_unknown=1)
+    gate = MetaBceGate(init_head())
+    five = evaluate_openset(params, gate, small_dataset, cfg, 5, seed=19)
+    three = evaluate_openset(params, gate, small_dataset, cfg, 3, seed=19)
+    assert five.per_episode[:3] == three.per_episode
 
 
 def test_confidence_interval_values():
