@@ -299,9 +299,14 @@ def _resolve_schedule(settings, method):
     )
 
 
+def _require_two_way(n, method):
+    """Training episodes need two classes: a one-way episode has no negatives."""
+    if n < 2:
+        raise UsageError(f"'n' must be >= 2 for method {method!r}, got {n!r}")
+
+
 def cmd_train(settings):
-    if settings["method"] == "protonet" and settings["n"] < 2:
-        raise UsageError(f"'n' must be >= 2 for method 'protonet', got {settings['n']!r}")
+    _require_two_way(settings["n"], settings["method"])
     _require_file(settings["dataset"], "dataset manifest")
     _require_out_dir(settings["out"], "the checkpoint")
     if settings["loss_csv"]:
@@ -441,6 +446,7 @@ def _write_curve_csv(path, header, rows):
 
 
 def cmd_ablate(settings):
+    _require_two_way(settings["n"], "ocml_frozen" if settings["grid"] == "gtheta" else "mbce")
     _require_file(settings["dataset"], "dataset manifest")
     _require_file(settings["backbone"], "backbone checkpoint")
     out_dir = Path(settings["out_dir"])

@@ -11,12 +11,14 @@ runs, evaluations, and reports are reproducible bit for bit.
 
 Training samples by a draw and a gather: draw_episode picks classes and
 returns an Episode of row indices into the partition's RowTable, and
-sample_episode gathers it into an Episode of rows (RowTable.gather). Only
-the methods that train the extractor (protonet, ocml_joint) gather: they
-embed each training episode's rows on the tape. The heads trained on a
-frozen extractor (mbce, ocml_frozen) read their episodes' rows from a
-per-run RowEmbeddings cache of the meta_train table, filled lazily as
-episodes draw rows. Evaluation, threshold calibration and validation score
+RowTable.gather turns it into an Episode of rows. Training draws its
+episodes DRAW_AHEAD at a time, each still from its own generator, so the
+stream does not depend on the block size. Only the methods that train the
+extractor (protonet, ocml_joint) gather, each episode as it is trained on:
+they embed its rows on the tape. The heads trained on a frozen extractor
+(mbce, ocml_frozen) read their episodes' rows from a per-run RowEmbeddings
+cache of the meta_train table, filled once per drawn block with the rows
+its episodes hold. Evaluation, threshold calibration and validation score
 each drawn block as a chunk (protonet.ScoredChunk) from a per-call cache,
 so each drawn row is embedded once per call, and the gates read the same
 embeddings as the closed-set classifier.
@@ -276,6 +278,31 @@ def _episode_rng(seed, stream, index):
     return np.random.default_rng([int(seed), int(stream), int(index)])
 
 
+# Training episodes drawn ahead per block: the smallest block size on the
+# plateau of a measured sweep (CHANGES.md). Training episodes are
+# independent draws, so the stream does not depend on it.
+DRAW_AHEAD = 64
+
+
+def _training_episodes(table, cfg, episodes, seed, cache):
+    """Training episodes 0 .. episodes - 1 of seed, in order, drawn
+    DRAW_AHEAD at a time, each from its own _episode_rng(seed, _TRAIN_STREAM,
+    i). With a RowEmbeddings cache, one fill embeds a block's rows before
+    its first episode is yielded, and episodes stay row indices into table;
+    without one, each episode is gathered into rows as it is yielded."""
+    for start in range(0, episodes, DRAW_AHEAD):
+        block = [
+            draw_episode(table, cfg, _episode_rng(seed, _TRAIN_STREAM, i))
+            for i in range(start, min(start + DRAW_AHEAD, episodes))
+        ]
+        if cache is None:
+            yield from map(table.gather, block)
+            continue
+        # outside the tape: the frozen extractor is never differentiated
+        cache.fill(np.concatenate([r.ravel() for ep in block for r in (ep.support, ep.query_rows)]))
+        yield from block
+
+
 def _eval_classes(dataset, partition):
     if partition == "meta_train":
         raise EpisodeError("evaluation on meta_train classes is refused")
@@ -371,6 +398,10 @@ class TrainSchedule:
             raise EpisodeError(f"schedule needs >= 1 episodes, got {self.episodes}")
         if self.val_episodes < 1:
             raise EpisodeError("schedule needs >= 1 validation episodes")
+        if self.val_interval < 0:
+            raise EpisodeError(
+                f"val_interval must be >= 0 (0 -> episodes // 5), got {self.val_interval}"
+            )
 
     @property
     def effective_val_interval(self):
@@ -519,12 +550,17 @@ def run_meta_training(
     protonet trains the extractor (trunk + head) from scratch or from
     base_params. mbce and ocml_frozen require base_params (augmentation of a
     pretrained extractor) and never touch trunk or head: they read the
-    extractor's output for each drawn row from a cache filled once per run.
+    extractor's output for each drawn row from a per-run cache, which embeds
+    each row once, when the first block of episodes that draws it is drawn.
     ocml_joint trains the transfer module together with the extractor.
+    Every method needs n >= 2: a one-way episode has no negatives to learn from.
     """
     if method not in METHODS:
         raise EpisodeError(f"unknown method {method!r}, expected one of {METHODS}")
-    train_classes = dataset.split.meta_train
+    if episode_cfg.n < 2:
+        raise EpisodeError(
+            f"{method} training needs n >= 2 classes per episode, got {episode_cfg.n}"
+        )
     val_classes = dataset.split.meta_val
     # no background categories: training and closed-set validation episodes
     # draw known classes only, negatives come from within the episode
@@ -532,12 +568,13 @@ def run_meta_training(
         n=episode_cfg.n, k=episode_cfg.k, q=episode_cfg.q, n_unknown=0, seed=episode_cfg.seed
     )
 
-    table = dataset.row_table(train_classes)
+    table = dataset.row_table(dataset.split.meta_train)
 
     def frozen_cache(space):
-        # every fill embeds one episode's support and known-query rows
-        fill_rows = episode_cfg.n * (episode_cfg.k + episode_cfg.q)
-        return protonet.RowEmbeddings(params, table.rows, (space,), slice_rows=fill_rows)
+        # a block's fill embeds its new rows in slices of one episode's
+        # support and known-query rows
+        episode_rows = episode_cfg.n * (episode_cfg.k + episode_cfg.q)
+        return protonet.RowEmbeddings(params, table.rows, (space,), slice_rows=episode_rows)
 
     head = cache = None
     if method in ("mbce", "ocml_frozen") and base_params is None:
@@ -611,14 +648,8 @@ def run_meta_training(
     val_history = []
     best_val = -np.inf
     best = snapshot()
-    for i in range(schedule.episodes):
-        rng = _episode_rng(seed, _TRAIN_STREAM, i)
-        if cache is None:
-            ep = sample_episode(dataset, train_classes, episode_cfg, rng)
-        else:
-            ep = draw_episode(table, episode_cfg, rng)
-            # outside the tape: the frozen extractor is never differentiated
-            cache.fill(np.concatenate([ep.support.ravel(), ep.query_rows]))
+    episodes = _training_episodes(table, episode_cfg, schedule.episodes, seed, cache)
+    for i, ep in enumerate(episodes):
         with Tape() as tape:
             loss = loss_fn(ep)
         backward(tape, loss)

@@ -75,8 +75,9 @@ def predict_closed(distances, class_ids):
 class RowEmbeddings:
     """Embeddings of a row table's rows in the given spaces, each row
     embedded at most once: a cache for one evaluation, calibration or
-    validation call, or for one training run of a head on a frozen
-    extractor, whose episodes draw the same rows again and again.
+    validation call, filled once per scored chunk, or for one training run
+    of a head on a frozen extractor, filled once per block of drawn
+    episodes, which draw the same rows again and again.
 
     The "trunk" space holds trunk features as flat rows (backbone.
     trunk_from_rows restores their shape), the others embed_dim values per

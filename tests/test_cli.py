@@ -174,6 +174,32 @@ def test_protonet_one_way_is_usage_error_before_loading(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("method", ["mbce", "mbce_projected", "ocml_frozen", "ocml_joint"])
+def test_every_method_one_way_is_usage_error_before_loading(tmp_path, capsys, method):
+    # a one-way episode has no negatives; nothing exists on disk, so the
+    # check must come before any load, and nothing may be written
+    code = run(["train", f"--method={method}", f"--dataset={tmp_path}/ds.json",
+                f"--backbone={tmp_path}/pn.ckpt", f"--out={tmp_path}/head.ckpt",
+                f"--loss_csv={tmp_path}/loss.csv", "--n=1"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "'n'" in lines[0] and f"'{method}'" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("grid,method", [("gtheta", "ocml_frozen"), ("kshot", "mbce"),
+                                         ("nway", "mbce"), ("mbce_variant", "mbce")])
+def test_ablate_one_way_training_is_usage_error_before_loading(tmp_path, capsys, grid, method):
+    code = run(["ablate", f"--grid={grid}", f"--dataset={tmp_path}/ds.json",
+                f"--backbone={tmp_path}/pn.ckpt", f"--out_dir={tmp_path}", "--n=1"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "'n'" in lines[0] and f"'{method}'" in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_reports_deterministic(workdir, tmp_path):
     base = [
         "eval", "--task=openset", "--head=ocml", f"--checkpoint={workdir}/ocml.ckpt",

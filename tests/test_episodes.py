@@ -304,6 +304,13 @@ def test_schedule_validation_and_defaults():
         default_schedule("fancy_new_method")
 
 
+def test_schedule_rejects_negative_val_interval():
+    # 0 asks for the default cadence; a negative interval is not a cadence
+    with pytest.raises(EpisodeError, match="val_interval"):
+        TrainSchedule(episodes=10, val_interval=-3)
+    assert TrainSchedule(episodes=10, val_interval=0).effective_val_interval == 2
+
+
 def test_run_meta_training_unknown_method(small_dataset):
     with pytest.raises(EpisodeError):
         run_meta_training("boosting", small_dataset, EpisodeConfig(n=2, k=2, q=2),

@@ -1,0 +1,96 @@
+"""Meta-training draws its episodes DRAW_AHEAD at a time. Across block
+boundaries the stream stays what it is episode by episode: loss i receives
+draw_episode(table, cfg, _episode_rng(seed, 0, i)), a shorter run's loss
+curve is a prefix of a longer run's, and a head on a frozen extractor fills
+its training cache once per block."""
+
+import numpy as np
+import pytest
+
+import fsos.episodes
+from fsos import metabce, ocml, protonet
+from fsos.backbone import init_backbone
+from fsos.episodes import (
+    DRAW_AHEAD,
+    EpisodeConfig,
+    EpisodeError,
+    TrainSchedule,
+    draw_episode,
+    run_meta_training,
+    _episode_rng,
+)
+from fsos.protonet import RowEmbeddings
+
+SEED = 9
+EPISODES = DRAW_AHEAD + 7
+CFG = EpisodeConfig(n=3, k=2, q=3, n_unknown=0)  # training draws no unknown classes
+LOSS_MODULE = {"protonet": protonet, "mbce": metabce, "ocml_frozen": ocml}
+
+
+def _train(method, dataset, spec, episodes):
+    base = None if method == "protonet" else init_backbone(spec, seed=4)
+    schedule = TrainSchedule(episodes=episodes, val_interval=episodes, val_episodes=2)
+    return run_meta_training(method, dataset, CFG, schedule, seed=SEED, base_params=base,
+                             spec=spec)
+
+
+@pytest.mark.parametrize("method", sorted(LOSS_MODULE))
+def test_each_loss_receives_its_own_episode(method, small_dataset, small_spec, monkeypatch):
+    module = LOSS_MODULE[method]
+    received = []
+    loss = module.episode_loss
+    # the episode is every loss's last argument
+    monkeypatch.setattr(module, "episode_loss", lambda *a: received.append(a[-1]) or loss(*a))
+    _train(method, small_dataset, small_spec, EPISODES)
+    table = small_dataset.row_table(small_dataset.split.meta_train)
+    assert len(received) == EPISODES
+    for i, got in enumerate(received):
+        want = draw_episode(table, CFG, _episode_rng(SEED, 0, i))
+        if method == "protonet":  # it trains the extractor on gathered rows
+            want = table.gather(want)
+        assert got.known_class_ids == want.known_class_ids, i
+        assert got.unknown_class_ids == want.unknown_class_ids, i
+        for name in ("support", "query_known", "query_unknown"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
+
+
+@pytest.mark.parametrize("method", sorted(LOSS_MODULE))
+def test_shorter_loss_curve_is_a_prefix(method, small_dataset, small_spec):
+    full = _train(method, small_dataset, small_spec, EPISODES).loss_curve
+    for episodes in (DRAW_AHEAD - 3, DRAW_AHEAD + 2):
+        assert _train(method, small_dataset, small_spec, episodes).loss_curve == full[:episodes]
+
+
+@pytest.mark.parametrize("method", ["mbce", "ocml_frozen"])
+def test_frozen_run_fills_its_training_cache_once_per_block(method, small_dataset, small_spec,
+                                                            monkeypatch):
+    filled = []
+    fill = RowEmbeddings.fill
+    monkeypatch.setattr(RowEmbeddings, "fill", lambda cache, indices:
+                        filled.append((cache, set(indices.tolist()))) or fill(cache, indices))
+    _train(method, small_dataset, small_spec, EPISODES)
+    training = filled[0][0]  # the first block is filled before the first step
+    assert len(filled) > 2  # validation scores with caches of its own
+    table = small_dataset.row_table(small_dataset.split.meta_train)
+    blocks = []
+    for start in range(0, EPISODES, DRAW_AHEAD):
+        rows = set()
+        for i in range(start, min(start + DRAW_AHEAD, EPISODES)):
+            draw = draw_episode(table, CFG, _episode_rng(SEED, 0, i))
+            rows.update(draw.support.ravel().tolist(), draw.query_known.ravel().tolist())
+        blocks.append(rows)
+    assert len(blocks) == 2
+    assert [rows for cache, rows in filled if cache is training] == blocks
+
+
+@pytest.mark.parametrize("method", ["protonet", "mbce", "ocml_frozen", "ocml_joint"])
+def test_one_way_training_raises_before_drawing(method, small_dataset, small_spec,
+                                                monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an episode was drawn")
+
+    monkeypatch.setattr(fsos.episodes, "draw_episode", refuse)
+    with pytest.raises(EpisodeError, match=f"{method} training needs n >= 2"):
+        run_meta_training(method, small_dataset, EpisodeConfig(n=1, k=2, q=3),
+                          TrainSchedule(episodes=3), seed=SEED,
+                          base_params=init_backbone(small_spec, seed=4))
