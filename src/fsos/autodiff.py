@@ -257,14 +257,12 @@ def bce(logits, targets):
         raise PrimitiveError("bce", f"logits shape {z.shape} != targets shape {y.shape}")
     if z.size == 0:
         raise PrimitiveError("bce", "empty operands")
-    loss = np.float64((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))).mean())
+    e = np.exp(-np.abs(z))
+    loss = np.float64((np.maximum(z, 0.0) - z * y + np.log1p(e)).mean())
 
     def backward_fn(g):
-        p = np.empty_like(z)
-        pos = z >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        p[~pos] = ez / (1.0 + ez)
+        # sigmoid(z) from e = exp(-|z|), which never overflows
+        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return ((float(g) / z.size) * (p - y), None)
 
     return _finish("bce", (logits, targets), loss, backward_fn)
@@ -458,8 +456,10 @@ def scale_shift(x, gamma, beta):
     out = gb * xd + bb
 
     def backward_fn(g):
-        ggamma = (g * xd).sum(axis=axes).reshape(gd.shape)
-        return (g * gb, ggamma, g.sum(axis=axes).reshape(bd.shape))
+        gx = g * gb if x.requires_grad else None
+        ggamma = (g * xd).sum(axis=axes).reshape(gd.shape) if gamma.requires_grad else None
+        gbeta = g.sum(axis=axes).reshape(bd.shape) if beta.requires_grad else None
+        return (gx, ggamma, gbeta)
 
     return _finish("scale_shift", (x, gamma, beta), out, backward_fn)
 

@@ -296,6 +296,7 @@ def _resolve_schedule(settings, method):
         val_interval=settings["val_interval"] or base.val_interval,
         val_episodes=settings["val_episodes"] or base.val_episodes,
         offset_learning_rate=settings["offset_learning_rate"] or base.offset_learning_rate,
+        patience=base.patience,
     )
 
 

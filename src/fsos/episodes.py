@@ -4,10 +4,11 @@ Episodes draw n support classes and n_U unknown classes (disjoint, without
 replacement) from one meta-split partition; examples are drawn without
 replacement within each class. Training episode i draws with its own
 generator from (seed, stream, i); evaluation, threshold calibration and
-validation draw with one generator from (seed, stream) per call, in blocks
-(draw_block) whose episodes each take a fixed number of uniforms, so a
-call's first M episodes do not depend on its length or chunking. Training
-runs, evaluations, and reports are reproducible bit for bit.
+validation draw with one generator from (seed, stream) per call or per
+training run, in blocks (draw_block) whose episodes each take a fixed
+number of uniforms, so a call's first M episodes do not depend on its
+length or chunking. Training runs, evaluations, and reports are
+reproducible bit for bit.
 
 Training samples by a draw and a gather: draw_episode picks classes and
 returns an Episode of row indices into the partition's RowTable, and
@@ -18,10 +19,17 @@ extractor (protonet, ocml_joint) gather, each episode as it is trained on:
 they embed its rows on the tape. The heads trained on a frozen extractor
 (mbce, ocml_frozen) read their episodes' rows from a per-run RowEmbeddings
 cache of the meta_train table, filled once per drawn block with the rows
-its episodes hold. Evaluation, threshold calibration and validation score
-each drawn block as a chunk (protonet.ScoredChunk) from a per-call cache,
-so each drawn row is embedded once per call, and the gates read the same
+its episodes hold. Evaluation and threshold calibration score each drawn
+block as a chunk (protonet.ScoredChunk) from a per-call cache, so each
+drawn row is embedded once per call, and the gates read the same
 embeddings as the closed-set classifier.
+
+Validation scores the same episodes at every point of a run, so a run draws
+them once (_ValidationSet). On a frozen extractor it also keeps their cache
+and chunks, so each point re-embeds only the space the run trains: mbce's
+branch or projected space, none for ocml_frozen. A run stops after
+schedule.patience points without a new best, and raises EpisodeError when
+its loss diverges (DIVERGENCE_FACTOR).
 """
 
 import csv
@@ -379,11 +387,14 @@ class ThresholdGate:
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Episode count, optimizer settings, and the validation cadence.
+    """Episode count, optimizer settings, the validation cadence, and early
+    stopping.
 
     offset_learning_rate, when set, gives the Meta-BCE scalar offset its own
     rate: the offset has to travel across the whole distance scale while the
     branch weights only fine-tune, so one shared rate serves both poorly.
+    patience, when > 0, stops a run after that many validation points in a
+    row without a new best; the best snapshot is what the run returns.
     """
 
     episodes: int
@@ -392,6 +403,7 @@ class TrainSchedule:
     val_interval: int = 0  # 0 -> episodes // 5
     val_episodes: int = 40
     offset_learning_rate: float = None
+    patience: int = 0  # 0 -> train every episode
 
     def __post_init__(self):
         if self.episodes < 1:
@@ -402,6 +414,8 @@ class TrainSchedule:
             raise EpisodeError(
                 f"val_interval must be >= 0 (0 -> episodes // 5), got {self.val_interval}"
             )
+        if self.patience < 0:
+            raise EpisodeError(f"patience must be >= 0 (0 -> no early stop), got {self.patience}")
 
     @property
     def effective_val_interval(self):
@@ -415,12 +429,15 @@ class TrainSchedule:
             "val_interval": self.effective_val_interval,
             "val_episodes": self.val_episodes,
             "offset_learning_rate": self.offset_learning_rate,
+            "patience": self.patience,
         }
 
 
 def default_schedule(method, episodes=None):
     """Training settings that reach the benchmark floors on the default
-    synthetic benchmark; see the acceptance suite."""
+    synthetic benchmark; see the acceptance suite. Only mbce stops early: its
+    validation NA peaks early and then falls, while the protonet and ocml
+    curves are flat within noise, so patience would move their snapshots."""
     if method == "protonet":
         return TrainSchedule(
             episodes or 3000, learning_rate=2e-3, optimizer="adam",
@@ -429,7 +446,7 @@ def default_schedule(method, episodes=None):
     if method == "mbce":
         return TrainSchedule(
             episodes or 8000, learning_rate=1e-4, optimizer="sgd",
-            val_interval=125, val_episodes=50, offset_learning_rate=0.05,
+            val_interval=125, val_episodes=50, offset_learning_rate=0.05, patience=8,
         )
     if method in ("ocml_frozen", "ocml_joint"):
         return TrainSchedule(
@@ -459,17 +476,72 @@ METHODS = ("protonet", "mbce", "ocml_joint", "ocml_frozen")
 CHUNK_VALUES = 10 * 150 * 64
 
 
+def _row_cache(params, table, cfg, spaces):
+    """A RowEmbeddings cache of table's rows for episodes of cfg's shape,
+    filled in slices of one episode's queries."""
+    m = (cfg.n + cfg.n_unknown) * cfg.q
+    return protonet.RowEmbeddings(params, table.rows, spaces, slice_rows=m)
+
+
+def _drawn_blocks(table, cfg, episodes, seed, stream, embed_dim):
+    """Episodes 0 .. episodes - 1 of (seed, stream), drawn from table in
+    blocks of one scored chunk; yields (index of the block's first episode,
+    block)."""
+    m = (cfg.n + cfg.n_unknown) * cfg.q
+    size = max(1, CHUNK_VALUES // (m * embed_dim))
+    rng = np.random.default_rng([int(seed), int(stream)])
+    for start in range(0, episodes, size):
+        yield start, draw_block(table, cfg, rng, min(size, episodes - start))
+
+
 def _scored_chunks(params, table, cfg, episodes, seed, stream, spaces):
     """Episodes 0 .. episodes - 1 of (seed, stream), drawn from table and
     scored in chunks; yields (index of the chunk's first episode, chunk).
     Every row is embedded at most once per call, in the given spaces."""
-    m = (cfg.n + cfg.n_unknown) * cfg.q
-    cache = protonet.RowEmbeddings(params, table.rows, spaces, slice_rows=m)
-    size = max(1, CHUNK_VALUES // (m * params.embed_dim))
-    rng = np.random.default_rng([int(seed), int(stream)])
-    for start in range(0, episodes, size):
-        block = draw_block(table, cfg, rng, min(size, episodes - start))
+    cache = _row_cache(params, table, cfg, spaces)
+    for start, block in _drawn_blocks(table, cfg, episodes, seed, stream, params.embed_dim):
         yield start, protonet.ScoredChunk(cache, *block, cfg.q)
+
+
+class _ValidationSet:
+    """The validation episodes of one training run, drawn once: the stream
+    re-seeds from (seed, _VAL_STREAM), so every point scores the same
+    episodes. Each iteration yields them as scored chunks of the run's
+    parameters as they are then.
+
+    trained is None when each iteration embeds into a fresh cache, as when
+    the extractor trains. Otherwise it names the spaces training changes,
+    and one cache and its chunks live for the run: the frozen spaces
+    of the drawn rows and the chunks' main-space distances, closed
+    predictions and truth are computed once, and each later iteration
+    re-embeds only the trained spaces from the frozen ones (RowEmbeddings.
+    refresh). A scored chunk forgets the embeddings it took, so the run
+    holds its drawn rows' embeddings once, not once per draw.
+    """
+
+    def __init__(self, params, table, cfg, episodes, seed, spaces, trained):
+        drawn = _drawn_blocks(table, cfg, episodes, seed, _VAL_STREAM, params.embed_dim)
+        self.blocks = [block for _, block in drawn]
+        self.new_cache = partial(_row_cache, params, table, cfg, spaces)
+        self.q = cfg.q
+        self.trained = trained
+        self.kept = None
+
+    def __iter__(self):
+        if self.trained is None:
+            cache = self.new_cache()
+            for block in self.blocks:
+                yield protonet.ScoredChunk(cache, *block, self.q)
+            return
+        if self.kept is None:
+            self.cache = self.new_cache()
+            self.kept = [protonet.ScoredChunk(self.cache, *b, self.q) for b in self.blocks]
+        else:
+            for space in self.trained:
+                self.cache.refresh(space)
+        for chunk in self.kept:
+            yield chunk
+            chunk.forget()
 
 
 def score_episode(params, episode, spaces=("main",)):
@@ -488,50 +560,52 @@ def score_episode(params, episode, spaces=("main",)):
     )
 
 
-def _truth(chunk):
-    """True labels [B, m] of a chunk's stacked queries: known, then UNKNOWN."""
-    known = np.repeat(chunk.class_ids, chunk.q, axis=1)
-    unknown = np.full((known.shape[0], chunk.query_rows.shape[1] - chunk.n_known), UNKNOWN)
-    return np.concatenate([known, unknown], axis=1)
-
-
 def _gated(gate, chunk):
     """(truth, final label, score) [B, m] of the stacked queries: the gate
     decides known or unknown, the closed-set classifier labels the known
     ones."""
     score, is_known = gate.judge(chunk)
     final = np.where(is_known, chunk.closed_predictions, UNKNOWN)
-    return _truth(chunk), final, score
+    return chunk.truth, final, score
 
 
-def _closed_accuracy(params, dataset, classes, cfg, episodes, seed, stream=_VAL_STREAM):
+def _closed_accuracy(chunks):
+    """Closed-set accuracy over the known queries of scored chunks."""
     correct, total = 0, 0
-    table = dataset.row_table(classes)
-    for _, chunk in _scored_chunks(params, table, cfg, episodes, seed, stream, ("main",)):
+    for chunk in chunks:
         known = slice(0, chunk.n_known)
-        hits = chunk.closed_predictions[:, known] == _truth(chunk)[:, known]
+        hits = chunk.closed_predictions[:, known] == chunk.truth[:, known]
         correct += int(np.sum(hits))
         total += hits.size
     return correct / total
 
 
-def _gate_val_na(gate, params, dataset, classes, k, episodes, seed, stream=_VAL_STREAM):
-    """Mean open-set normalized accuracy of a gate on validation episodes.
+def _gate_val_config(classes, k):
+    """Episode shape of gate validation on a partition: up to 5 known and as
+    many unknown classes, 10 queries each, clamped to the partition size."""
+    n = max(1, min(5, len(classes) - 1))
+    n_u = max(1, min(n, len(classes) - n))
+    return EpisodeConfig(n=n, k=k, q=10, n_unknown=n_u)
+
+
+def _gate_val_na(gate, chunks):
+    """Mean open-set normalized accuracy of a gate on scored validation
+    chunks.
 
     Selecting head snapshots by NA (not AUROC) matters: ranking quality alone
     says nothing about whether the fixed 0.5 decision threshold is calibrated
-    for unseen classes. The episode shape is clamped to the partition size.
+    for unseen classes.
     """
-    n = max(1, min(5, len(classes) - 1))
-    n_u = max(1, min(n, len(classes) - n))
-    cfg = EpisodeConfig(n=n, k=k, q=10, n_unknown=n_u)
-    spaces = ("main",) + gate.spaces
     nas = []
-    table = dataset.row_table(classes)
-    for _, chunk in _scored_chunks(params, table, cfg, episodes, seed, stream, spaces):
+    for chunk in chunks:
         triple = _gated(gate, chunk)
         nas.append(metrics.normalized_accuracy(metrics.aks(triple), metrics.aus(triple)))
     return float(np.mean(np.concatenate(nas)))
+
+
+# A training loss that is not finite, or above this multiple of max(1, the
+# first episode's loss), ends the run as diverged.
+DIVERGENCE_FACTOR = 1e6
 
 
 def run_meta_training(
@@ -554,6 +628,8 @@ def run_meta_training(
     each row once, when the first block of episodes that draws it is drawn.
     ocml_joint trains the transfer module together with the extractor.
     Every method needs n >= 2: a one-way episode has no negatives to learn from.
+    A run stops after schedule.patience validation points without a new
+    best, and a diverged loss (DIVERGENCE_FACTOR) raises EpisodeError.
     """
     if method not in METHODS:
         raise EpisodeError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -623,23 +699,26 @@ def run_meta_training(
         optimizers.append(make_optimizer(schedule.optimizer, trainable, schedule.learning_rate))
     interval = schedule.effective_val_interval
 
+    if method == "protonet":
+        # the val partition may be smaller than the training way count
+        val_cfg = replace(episode_cfg, n=min(episode_cfg.n, len(val_classes)))
+        spaces, trained = ("main",), None
+    else:
+        gate = MetaBceGate(head) if method == "mbce" else OcmlGate(head)
+        val_cfg = _gate_val_config(val_classes, episode_cfg.k)
+        spaces, trained = ("main",) + gate.spaces, None
+        # a frozen extractor's embeddings are kept for the next point, if any
+        if schedule.episodes > interval and method == "ocml_frozen":
+            trained = ()
+        elif schedule.episodes > interval and method == "mbce":
+            spaces, trained = spaces + (metabce.FROZEN_SPACE[variant],), gate.spaces
+    validation = _ValidationSet(params, dataset.row_table(val_classes), val_cfg,
+                                schedule.val_episodes, seed, spaces, trained)
+
     def validate():
         if method == "protonet":
-            # the val partition may be smaller than the training way count
-            val_cfg = EpisodeConfig(
-                n=min(episode_cfg.n, len(val_classes)),
-                k=episode_cfg.k,
-                q=episode_cfg.q,
-                n_unknown=0,
-                seed=episode_cfg.seed,
-            )
-            return _closed_accuracy(
-                params, dataset, val_classes, val_cfg, schedule.val_episodes, seed
-            )
-        gate = MetaBceGate(head) if method == "mbce" else OcmlGate(head)
-        return _gate_val_na(
-            gate, params, dataset, val_classes, episode_cfg.k, schedule.val_episodes, seed
-        )
+            return _closed_accuracy(validation)
+        return _gate_val_na(gate, validation)
 
     def snapshot():
         return params.copy(), None if head is None else head.copy()
@@ -648,20 +727,30 @@ def run_meta_training(
     val_history = []
     best_val = -np.inf
     best = snapshot()
+    stale = 0  # validation points since the last new best
     episodes = _training_episodes(table, episode_cfg, schedule.episodes, seed, cache)
     for i, ep in enumerate(episodes):
         with Tape() as tape:
             loss = loss_fn(ep)
+        loss_curve.append(float(loss.data))
+        if not np.isfinite(loss_curve[-1]) or (
+            loss_curve[-1] > DIVERGENCE_FACTOR * max(1.0, loss_curve[0])
+        ):
+            raise EpisodeError(
+                f"{method} training diverged at episode {i}: loss {loss_curve[-1]!r} is not "
+                f"finite or above {DIVERGENCE_FACTOR:g} x max(1, first loss {loss_curve[0]!r})"
+            )
         backward(tape, loss)
         for opt in optimizers:
             opt.step()
-        loss_curve.append(float(loss.data))
         if (i + 1) % interval == 0 or (i + 1) == schedule.episodes:
             metric = validate()
             val_history.append((i + 1, metric))
+            stale += 1
             if metric > best_val:
-                best_val = metric
-                best = snapshot()
+                best_val, best, stale = metric, snapshot(), 0
+            elif stale == schedule.patience:
+                break
     return TrainResult(method, best[0], best[1], loss_curve, val_history, float(best_val))
 
 
@@ -818,7 +907,7 @@ def evaluate_oneclass(
 
     def score_rows(chunk):
         score, is_known = gate.judge(chunk)
-        truth = _truth(chunk)
+        truth = chunk.truth
         pred = np.where(is_known, chunk.class_ids, UNKNOWN)
         triple = (truth, pred, score)
         columns = {

@@ -10,10 +10,13 @@ when the extractor trains, or from cached rows when it is frozen.
 RowEmbeddings embeds each row of a row table at most once per cache, untaped,
 in the spaces asked for: the trunk runs once per row for the main and branch
 blocks, and the projection is applied on top of main. A cache lives for one
-evaluation, calibration or validation call, or for one training run of a
-head on a frozen extractor. A ScoredChunk stacks B episodes of one shape
-from a cache and derives their prototypes [B, n, e], main-space distances
-[B, m, n], nearest distances and closed predictions as batched arrays.
+evaluation or calibration call, one validation point of a run that trains
+its extractor, one training run of a head on a frozen extractor, or the
+whole validation of such a run, where refresh re-embeds the trained branch
+or projected space from the cached trunk or main space. A ScoredChunk
+stacks B episodes of one shape from a cache and derives their prototypes
+[B, n, e], main-space distances [B, m, n], nearest distances, closed
+predictions and true labels as batched arrays.
 Closed-set logits are negative squared Euclidean distances to per-class
 prototypes, from autodiff's Gram-form kernel, which clamps at 0; argmin
 ties, exact zeros included, break toward the lowest class id. The threshold
@@ -29,7 +32,8 @@ import numpy as np
 
 from .autodiff import Tensor, mean_rows, row_block_mean, scale_shift, softmax_xent
 from .autodiff import sq_distances, squared_distance
-from .backbone import embed, last_block, project, trunk_features
+from .backbone import embed, last_block, project, trunk_features, trunk_from_rows
+from .metrics import UNKNOWN
 
 SPACES = ("trunk", "main", "branch", "projected")
 
@@ -74,10 +78,11 @@ def predict_closed(distances, class_ids):
 
 class RowEmbeddings:
     """Embeddings of a row table's rows in the given spaces, each row
-    embedded at most once: a cache for one evaluation, calibration or
-    validation call, filled once per scored chunk, or for one training run
-    of a head on a frozen extractor, filled once per block of drawn
-    episodes, which draw the same rows again and again.
+    embedded at most once: a cache for one evaluation or calibration call
+    or one validation point, filled once per scored chunk, or for one
+    training run of a head on a frozen extractor, filled once per block of
+    drawn episodes, which draw the same rows again and again, or for that
+    run's validation, refreshed at each point in the space the run trains.
 
     The "trunk" space holds trunk features as flat rows (backbone.
     trunk_from_rows restores their shape), the others embed_dim values per
@@ -96,16 +101,21 @@ class RowEmbeddings:
         }
         self._done = np.zeros(rows.shape[0], dtype=bool)
 
+    def _slices(self, indices):
+        """(slice, the row indices to embed it from) per slice_rows of
+        indices. numpy multiplies a single row by gemv, which rounds
+        differently from gemm: a slice of one row is embedded as two copies
+        of it, so that a row's embedding never depends on its slice."""
+        for start in range(0, indices.size, self.slice_rows):
+            part = indices[start : start + self.slice_rows]
+            yield part, np.repeat(part, 2) if part.size == 1 else part
+
     def fill(self, indices):
         """Embed the rows among indices that are not embedded yet."""
         todo = np.unique(indices[~self._done[indices]])
         params = self.params
-        for start in range(0, todo.size, self.slice_rows):
-            part = todo[start : start + self.slice_rows]
-            # numpy multiplies a single row by gemv, which rounds differently
-            # from gemm: embed at least two rows, so that a row's embedding
-            # never depends on the slice it falls in
-            h = trunk_features(params, self.rows[np.repeat(part, 2) if part.size == 1 else part])
+        for part, rows in self._slices(todo):
+            h = trunk_features(params, self.rows[rows])
             fresh = {"trunk": h}
             if "branch" in self.spaces:
                 fresh["branch"] = last_block(params, h, params.branch)
@@ -116,6 +126,19 @@ class RowEmbeddings:
             for space, values in self._values.items():
                 values[part] = fresh[space].data[: part.size].reshape(part.size, -1)
         self._done[todo] = True
+
+    def refresh(self, space):
+        """Re-embed every embedded row in the "branch" or "projected" space
+        after its block has trained, from the cached trunk features or main
+        embeddings it is computed from; the cache must hold that space."""
+        params, values = self.params, self._values
+        for part, rows in self._slices(np.flatnonzero(self._done)):
+            if space == "branch":
+                fresh = last_block(params, trunk_from_rows(params, values["trunk"][rows]),
+                                   params.branch)
+            else:
+                fresh = project(params, values["main"][rows])
+            values[space][part] = fresh.data[: part.size]
 
     def take(self, space, indices):
         """Embeddings [*indices.shape, e] of embedded rows in one space."""
@@ -146,6 +169,13 @@ class ScoredChunk:
         self._queries = {}
         self._prototypes = {}
 
+    def forget(self):
+        """Drop the query embeddings and prototypes taken from the cache;
+        what derives from them (distances, closed predictions) stays, and
+        they are taken again when asked for."""
+        self._queries.clear()
+        self._prototypes.clear()
+
     def queries(self, space="main"):
         """Query embeddings [B, m, e] in the "main", "branch" or "projected"
         space."""
@@ -158,6 +188,13 @@ class ScoredChunk:
         if space not in self._prototypes:
             self._prototypes[space] = prototypes(self.cache.take(space, self.support_rows), self.n)
         return self._prototypes[space]
+
+    @cached_property
+    def truth(self):
+        """True label per query [B, m]: known, then UNKNOWN."""
+        known = np.repeat(self.class_ids, self.q, axis=1)
+        unknown = np.full((known.shape[0], self.query_rows.shape[1] - self.n_known), UNKNOWN)
+        return np.concatenate([known, unknown], axis=1)
 
     @cached_property
     def distances(self):

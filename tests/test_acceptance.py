@@ -26,6 +26,7 @@ from fsos.episodes import (
     ThresholdGate,
     _closed_accuracy,
     _episode_rng,
+    _scored_chunks,
     calibrate_threshold_baseline,
     confidence_interval,
     default_schedule,
@@ -319,10 +320,11 @@ def bench_openset(bench):
 def test_criterion_6_protonet_closed_accuracy(bench):
     accs = {}
     for seed, run in bench.items():
-        acc = _closed_accuracy(
-            run.backbone, run.dataset, run.dataset.split.meta_test,
-            EpisodeConfig(n=5, k=5, q=15, n_unknown=0), M_BENCH, EVAL_SEED, stream=2,
+        chunks = _scored_chunks(
+            run.backbone, run.dataset.row_table(run.dataset.split.meta_test),
+            EpisodeConfig(n=5, k=5, q=15, n_unknown=0), M_BENCH, EVAL_SEED, 2, ("main",),
         )
+        acc = _closed_accuracy(chunk for _, chunk in chunks)
         accs[seed] = acc
     ok = all(a >= 0.95 for a in accs.values())
     report_line(6, ok, "protonet 5-way 5-shot closed accuracy " + str(

@@ -4,11 +4,13 @@ of them fails here instead of in the benchmark run."""
 import sys
 from pathlib import Path
 
+import pytest
+
 import fsos
 import fsos.cli  # noqa: F401  (imports every fsos module the benchmark wraps)
 from fsos.backbone import init_backbone
 from fsos.data import save_dataset
-from fsos.episodes import EpisodeConfig, MetaBceGate
+from fsos.episodes import EpisodeConfig, MetaBceGate, TrainSchedule
 from fsos.metabce import init_head
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -65,3 +67,26 @@ def test_stage_patches_time_every_eval_stage(tmp_path, small_dataset, small_spec
     assert names.count("episodes.calibrate_threshold_baseline") == 2
     assert names.count("episodes.evaluate_openset") == 1
     assert names.count("episodes.evaluate_oneclass") == 1
+
+
+@pytest.mark.parametrize("method", ["mbce", "ocml_frozen"])
+def test_traced_frozen_head_training_times_every_validation_point(method, small_dataset,
+                                                                  small_spec):
+    """episodes.validation_share is read from the spans around _gate_val_na;
+    a validation path that bypassed it would read 0 without failing."""
+    tracer = spans.Tracer()
+    patches = layers.full_patches(tracer, fsos)
+    patches.apply()
+    try:
+        result = fsos.episodes.run_meta_training(
+            method, small_dataset, EpisodeConfig(n=3, k=2, q=3),
+            TrainSchedule(episodes=9, val_interval=3, val_episodes=2), seed=1,
+            base_params=init_backbone(small_spec, seed=1),
+        )
+    finally:
+        patches.restore()
+    names = [rec[0] for rec in tracer.spans]
+    assert len(result.val_history) == 3
+    assert names.count("episodes.validation") == 3
+    assert layers.pass_layer_metrics(tracer.spans, tracer.counters)[
+        "episodes.validation_share"] > 0

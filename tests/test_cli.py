@@ -95,6 +95,30 @@ def test_train_checkpoints_deterministic(workdir, tmp_path):
     assert (tmp_path / "r1.ckpt").read_bytes() == (tmp_path / "r2.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("method,patience", [("protonet", 0), ("mbce", 8), ("mbce_projected", 8),
+                                              ("ocml_frozen", 0)])
+def test_train_writes_patience_in_the_header(workdir, tmp_path, method, patience):
+    backbone = [] if method == "protonet" else [f"--backbone={workdir}/pn.ckpt"]
+    assert run([
+        "train", f"--method={method}", f"--dataset={workdir}/ds.json", f"--out={tmp_path}/t.ckpt",
+        "--episodes=4", "--n=3", "--k=2", "--q=3", *backbone,
+    ]) == 0
+    header, _ = load_checkpoint(f"{tmp_path}/t.ckpt")
+    assert header["meta"]["schedule"]["patience"] == patience
+
+
+@pytest.mark.parametrize("method", ["protonet", "mbce"])
+def test_train_divergence_is_runtime_error_without_checkpoint(workdir, tmp_path, capsys, method):
+    backbone = [] if method == "protonet" else [f"--backbone={workdir}/pn.ckpt"]
+    code = run([
+        "train", f"--method={method}", f"--dataset={workdir}/ds.json", f"--out={tmp_path}/d.ckpt",
+        "--episodes=200", "--learning_rate=1e6", *backbone,
+    ])
+    assert code == 2
+    assert f"{method} training diverged at episode" in _one_runtime_error(capsys)
+    assert not (tmp_path / "d.ckpt").exists()
+
+
 def test_eval_oneclass_requires_n_one(workdir, capsys):
     code = run([
         "eval", "--task=oneclass", "--head=mbce", f"--checkpoint={workdir}/mbce.ckpt",

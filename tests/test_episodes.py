@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fsos.episodes
+from fsos import protonet
 from fsos.backbone import init_backbone
 from fsos.episodes import (
+    DIVERGENCE_FACTOR,
     Episode,
     EpisodeConfig,
     EpisodeError,
@@ -325,6 +328,83 @@ def test_loss_curve_length_matches_schedule(small_dataset, small_spec):
     )
     assert len(result.loss_curve) == 17
     assert result.val_history[-1][0] == 17
+
+
+def test_schedule_patience_defaults_and_bounds():
+    with pytest.raises(EpisodeError, match="patience"):
+        TrainSchedule(episodes=10, patience=-1)
+    assert TrainSchedule(episodes=10).patience == 0
+    assert default_schedule("mbce").patience == 8
+    for method in ("protonet", "ocml_frozen", "ocml_joint"):
+        assert default_schedule(method).patience == 0
+
+
+def _scripted_mbce(dataset, spec, scores, patience, monkeypatch):
+    """An mbce run validated every 2 episodes, whose validation points read
+    the given scores in order."""
+    script = iter(scores)
+    monkeypatch.setattr(fsos.episodes, "_gate_val_na", lambda gate, chunks: next(script))
+    return run_meta_training(
+        "mbce", dataset, EpisodeConfig(n=3, k=2, q=3),
+        TrainSchedule(episodes=2 * len(scores), learning_rate=0.01, val_interval=2,
+                      val_episodes=2, patience=patience),
+        seed=2, base_params=init_backbone(spec, seed=2),
+    )
+
+
+def test_patience_stops_after_that_many_points_without_a_new_best(small_dataset, small_spec,
+                                                                   monkeypatch):
+    # best at point 2; a tie (point 4) is no new best, so points 3 to 5 are
+    # three points without one
+    scores = [0.5, 0.7, 0.6, 0.7, 0.65, 0.9, 0.1, 0.2]
+    stopped = _scripted_mbce(small_dataset, small_spec, scores, 3, monkeypatch)
+    assert [p for p, _ in stopped.val_history] == [2, 4, 6, 8, 10]
+    assert len(stopped.loss_curve) == 10
+    assert stopped.best_val == 0.7
+    # one more point of patience reaches the later peak
+    later = _scripted_mbce(small_dataset, small_spec, scores, 4, monkeypatch)
+    assert len(later.val_history) == 8 and later.best_val == 0.9
+
+
+def test_patience_keeps_the_unstopped_best_when_the_peak_comes_early(small_dataset, small_spec,
+                                                                     monkeypatch):
+    scores = [0.5, 0.8, 0.6, 0.7, 0.75, 0.7, 0.6, 0.5]
+    full = _scripted_mbce(small_dataset, small_spec, scores, 0, monkeypatch)
+    stopped = _scripted_mbce(small_dataset, small_spec, scores, 3, monkeypatch)
+    assert len(full.loss_curve) == 16 and len(stopped.loss_curve) == 10
+    assert stopped.loss_curve == full.loss_curve[:10]
+    assert stopped.best_val == full.best_val == 0.8
+    assert np.array_equal(stopped.head.t.data, full.head.t.data)
+    for (group, items), (_, want) in zip(stopped.params.named_groups(),
+                                         full.params.named_groups()):
+        for (name, tensor), (_, other) in zip(items, want):
+            assert np.array_equal(tensor.data, other.data), (group, name)
+
+
+@pytest.mark.parametrize("factor,diverges", [(1.0, False), (2.0, True), (np.inf, True),
+                                             (np.nan, True)])
+def test_divergent_loss_raises_naming_the_episode(factor, diverges, small_dataset, small_spec,
+                                                  monkeypatch):
+    episode_loss, losses = protonet.episode_loss, []
+
+    def third_loss_scaled(params, episode):
+        # the third loss becomes factor x the divergence limit
+        loss = episode_loss(params, episode)
+        losses.append(float(loss.data))
+        if len(losses) == 3:
+            loss.data = np.array(factor * DIVERGENCE_FACTOR * max(1.0, losses[0]))
+        return loss
+
+    monkeypatch.setattr(protonet, "episode_loss", third_loss_scaled)
+    train = lambda: run_meta_training(
+        "protonet", small_dataset, EpisodeConfig(n=2, k=2, q=3),
+        TrainSchedule(episodes=5, val_interval=5, val_episodes=2), seed=1, spec=small_spec,
+    )
+    if diverges:
+        with pytest.raises(EpisodeError, match="protonet training diverged at episode 2:"):
+            train()
+    else:
+        assert len(train().loss_curve) == 5
 
 
 class ConstantGate:

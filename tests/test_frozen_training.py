@@ -1,19 +1,22 @@
 """Heads trained on a frozen extractor (mbce in both variants, ocml_frozen)
 read the extractor's output from a per-run RowEmbeddings cache: one cached
 step equals one gathered, taped step bit for bit, and no frozen tensor ever
-reaches a tape."""
+reaches a tape. Their validation keeps its drawn episodes and frozen
+embeddings for the run and re-embeds only the trained space at each point,
+which scores every point as a fresh draw and a fresh cache would."""
 
 from functools import partial
 
 import numpy as np
 import pytest
 
+import fsos.episodes
 from fsos import metabce, ocml
 from fsos.autodiff import Tape, backward
 from fsos.backbone import BackboneParams, BackboneSpec, add_projection, embed, init_backbone
 from fsos.data import SyntheticSpec, generate_synthetic
 from fsos.episodes import EpisodeConfig, TrainSchedule, draw_episode, run_meta_training
-from fsos.episodes import _episode_rng
+from fsos.episodes import _VAL_STREAM, _episode_rng, _gate_val_config, _gated, _scored_chunks
 from fsos.protonet import RowEmbeddings
 
 IMAGE_SPEC = BackboneSpec("image", (1, 8, 8), (("conv", 4), ("conv", 4)))
@@ -106,3 +109,49 @@ def test_frozen_tensors_never_reach_a_tape(method, variant, small_dataset, small
                 assert tensor.grad is None, (group, name)
                 if group != trained:
                     assert np.array_equal(tensor.data, dict(frozen[group])[name].data)
+
+
+@pytest.mark.parametrize("kind", ["vector", "image"])
+@pytest.mark.parametrize("method,variant", METHODS)
+def test_cached_validation_equals_a_fresh_cache_at_every_point(
+        method, variant, kind, small_dataset, small_spec, image_dataset, monkeypatch):
+    dataset, spec = (small_dataset, small_spec) if kind == "vector" else (image_dataset,
+                                                                          IMAGE_SPEC)
+    base = init_backbone(spec, seed=5)
+    val_classes = dataset.split.meta_val
+    val_cfg = _gate_val_config(val_classes, k=2)
+    # chunks of 3 episodes: 3 chunks per point, refreshed rows span chunks
+    m = (val_cfg.n + val_cfg.n_unknown) * val_cfg.q
+    monkeypatch.setattr(fsos.episodes, "CHUNK_VALUES", 3 * m * base.embed_dim)
+    copies = []
+    copy = BackboneParams.copy
+    monkeypatch.setattr(BackboneParams, "copy", lambda self: copies.append(copy(self)) or
+                        copies[-1])
+    val_na = fsos.episodes._gate_val_na
+    fresh_na = []
+
+    def checked(gate, chunks):
+        # the recipe without a run cache: a fresh draw, a fresh RowEmbeddings
+        fresh = [chunk for _, chunk in _scored_chunks(
+            copies[0], dataset.row_table(val_classes), val_cfg, 8, 6, _VAL_STREAM,
+            ("main",) + gate.spaces)]
+        assert len(fresh) == 3
+
+        def compared():
+            # the run's chunks as it scores them, each next to its fresh twin
+            for got, want in zip(chunks, fresh, strict=True):
+                for a, b in zip(_gated(gate, got), _gated(gate, want)):
+                    assert np.array_equal(a, b)
+                yield got
+
+        fresh_na.append(val_na(gate, fresh))
+        return val_na(gate, compared())
+
+    monkeypatch.setattr(fsos.episodes, "_gate_val_na", checked)
+    result = run_meta_training(
+        method, dataset, EpisodeConfig(n=3, k=2, q=3),
+        TrainSchedule(episodes=12, learning_rate=0.05, val_interval=4, val_episodes=8),
+        seed=6, base_params=base, variant=variant,
+    )
+    assert len(result.val_history) == 3
+    assert [na for _, na in result.val_history] == fresh_na
