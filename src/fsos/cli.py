@@ -11,6 +11,7 @@ import configparser
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, metabce, ocml
@@ -23,7 +24,6 @@ from .episodes import (
     MetaBceGate,
     OcmlGate,
     ThresholdGate,
-    TrainSchedule,
     calibrate_threshold_baseline,
     default_schedule,
     evaluate_oneclass,
@@ -219,6 +219,13 @@ def _require_out_dir(path, what):
         raise UsageError(f"directory for {what} does not exist: {parent}")
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------------
 # checkpoint assembly
 
@@ -285,19 +292,14 @@ def cmd_generate(settings):
 
 
 def _resolve_schedule(settings, method):
+    """The method's default schedule with the overrides that are set: a
+    non-zero value, or an optimizer other than auto."""
     base = default_schedule(
         "mbce" if method == "mbce_projected" else method,
         settings["episodes"] or None,
     )
-    return TrainSchedule(
-        episodes=base.episodes,
-        learning_rate=settings["learning_rate"] or base.learning_rate,
-        optimizer=base.optimizer if settings["optimizer"] == "auto" else settings["optimizer"],
-        val_interval=settings["val_interval"] or base.val_interval,
-        val_episodes=settings["val_episodes"] or base.val_episodes,
-        offset_learning_rate=settings["offset_learning_rate"] or base.offset_learning_rate,
-        patience=base.patience,
-    )
+    keys = ("learning_rate", "optimizer", "val_interval", "val_episodes", "offset_learning_rate")
+    return replace(base, **{k: settings[k] for k in keys if settings[k] not in (0, "auto")})
 
 
 def _require_two_way(n, method):
@@ -361,17 +363,14 @@ def cmd_train(settings):
     }
     save_pipeline_checkpoint(settings["out"], result.params, heads, meta)
     if settings["loss_csv"]:
-        with open(settings["loss_csv"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode", "loss"])
-            for i, v in enumerate(result.loss_curve):
-                writer.writerow([i, repr(v)])
+        _write_csv(settings["loss_csv"], ["episode", "loss"],
+                   [[i, repr(v)] for i, v in enumerate(result.loss_curve)])
     print(f"checkpoint={settings['out']}")
     print(f"best_validation={result.best_val!r}")
     return 0
 
 
-def _build_gate(settings, params, heads, dataset):
+def _build_gate(settings, cfg, params, heads, dataset):
     head = settings["head"]
     if head == "mbce":
         if "mbce" not in heads:
@@ -381,11 +380,8 @@ def _build_gate(settings, params, heads, dataset):
         if "ocml" not in heads:
             raise UsageError("checkpoint holds no ocml head group")
         return OcmlGate(heads["ocml"]), {}
-    cal_cfg = EpisodeConfig(
-        n=settings["n"], k=settings["k"], q=settings["q"], n_unknown=settings["n_unknown"]
-    )
     baseline = calibrate_threshold_baseline(
-        params, dataset, cal_cfg, settings["calib_episodes"], settings["seed"]
+        params, dataset, cfg, settings["calib_episodes"], settings["seed"]
     )
     return ThresholdGate(baseline), {"tau": baseline.tau}
 
@@ -404,14 +400,10 @@ def cmd_eval(settings):
 
     dataset = load_dataset(settings["dataset"])
     params, heads, _ = load_pipeline_checkpoint(settings["checkpoint"])
-    gate, extra = _build_gate(settings, params, heads, dataset)
     cfg = EpisodeConfig(
-        n=settings["n"],
-        k=settings["k"],
-        q=settings["q"],
-        n_unknown=settings["n_unknown"],
-        seed=settings["seed"],
+        n=settings["n"], k=settings["k"], q=settings["q"], n_unknown=settings["n_unknown"]
     )
+    gate, extra = _build_gate(settings, cfg, params, heads, dataset)
     evaluate = evaluate_oneclass if settings["task"] == "oneclass" else evaluate_openset
     report = evaluate(
         params,
@@ -436,14 +428,6 @@ def cmd_eval(settings):
         print(f"{name}={s.mean:.4f}+-{s.ci:.4f}")
     print(f"report={settings['out']}")
     return 0
-
-
-def _write_curve_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
 
 
 def cmd_ablate(settings):
@@ -494,7 +478,7 @@ def cmd_ablate(settings):
                     curves[metric].append([arch_name, k, repr(s.mean), repr(s.ci)])
         for metric, rows in curves.items():
             path = out_dir / f"gtheta_{metric}.csv"
-            _write_curve_csv(path, ["architecture", "k", "mean", "ci"], rows)
+            _write_csv(path, ["architecture", "k", "mean", "ci"], rows)
             written.append(path)
     elif grid in ("kshot", "nway"):
         mbce_res = train("mbce")
@@ -526,7 +510,7 @@ def cmd_ablate(settings):
         axis = "k" if grid == "kshot" else "n"
         for metric, rows in curves.items():
             path = out_dir / f"{grid}_{metric}.csv"
-            _write_curve_csv(path, ["method", axis, "mean", "ci"], rows)
+            _write_csv(path, ["method", axis, "mean", "ci"], rows)
             written.append(path)
     else:  # mbce_variant
         rows = []
@@ -539,7 +523,7 @@ def cmd_ablate(settings):
                 s = rep.metrics[metric]
                 rows.append([variant, metric, repr(s.mean), repr(s.ci)])
         path = out_dir / "mbce_variant_openset.csv"
-        _write_curve_csv(path, ["variant", "metric", "mean", "ci"], rows)
+        _write_csv(path, ["variant", "metric", "mean", "ci"], rows)
         written.append(path)
 
     for path in written:
@@ -607,10 +591,7 @@ def cmd_report(settings):
     for r in [header] + rows:
         print("  ".join(str(c).ljust(w) for c, w in zip(r, widths)))
     if settings["out_csv"]:
-        with open(settings["out_csv"], "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_csv(settings["out_csv"], header, rows)
         print(f"table={settings['out_csv']}")
     return 0
 

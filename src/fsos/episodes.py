@@ -10,16 +10,16 @@ number of uniforms, so a call's first M episodes do not depend on its
 length or chunking. Training runs, evaluations, and reports are
 reproducible bit for bit.
 
-Training samples by a draw and a gather: draw_episode picks classes and
-returns an Episode of row indices into the partition's RowTable, and
-RowTable.gather turns it into an Episode of rows. Training draws its
-episodes DRAW_AHEAD at a time, each still from its own generator, so the
-stream does not depend on the block size. Only the methods that train the
-extractor (protonet, ocml_joint) gather, each episode as it is trained on:
-they embed its rows on the tape. The heads trained on a frozen extractor
-(mbce, ocml_frozen) read their episodes' rows from a per-run RowEmbeddings
-cache of the meta_train table, filled once per drawn block with the rows
-its episodes hold. Evaluation and threshold calibration score each drawn
+Training draws row indices for every method: draw_episode picks classes
+and returns an Episode of row indices into the partition's RowTable, and
+each method's loss reads them through its embed function. Training draws
+its episodes DRAW_AHEAD at a time, each still from its own generator, so the
+stream does not depend on the block size. The methods that train the
+extractor (protonet, ocml_joint) embed an episode's rows on the tape. The
+heads trained on a frozen extractor (mbce, ocml_frozen) read them from a
+per-run RowEmbeddings cache of the meta_train table, filled once per drawn
+block with the rows its episodes hold. Only sample_episode gathers an
+episode's rows. Evaluation and threshold calibration score each drawn
 block as a chunk (protonet.ScoredChunk) from a per-call cache, so each
 drawn row is embedded once per call, and the gates read the same
 embeddings as the closed-set classifier.
@@ -90,7 +90,6 @@ class EpisodeConfig:
     k: int
     q: int
     n_unknown: int = -1  # -1 means "as many unknown classes as known"
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1 or self.q < 1:
@@ -106,16 +105,15 @@ class EpisodeConfig:
             "k": self.k,
             "q": self.q,
             "n_unknown": self.n_unknown,
-            "seed": self.seed,
         }
 
 
 @dataclass
 class Episode:
     """One episode: the known and unknown class ids, support [n, k, ...],
-    known queries [n, q, ...] and unknown queries [n_U, q, ...]. A drawn
-    episode (draw_episode) holds row indices into a RowTable; a gathered
-    one (sample_episode) holds the rows, one [dim] row per index."""
+    known queries [n, q, ...] and unknown queries [n_U, q, ...]. Training
+    draws them as row indices into a RowTable (draw_episode); sample_episode
+    gathers the rows, one [dim] row per index."""
 
     known_class_ids: tuple
     unknown_class_ids: tuple
@@ -192,15 +190,6 @@ class RowTable:
             raise _shortfall(class_id, count, needed, what)
         return start + rng.permutation(count)
 
-    def gather(self, draw):
-        """The rows of a drawn Episode, as an Episode of rows."""
-        return replace(
-            draw,
-            support=self.rows[draw.support],
-            query_known=self.rows[draw.query_known],
-            query_unknown=self.rows[draw.query_unknown],
-        )
-
 
 def _shortfall(class_id, count, needed, what):
     return EpisodeError(f"class {class_id} has {count} examples, needs {what}={needed}")
@@ -217,16 +206,14 @@ def _class_count(table, cfg):
     return needed
 
 
-def draw_episode(table, cfg, rng=None):
+def draw_episode(table, cfg, rng):
     """Draw one episode's classes and row indices from a RowTable,
-    deterministically for a given rng (or cfg.seed when rng is None).
+    deterministically for a given rng.
 
     n + n_U classes are chosen without replacement, then each known class
     permutes its rows once for k support and q query rows, and each unknown
     class once for q query rows.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     needed = _class_count(table, cfg)
     chosen = rng.choice(table.class_ids, size=needed, replace=False)
     known = tuple(int(c) for c in chosen[: cfg.n])
@@ -275,11 +262,17 @@ def draw_block(table, cfg, rng, count):
     return table.class_ids[chosen[:, : cfg.n]], known[..., : cfg.k].reshape(count, -1), queries
 
 
-def sample_episode(dataset, classes, cfg, rng=None):
+def sample_episode(dataset, classes, cfg, rng):
     """Draw one episode from the given class partition and gather its rows,
-    deterministically for a given rng (or cfg.seed when rng is None)."""
+    deterministically for a given rng."""
     table = dataset.row_table(classes)
-    return table.gather(draw_episode(table, cfg, rng))
+    draw = draw_episode(table, cfg, rng)
+    return replace(
+        draw,
+        support=table.rows[draw.support],
+        query_known=table.rows[draw.query_known],
+        query_unknown=table.rows[draw.query_unknown],
+    )
 
 
 def _episode_rng(seed, stream, index):
@@ -293,21 +286,19 @@ DRAW_AHEAD = 64
 
 
 def _training_episodes(table, cfg, episodes, seed, cache):
-    """Training episodes 0 .. episodes - 1 of seed, in order, drawn
-    DRAW_AHEAD at a time, each from its own _episode_rng(seed, _TRAIN_STREAM,
-    i). With a RowEmbeddings cache, one fill embeds a block's rows before
-    its first episode is yielded, and episodes stay row indices into table;
-    without one, each episode is gathered into rows as it is yielded."""
+    """Training episodes 0 .. episodes - 1 of seed, in order, as row
+    indices into table, drawn DRAW_AHEAD at a time, each from its own
+    _episode_rng(seed, _TRAIN_STREAM, i). With a RowEmbeddings cache, one
+    fill embeds a block's rows before its first episode is yielded."""
     for start in range(0, episodes, DRAW_AHEAD):
         block = [
             draw_episode(table, cfg, _episode_rng(seed, _TRAIN_STREAM, i))
             for i in range(start, min(start + DRAW_AHEAD, episodes))
         ]
-        if cache is None:
-            yield from map(table.gather, block)
-            continue
-        # outside the tape: the frozen extractor is never differentiated
-        cache.fill(np.concatenate([r.ravel() for ep in block for r in (ep.support, ep.query_rows)]))
+        if cache is not None:
+            # outside the tape: the frozen extractor is never differentiated
+            cache.fill(np.concatenate([r.ravel() for ep in block
+                                       for r in (ep.support, ep.query_rows)]))
         yield from block
 
 
@@ -621,12 +612,15 @@ def run_meta_training(
 ):
     """Episodic training of one method; returns best-on-validation parameters.
 
-    protonet trains the extractor (trunk + head) from scratch or from
-    base_params. mbce and ocml_frozen require base_params (augmentation of a
-    pretrained extractor) and never touch trunk or head: they read the
-    extractor's output for each drawn row from a per-run cache, which embeds
-    each row once, when the first block of episodes that draws it is drawn.
-    ocml_joint trains the transfer module together with the extractor.
+    Every method trains on drawn episodes of row indices, one step
+    loss_fn(embed_fn, episode) each; methods differ in their loss, embed
+    function and trained tensors. protonet trains the extractor (trunk +
+    head) from scratch or from base_params, embedding on the tape. mbce and
+    ocml_frozen require base_params (augmentation of a pretrained extractor)
+    and never touch trunk or head: they read the extractor's output for each
+    drawn row from a per-run cache, which embeds each row once, when the
+    first block of episodes that draws it is drawn. ocml_joint trains the
+    transfer module together with the extractor.
     Every method needs n >= 2: a one-way episode has no negatives to learn from.
     A run stops after schedule.patience validation points without a new
     best, and a diverged loss (DIVERGENCE_FACTOR) raises EpisodeError.
@@ -637,88 +631,72 @@ def run_meta_training(
         raise EpisodeError(
             f"{method} training needs n >= 2 classes per episode, got {episode_cfg.n}"
         )
-    val_classes = dataset.split.meta_val
-    # no background categories: training and closed-set validation episodes
-    # draw known classes only, negatives come from within the episode
-    episode_cfg = EpisodeConfig(
-        n=episode_cfg.n, k=episode_cfg.k, q=episode_cfg.q, n_unknown=0, seed=episode_cfg.seed
-    )
-
-    table = dataset.row_table(dataset.split.meta_train)
-
-    def frozen_cache(space):
-        # a block's fill embeds its new rows in slices of one episode's
-        # support and known-query rows
-        episode_rows = episode_cfg.n * (episode_cfg.k + episode_cfg.q)
-        return protonet.RowEmbeddings(params, table.rows, (space,), slice_rows=episode_rows)
-
-    head = cache = None
     if method in ("mbce", "ocml_frozen") and base_params is None:
         raise EpisodeError(
             f"{method} training augments a pretrained backbone: base_params required"
         )
+    params = base_params.copy() if base_params is not None else init_backbone(spec, seed)
+    # no background categories: training and closed-set validation episodes
+    # draw known classes only, negatives come from within the episode
+    episode_cfg = replace(episode_cfg, n_unknown=0)
+    table = dataset.row_table(dataset.split.meta_train)
+
+    # frozen: the extractor output a head on a frozen extractor reads from its cache
+    head = gate = frozen = None
     if method == "protonet":
-        params = base_params.copy() if base_params is not None else init_backbone(
-            spec, seed
-        )
+        loss_fn = protonet.episode_loss
         trainable = params.trunk_tensors() + params.head_tensors()
-        loss_fn = lambda ep: protonet.episode_loss(params, ep)
     elif method == "mbce":
-        params = base_params.copy()
         if variant == "projected" and params.projection is None:
             add_projection(params)
         head = metabce.init_head(variant)
+        gate, frozen = MetaBceGate(head), metabce.FROZEN_SPACE[variant]
+        loss_fn = partial(metabce.episode_loss, head)
         trainable = metabce.trainable_tensors(head, params)
-        cache = frozen_cache(metabce.FROZEN_SPACE[variant])
-        embed_fn = partial(metabce.cached_oneclass_embed, head, params, cache)
-        loss_fn = lambda ep: metabce.episode_loss(head, embed_fn, ep)
     else:
-        if method == "ocml_frozen":
-            params = base_params.copy()
-            cache = frozen_cache("main")
-            embed_fn = partial(cache.take, "main")
-        else:
-            params = base_params.copy() if base_params is not None else init_backbone(
-                spec, seed
-            )
-            embed_fn = partial(embed, params)
         head = ocml.make_transfer_module(params.embed_dim, transfer_middle, seed)
+        gate = OcmlGate(head)
+        loss_fn = partial(ocml.episode_loss, head)
         trainable = head.tensors()
-        if method == "ocml_joint":
+        if method == "ocml_frozen":
+            frozen = "main"
+        else:
             trainable = trainable + params.trunk_tensors() + params.head_tensors()
-        loss_fn = lambda ep: ocml.episode_loss(head, embed_fn, ep)
 
-    optimizers = []
-    if method == "mbce" and schedule.offset_learning_rate is not None:
-        optimizers.append(
-            make_optimizer(schedule.optimizer, [head.t], schedule.offset_learning_rate)
-        )
-        rest = [p for p in trainable if p is not head.t]
-        optimizers.append(make_optimizer(schedule.optimizer, rest, schedule.learning_rate))
+    if frozen is None:  # the extractor trains: its rows are embedded on the tape
+        cache = None
+        embed_fn = lambda rows: embed(params, table.rows[rows])
     else:
-        optimizers.append(make_optimizer(schedule.optimizer, trainable, schedule.learning_rate))
+        # a block's fill embeds its new rows in slices of one episode's
+        # support and known-query rows
+        cache = protonet.RowEmbeddings(params, table.rows, (frozen,),
+                                       slice_rows=episode_cfg.n * (episode_cfg.k + episode_cfg.q))
+        embed_fn = (partial(metabce.cached_oneclass_embed, head, params, cache)
+                    if method == "mbce" else partial(cache.take, frozen))
+
+    groups = [(trainable, schedule.learning_rate)]
+    if method == "mbce" and schedule.offset_learning_rate is not None:
+        rest = [p for p in trainable if p is not head.t]
+        groups = [([head.t], schedule.offset_learning_rate), (rest, schedule.learning_rate)]
+    optimizers = [make_optimizer(schedule.optimizer, tensors, rate) for tensors, rate in groups]
     interval = schedule.effective_val_interval
 
-    if method == "protonet":
+    val_classes = dataset.split.meta_val
+    if gate is None:
         # the val partition may be smaller than the training way count
         val_cfg = replace(episode_cfg, n=min(episode_cfg.n, len(val_classes)))
-        spaces, trained = ("main",), None
+        spaces, validate = ("main",), _closed_accuracy
     else:
-        gate = MetaBceGate(head) if method == "mbce" else OcmlGate(head)
         val_cfg = _gate_val_config(val_classes, episode_cfg.k)
-        spaces, trained = ("main",) + gate.spaces, None
-        # a frozen extractor's embeddings are kept for the next point, if any
-        if schedule.episodes > interval and method == "ocml_frozen":
-            trained = ()
-        elif schedule.episodes > interval and method == "mbce":
-            spaces, trained = spaces + (metabce.FROZEN_SPACE[variant],), gate.spaces
+        spaces, validate = ("main",) + gate.spaces, partial(_gate_val_na, gate)
+    trained = None
+    if cache is not None and schedule.episodes > interval:
+        # a frozen extractor's embeddings are kept for the next point, if
+        # any: only the gate's spaces beyond the main one train
+        spaces += cache.spaces
+        trained = tuple(s for s in gate.spaces if s != "main")
     validation = _ValidationSet(params, dataset.row_table(val_classes), val_cfg,
                                 schedule.val_episodes, seed, spaces, trained)
-
-    def validate():
-        if method == "protonet":
-            return _closed_accuracy(validation)
-        return _gate_val_na(gate, validation)
 
     def snapshot():
         return params.copy(), None if head is None else head.copy()
@@ -731,7 +709,7 @@ def run_meta_training(
     episodes = _training_episodes(table, episode_cfg, schedule.episodes, seed, cache)
     for i, ep in enumerate(episodes):
         with Tape() as tape:
-            loss = loss_fn(ep)
+            loss = loss_fn(embed_fn, ep)
         loss_curve.append(float(loss.data))
         if not np.isfinite(loss_curve[-1]) or (
             loss_curve[-1] > DIVERGENCE_FACTOR * max(1.0, loss_curve[0])
@@ -744,7 +722,7 @@ def run_meta_training(
         for opt in optimizers:
             opt.step()
         if (i + 1) % interval == 0 or (i + 1) == schedule.episodes:
-            metric = validate()
+            metric = validate(validation)
             val_history.append((i + 1, metric))
             stale += 1
             if metric > best_val:
@@ -769,7 +747,7 @@ def calibrate_threshold_baseline(params, dataset, cfg, episodes, seed, partition
         )
     n = min(cfg.n, len(classes) - 1)
     n_unknown = min(cfg.n_unknown, len(classes) - n)
-    cal_cfg = EpisodeConfig(n=n, k=cfg.k, q=cfg.q, n_unknown=n_unknown, seed=cfg.seed)
+    cal_cfg = EpisodeConfig(n=n, k=cfg.k, q=cfg.q, n_unknown=n_unknown)
     chunks = _scored_chunks(params, dataset.row_table(classes), cal_cfg, episodes, seed,
                             _CALIB_STREAM, ("main",))
     return protonet.calibrate_threshold(chunk for _, chunk in chunks)
@@ -883,6 +861,7 @@ def _evaluate(task, params, gate, dataset, cfg, m_episodes, seed, partition,
         "partition": partition,
         "gate": gate.name,
         **cfg.as_dict(),
+        "seed": seed,
         "m_episodes": m_episodes,
     }
     return _aggregate(task, config, seed, m_episodes, list(columns), per_episode, records)

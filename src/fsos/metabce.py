@@ -75,9 +75,9 @@ def prob_known(head, queries, prototypes):
 def episode_loss(head, embed_fn, episode):
     """Mean BCE over all (known query, episode class) pairs, with target 1
     exactly when the query belongs to the class. embed_fn maps the episode's
-    stacked rows or row indices into the one-class space (protonet.
-    embed_episode): partial(oneclass_embed, head, params) or
-    partial(cached_oneclass_embed, head, params, cache)."""
+    stacked entries into the one-class space (protonet.embed_episode):
+    training passes row indices to partial(cached_oneclass_embed, head,
+    params, cache); partial(oneclass_embed, head, params) embeds input rows."""
     if episode.query_known.size == 0:
         raise MetaBceError("episode has no known queries")
     protos, emb_q = embed_episode(embed_fn, episode)

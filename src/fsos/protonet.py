@@ -3,9 +3,10 @@ baseline used as the open-set comparison point, and the chunk scorer every
 evaluator, validator, calibration and gate reads.
 
 Embeddings, prototypes and distances are row stacks, batched over episodes
-by leading axes. All three episode losses (ProtoNet, Meta-BCE, OCML) start
-with the taped step embed_episode: through the extractor from gathered rows
-when the extractor trains, or from cached rows when it is frozen.
+by leading axes. All three episode losses (ProtoNet, Meta-BCE, OCML) take
+an embed function and a training episode of row indices, and start with the
+taped step embed_episode: the embed function runs the extractor on the rows
+when it trains, or reads cached rows when it is frozen.
 
 RowEmbeddings embeds each row of a row table at most once per cache, untaped,
 in the spaces asked for: the trunk runs once per row for the main and branch
@@ -26,13 +27,13 @@ accepts it as known when that distance is at most tau.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .autodiff import Tensor, mean_rows, row_block_mean, scale_shift, softmax_xent
 from .autodiff import sq_distances, squared_distance
-from .backbone import embed, last_block, project, trunk_features, trunk_from_rows
+from .backbone import last_block, project, trunk_features, trunk_from_rows
 from .metrics import UNKNOWN
 
 SPACES = ("trunk", "main", "branch", "projected")
@@ -222,21 +223,25 @@ def embed_episode(embed_fn, episode):
     """The taped step every episode loss starts with: support prototypes
     [n, e] and known-query embeddings [n * q, e].
 
-    episode is an episodes.Episode of rows or of row indices; embed_fn maps
-    a class-ordered stack of them to embeddings [N, e]. Records the support
-    embedding, then the prototypes, then the query embedding."""
+    episode is an episodes.Episode, of row indices when training draws it;
+    embed_fn maps a class-ordered stack of its entries to embeddings [N, e].
+    Records the support embedding, then the prototypes, then the query
+    embedding."""
     support = embed_fn(_stack(episode.support))
     protos = mean_rows(support, groups=episode.n)
     queries = embed_fn(_stack(episode.query_known))
     return protos, queries
 
 
-def episode_loss(params, episode):
-    """Mean softmax cross-entropy of closed logits over the known queries."""
+def episode_loss(embed_fn, episode):
+    """Mean softmax cross-entropy of closed logits over the known queries.
+    embed_fn maps the episode's stacked entries to main embeddings
+    (embed_episode); in training it embeds the table rows that the row
+    indices name through the extractor, on the tape."""
     n, q = episode.n, episode.q
     if n < 2:
         raise ProtonetError(f"closed-set episode loss needs n >= 2 classes, got {n}")
-    protos, emb_q = embed_episode(partial(embed, params), episode)
+    protos, emb_q = embed_episode(embed_fn, episode)
     d = squared_distance(emb_q, protos)
     logits = scale_shift(d, Tensor(-1.0), Tensor(0.0))
     labels = Tensor(np.repeat(np.arange(n), q).astype(np.float64))

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 
 import pytest
 
 from fsos.checkpoint import load_checkpoint, save_checkpoint
-from fsos.cli import main
+from fsos.cli import SCHEMAS, _resolve_schedule, main, parse_command
+from fsos.episodes import TrainSchedule, default_schedule
+
+TRAIN_METHODS = SCHEMAS["train"]["method"].choices
 
 
 def run(args):
@@ -105,6 +109,31 @@ def test_train_writes_patience_in_the_header(workdir, tmp_path, method, patience
     ]) == 0
     header, _ = load_checkpoint(f"{tmp_path}/t.ckpt")
     assert header["meta"]["schedule"]["patience"] == patience
+
+
+def _train_settings(method, *overrides):
+    return parse_command("train", [f"--method={method}", "--dataset=d.json", "--out=o.ckpt",
+                                   *overrides])
+
+
+@pytest.mark.parametrize("method", TRAIN_METHODS)
+def test_schedule_without_overrides_is_the_method_default(method):
+    got = _resolve_schedule(_train_settings(method), method)
+    want = default_schedule("mbce" if method == "mbce_projected" else method)
+    for f in dataclasses.fields(TrainSchedule):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@pytest.mark.parametrize("method", TRAIN_METHODS)
+def test_schedule_overrides_replace_only_their_fields(method):
+    overrides = {"learning_rate": 0.25, "optimizer": "sgd", "val_interval": 7,
+                 "val_episodes": 3, "offset_learning_rate": 0.5}
+    got = _resolve_schedule(
+        _train_settings(method, "--episodes=11", *(f"--{k}={v}" for k, v in overrides.items())),
+        method)
+    want = default_schedule("mbce" if method == "mbce_projected" else method, 11)
+    for f in dataclasses.fields(TrainSchedule):
+        assert getattr(got, f.name) == overrides.get(f.name, getattr(want, f.name)), f.name
 
 
 @pytest.mark.parametrize("method", ["protonet", "mbce"])

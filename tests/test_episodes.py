@@ -81,9 +81,9 @@ def test_sample_episode_oneclass_shape(small_dataset):
 
 
 def test_sample_episode_deterministic(small_dataset):
-    cfg = EpisodeConfig(n=2, k=3, q=4, n_unknown=1, seed=9)
-    a = sample_episode(small_dataset, small_dataset.classes(), cfg)
-    b = sample_episode(small_dataset, small_dataset.classes(), cfg)
+    cfg = EpisodeConfig(n=2, k=3, q=4, n_unknown=1)
+    a = sample_episode(small_dataset, small_dataset.classes(), cfg, np.random.default_rng(9))
+    b = sample_episode(small_dataset, small_dataset.classes(), cfg, np.random.default_rng(9))
     assert a.known_class_ids == b.known_class_ids
     assert np.array_equal(a.support, b.support)
     assert np.array_equal(a.query_unknown, b.query_unknown)
@@ -103,11 +103,11 @@ def test_sample_episode_support_query_disjoint(small_dataset):
 def test_sample_episode_insufficiency_errors(small_dataset):
     with pytest.raises(EpisodeError) as exc:
         sample_episode(small_dataset, small_dataset.split.meta_val,
-                       EpisodeConfig(n=2, k=3, q=4, n_unknown=5))
+                       EpisodeConfig(n=2, k=3, q=4, n_unknown=5), np.random.default_rng(0))
     assert "classes" in str(exc.value)
     with pytest.raises(EpisodeError) as exc:
         sample_episode(small_dataset, small_dataset.split.meta_val,
-                       EpisodeConfig(n=1, k=20, q=20, n_unknown=0))
+                       EpisodeConfig(n=1, k=20, q=20, n_unknown=0), np.random.default_rng(0))
     assert "examples" in str(exc.value)
 
 
@@ -136,18 +136,16 @@ def test_draw_gathers_the_sampled_episode(small_dataset, n, k, q, n_unknown, ind
     classes = small_dataset.classes()
     table = small_dataset.row_table(classes)
     draw = draw_episode(table, cfg, _episode_rng(7, 0, index))
-    episode = table.gather(draw)
-    sampled = sample_episode(small_dataset, classes, cfg, _episode_rng(7, 0, index))
+    ep = sample_episode(small_dataset, classes, cfg, _episode_rng(7, 0, index))
     ids, support, query_known, query_unknown = _reference_sample_episode(
         small_dataset, classes, cfg, _episode_rng(7, 0, index))
     assert draw.known_class_ids + draw.unknown_class_ids == ids
     assert draw.support.shape == (n, k) and draw.query_unknown.shape == (n_unknown, q)
-    for ep in (episode, sampled):
-        assert ep.known_class_ids + ep.unknown_class_ids == ids
-        assert np.array_equal(ep.support, support)
-        assert np.array_equal(ep.query_known, query_known)
-        assert ep.query_unknown.shape == query_unknown.shape
-        assert np.array_equal(ep.query_unknown, query_unknown)
+    assert ep.known_class_ids + ep.unknown_class_ids == ids
+    assert np.array_equal(ep.support, support)
+    assert np.array_equal(ep.query_known, query_known)
+    assert ep.query_unknown.shape == query_unknown.shape
+    assert np.array_equal(ep.query_unknown, query_unknown)
 
 
 def _table(sizes, first_id=3):
@@ -500,6 +498,14 @@ def test_report_reproducible_bitwise(small_dataset, small_spec):
     a = evaluate_oneclass(params, ConstantGate(), small_dataset, cfg, 10, seed=13)
     b = evaluate_oneclass(params, ConstantGate(), small_dataset, cfg, 10, seed=13)
     assert a.as_dict() == b.as_dict()
+
+
+@pytest.mark.parametrize("evaluate,n", [(evaluate_oneclass, 1), (evaluate_openset, 2)])
+def test_report_config_holds_the_seed_it_drew_with(evaluate, n, small_dataset, small_spec):
+    params = init_backbone(small_spec, seed=12)
+    cfg = EpisodeConfig(n=n, k=2, q=5, n_unknown=1)
+    report = evaluate(params, ConstantGate(), small_dataset, cfg, 3, seed=7)
+    assert report.config["seed"] == report.seed == 7
 
 
 def test_report_serialization(tmp_path, small_dataset, small_spec):

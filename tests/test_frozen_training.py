@@ -16,6 +16,7 @@ from fsos.autodiff import Tape, backward
 from fsos.backbone import BackboneParams, BackboneSpec, add_projection, embed, init_backbone
 from fsos.data import SyntheticSpec, generate_synthetic
 from fsos.episodes import EpisodeConfig, TrainSchedule, draw_episode, run_meta_training
+from fsos.episodes import sample_episode
 from fsos.episodes import _VAL_STREAM, _episode_rng, _gate_val_config, _gated, _scored_chunks
 from fsos.protonet import RowEmbeddings
 
@@ -68,8 +69,10 @@ def test_cached_step_equals_gathered_taped_step(method, variant, kind, fill, sma
     params = init_backbone(spec, seed=3)
     trainable, loss_fn, taped_fn, space, cached_fn = _head(method, variant, params)
     table = dataset.row_table(dataset.split.meta_train)
-    draw = draw_episode(table, EpisodeConfig(n=3, k=2, q=3, n_unknown=0), _episode_rng(3, 0, 0))
-    want_loss, want_grads = _step(loss_fn, taped_fn, table.gather(draw), trainable)
+    cfg = EpisodeConfig(n=3, k=2, q=3, n_unknown=0)
+    draw = draw_episode(table, cfg, _episode_rng(3, 0, 0))
+    gathered = sample_episode(dataset, dataset.split.meta_train, cfg, _episode_rng(3, 0, 0))
+    want_loss, want_grads = _step(loss_fn, taped_fn, gathered, trainable)
 
     rows = np.concatenate([draw.support.ravel(), draw.query_rows])
     cache = RowEmbeddings(params, table.rows, (space,), slice_rows=rows.size)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fsos.autodiff import Tape, backward
-from fsos.backbone import init_backbone
+from fsos.backbone import embed, init_backbone
 from fsos.episodes import Episode, EpisodeConfig, sample_episode, score_episode
 from fsos.protonet import (
     ProtonetError,
@@ -103,7 +103,7 @@ def test_episode_loss_equidistant_is_log_two(small_spec):
         np.zeros((0, 1, 16)),
     )
     with Tape():
-        loss = episode_loss(params, ep)
+        loss = episode_loss(partial(embed, params), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-9
 
 
@@ -111,7 +111,7 @@ def test_episode_loss_requires_two_classes(small_spec):
     params = init_backbone(small_spec, seed=1)
     ep = Episode((0,), (), np.zeros((1, 2, 16)), np.ones((1, 2, 16)), np.zeros((0, 2, 16)))
     with pytest.raises(ProtonetError):
-        episode_loss(params, ep)
+        episode_loss(partial(embed, params), ep)
 
 
 def test_episode_loss_nonnegative_and_trains(small_spec):
@@ -119,7 +119,7 @@ def test_episode_loss_nonnegative_and_trains(small_spec):
     rng = np.random.default_rng(3)
     ep = _toy_episode(rng)
     with Tape() as tape:
-        loss = episode_loss(params, ep)
+        loss = episode_loss(partial(embed, params), ep)
     assert float(loss.data) >= 0.0
     backward(tape, loss)
     assert params.head["W"].grad is not None
@@ -163,7 +163,8 @@ def test_threshold_baseline_validates_tau():
 def test_calibrate_threshold_needs_unknowns(small_spec, small_dataset):
     params = init_backbone(small_spec, seed=4)
     cfg = EpisodeConfig(n=2, k=3, q=5, n_unknown=0)
-    eps = [sample_episode(small_dataset, small_dataset.split.meta_val, cfg)]
+    eps = [sample_episode(small_dataset, small_dataset.split.meta_val, cfg,
+                          np.random.default_rng(0))]
     with pytest.raises(ProtonetError):
         calibrate_threshold(score_episode(params, ep) for ep in eps)
     with pytest.raises(ProtonetError):
@@ -172,7 +173,7 @@ def test_calibrate_threshold_needs_unknowns(small_spec, small_dataset):
 
 def test_calibrate_threshold_on_episodes(small_spec, small_dataset):
     params = init_backbone(small_spec, seed=4)
-    cfg = EpisodeConfig(n=1, k=3, q=5, n_unknown=1, seed=3)
+    cfg = EpisodeConfig(n=1, k=3, q=5, n_unknown=1)
     eps = [
         sample_episode(small_dataset, small_dataset.split.meta_test, cfg,
                        np.random.default_rng([3, i]))
