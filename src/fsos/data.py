@@ -13,6 +13,7 @@ round trip is bit-exact and corruption is detected on load.
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,10 +46,10 @@ class SyntheticSpec:
             )
         if self.examples_per_class < 1 or self.dim < 1:
             raise DatasetError("examples_per_class and dim must be >= 1")
-        if self.separation < 0:
-            raise DatasetError(f"separation must be >= 0, got {self.separation}")
-        if self.spread <= 0:
-            raise DatasetError(f"spread must be > 0, got {self.spread}")
+        if not (math.isfinite(self.separation) and self.separation >= 0):
+            raise DatasetError(f"separation must be finite and >= 0, got {self.separation}")
+        if not (math.isfinite(self.spread) and self.spread > 0):
+            raise DatasetError(f"spread must be finite and > 0, got {self.spread}")
 
     def as_dict(self):
         return {
@@ -62,7 +63,8 @@ class SyntheticSpec:
 
 
 class Dataset:
-    """In-memory dataset: per-class example matrices plus the meta-split."""
+    """In-memory dataset: per-class example matrices of finite values plus
+    the meta-split."""
 
     def __init__(self, name, class_examples, split, input_shape=None, meta=None):
         self.name = name
@@ -73,6 +75,9 @@ class Dataset:
         if len(dims) != 1:
             raise DatasetError(f"inconsistent example dims {sorted(dims)}")
         self.dim = dims.pop()
+        for c, v in self.class_examples.items():
+            if not np.isfinite(v).all():
+                raise DatasetError(f"class {c} holds non-finite values")
         self.input_shape = tuple(input_shape) if input_shape else (self.dim,)
         if int(np.prod(self.input_shape)) != self.dim:
             raise DatasetError(
@@ -226,7 +231,7 @@ def _check_manifest(manifest):
 
 def load_dataset(manifest_path):
     """Load and validate: manifest keys, checksum, payload header, counts,
-    split partition."""
+    finite values, split partition."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_text())

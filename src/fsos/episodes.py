@@ -506,8 +506,8 @@ class _ValidationSet:
     of the drawn rows and the chunks' main-space distances, closed
     predictions and truth are computed once, and each later iteration
     re-embeds only the trained spaces from the frozen ones (RowEmbeddings.
-    refresh). A scored chunk forgets the embeddings it took, so the run
-    holds its drawn rows' embeddings once, not once per draw.
+    refresh). A scored chunk forgets the embeddings it took after each
+    point, so the next point takes the refreshed ones.
     """
 
     def __init__(self, params, table, cfg, episodes, seed, spaces, trained):

@@ -17,7 +17,11 @@ whole validation of such a run, where refresh re-embeds the trained branch
 or projected space from the cached trunk or main space. A ScoredChunk
 stacks B episodes of one shape from a cache and derives their prototypes
 [B, n, e], main-space distances [B, m, n], nearest distances, closed
-predictions and true labels as batched arrays.
+predictions and true labels as batched arrays. A chunk gathers its query
+embeddings into one buffer per space and query shape that the chunks of its
+cache share, so a scoring call reuses the same memory chunk after chunk: an
+array that queries() returns stays valid only until the next chunk of the
+same cache takes that space, so ask the chunk again rather than keep it.
 Closed-set logits are negative squared Euclidean distances to per-class
 prototypes, from autodiff's Gram-form kernel, which clamps at 0; argmin
 ties, exact zeros included, break toward the lowest class id. The threshold
@@ -26,6 +30,7 @@ accepts it as known when that distance is at most tau.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -88,6 +93,12 @@ class RowEmbeddings:
     The "trunk" space holds trunk features as flat rows (backbone.
     trunk_from_rows restores their shape), the others embed_dim values per
     row. Missing rows are embedded in slices of at most slice_rows rows.
+
+    lend gathers into one buffer per space and index shape, shared by the
+    chunks of this cache: what it returns stays valid until another chunk
+    takes that buffer, which first makes the chunk holding it forget. The
+    cache refers to that chunk only weakly, so a chunk its caller drops is
+    freed at once, not by the cyclic garbage collector.
     """
 
     def __init__(self, params, rows, spaces, slice_rows):
@@ -101,6 +112,7 @@ class RowEmbeddings:
             for s in self.spaces
         }
         self._done = np.zeros(rows.shape[0], dtype=bool)
+        self._lent = {}  # (space, index shape) -> (buffer, weakref to its holder)
 
     def _slices(self, indices):
         """(slice, the row indices to embed it from) per slice_rows of
@@ -141,11 +153,32 @@ class RowEmbeddings:
                 fresh = project(params, values["main"][rows])
             values[space][part] = fresh.data[: part.size]
 
-    def take(self, space, indices):
-        """Embeddings [*indices.shape, e] of embedded rows in one space."""
+    def _space(self, space):
         if space not in self._values:
             raise ProtonetError(f"embedding space {space!r} was not requested ({self.spaces})")
-        return self._values[space][indices]
+        return self._values[space]
+
+    def take(self, space, indices):
+        """Embeddings [*indices.shape, e] of embedded rows in one space."""
+        return self._space(space)[indices]
+
+    def lend(self, space, indices, holder):
+        """take of filled rows, into this cache's buffer for space and
+        indices.shape; the chunk that held that buffer before, if not
+        holder, forgets first."""
+        values = self._space(space)
+        key = (space, indices.shape)
+        if key in self._lent:
+            buffer, previous = self._lent[key]
+            previous = previous()
+            if previous is not None and previous is not holder:
+                previous.forget()
+        else:
+            buffer = np.empty(indices.shape + values.shape[1:])
+        self._lent[key] = buffer, weakref.ref(holder)
+        # fill has indexed every row, so "wrap" never wraps; "raise" would
+        # copy through a temporary
+        return np.take(values, indices, axis=0, out=buffer, mode="wrap")
 
 
 class ScoredChunk:
@@ -156,6 +189,11 @@ class ScoredChunk:
     known queries, then the unknown ones) index the rows of cache, a
     RowEmbeddings. Every derived quantity is computed on first use and
     shared by the closed-set classifier and the gates.
+
+    Query embeddings live in the cache's shared buffer (RowEmbeddings.lend):
+    an array that queries() returns stays valid only until the next chunk
+    of the same cache takes that space, which makes this chunk forget it.
+    Ask the chunk again rather than keep the array.
     """
 
     def __init__(self, cache, class_ids, support_rows, query_rows, q):
@@ -171,17 +209,18 @@ class ScoredChunk:
         self._prototypes = {}
 
     def forget(self):
-        """Drop the query embeddings and prototypes taken from the cache;
-        what derives from them (distances, closed predictions) stays, and
-        they are taken again when asked for."""
+        """Drop the query embeddings and prototypes taken from the cache, as
+        when another chunk takes a buffer this one held; what derives from
+        them (distances, closed predictions) stays, and they are taken again
+        when asked for."""
         self._queries.clear()
         self._prototypes.clear()
 
     def queries(self, space="main"):
         """Query embeddings [B, m, e] in the "main", "branch" or "projected"
-        space."""
+        space, valid until another chunk of the cache takes that space."""
         if space not in self._queries:
-            self._queries[space] = self.cache.take(space, self.query_rows)
+            self._queries[space] = self.cache.lend(space, self.query_rows, self)
         return self._queries[space]
 
     def prototypes(self, space="main"):

@@ -46,6 +46,16 @@ def test_generate_rejects_bad_spec(tmp_path, capsys):
     assert err.startswith("error: [runtime]")
 
 
+@pytest.mark.parametrize("option", ["separation", "spread"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_generate_rejects_non_finite_spec(tmp_path, capsys, option, value):
+    code = run(["generate", f"--out={tmp_path}/x.json", f"--{option}={value}"])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: [runtime] {option} must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     code = run(["generate", f"--out={tmp_path}/x.json", "--n_classes=9"])
     assert code == 1

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -101,6 +103,21 @@ def test_checksum_detects_corruption(tmp_path):
     with pytest.raises(DatasetError) as exc:
         load_dataset(manifest)
     assert "checksum" in str(exc.value)
+
+
+def test_non_finite_payload_rejected(tmp_path):
+    ds = generate_synthetic(SyntheticSpec(num_classes=5, examples_per_class=6, dim=4, seed=4))
+    manifest = tmp_path / "ds.json"
+    save_dataset(ds, manifest)
+    payload = tmp_path / "ds.bin"
+    raw = bytearray(payload.read_bytes())
+    raw[16 + 8 * 24 : 16 + 8 * 25] = struct.pack("<d", float("nan"))  # class 1, first value
+    payload.write_bytes(bytes(raw))
+    doc = json.loads(manifest.read_text())
+    doc["checksum"] = hashlib.sha256(bytes(raw)).hexdigest()
+    manifest.write_text(json.dumps(doc))
+    with pytest.raises(DatasetError, match="class 1 holds non-finite values"):
+        load_dataset(manifest)
 
 
 def test_overlapping_split_rejected(tmp_path):

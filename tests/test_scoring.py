@@ -3,10 +3,13 @@ per gate: each gate embeds the episode itself and builds its own prototypes,
 and closed predictions come from per-class prototypes in class-id order.
 Every output must match bit for bit."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from fsos import episodes, metabce, ocml
+from fsos import episodes, metabce, ocml, protonet
 from fsos.autodiff import Tensor, row_block_mean
 from fsos.backbone import add_projection, embed, embed_branch, embed_projected, init_backbone
 from fsos.episodes import (
@@ -16,6 +19,7 @@ from fsos.episodes import (
     OcmlGate,
     ThresholdGate,
     _episode_rng,
+    _gated,
     calibrate_threshold_baseline,
     evaluate_oneclass,
     evaluate_openset,
@@ -157,3 +161,79 @@ def test_row_embeddings_do_not_depend_on_the_slice(small_dataset, params):
     for space in spaces:
         assert np.array_equal(together.take(space, np.arange(7)),
                               one_by_one.take(space, np.arange(7))), space
+
+
+def _chunks(params, dataset, cfg, spaces, count, own_caches=False):
+    """The scored chunks of count evaluation episodes, all from one cache as
+    an evaluation call scores them, or each from a cache of its own."""
+    table = dataset.row_table(dataset.classes())
+    if not own_caches:
+        return [chunk for _, chunk in episodes._scored_chunks(
+            params, table, cfg, count, 5, episodes._EVAL_STREAM, spaces)]
+    return [protonet.ScoredChunk(episodes._row_cache(params, table, cfg, spaces), *block, cfg.q)
+            for _, block in episodes._drawn_blocks(table, cfg, count, 5, episodes._EVAL_STREAM,
+                                                   params.embed_dim)]
+
+
+@pytest.fixture
+def two_episode_chunks(monkeypatch, params):
+    """An episode shape, and chunks of 2 episodes of it."""
+    cfg = EpisodeConfig(n=3, k=2, q=3, n_unknown=2)
+    monkeypatch.setattr(episodes, "CHUNK_VALUES", 2 * 5 * cfg.q * params.embed_dim)
+    return cfg
+
+
+def test_chunks_of_one_cache_read_alternately_equal_chunks_of_their_own(
+        small_dataset, params, two_episode_chunks):
+    """Chunks of one cache share its gather buffers; reading them in turns
+    gives what each chunk gives from a cache of its own, bit for bit."""
+    cfg = two_episode_chunks
+    for gate in _gates(params, _episode(small_dataset, 3)):
+        spaces = ("main",) + gate.spaces
+        shared = _chunks(params, small_dataset, cfg, spaces, 4)
+        own = _chunks(params, small_dataset, cfg, spaces, 4, own_caches=True)
+        assert len(shared) == len(own) == 2
+        for _ in range(2):
+            for got, want in zip(shared, own):
+                for space in spaces:
+                    assert np.array_equal(got.queries(space), want.queries(space)), gate.name
+                    assert np.array_equal(got.prototypes(space), want.prototypes(space))
+                for a, b in zip(_gated(gate, got), _gated(gate, want), strict=True):
+                    assert np.array_equal(a, b), gate.name
+
+
+def test_holding_every_chunk_of_a_call_gives_the_streamed_triples(
+        small_dataset, params, two_episode_chunks):
+    """Chunks of 2, 2 and 1 episodes, all held at once and read twice (in
+    order, then in reverse), give the triples of the chunks scored one at a
+    time as the evaluators stream them."""
+    cfg = two_episode_chunks
+    table = small_dataset.row_table(small_dataset.classes())
+    for gate in _gates(params, _episode(small_dataset, 3)):
+        spaces = ("main",) + gate.spaces
+        streamed = [_gated(gate, chunk) for _, chunk in episodes._scored_chunks(
+            params, table, cfg, 5, 5, episodes._EVAL_STREAM, spaces)]
+        held = _chunks(params, small_dataset, cfg, spaces, 5)
+        assert [chunk.class_ids.shape[0] for chunk in held] == [2, 2, 1]
+        for order in (range(3), reversed(range(3))):
+            for i in order:
+                for a, b in zip(_gated(gate, held[i]), streamed[i], strict=True):
+                    assert np.array_equal(a, b), (gate.name, i)
+
+
+def test_a_dropped_chunk_is_freed_without_the_cycle_collector(small_dataset, params):
+    """The cache refers to the chunk that holds a buffer only weakly, so a
+    chunk its caller drops dies at once, with its query embeddings taken."""
+    cfg = EpisodeConfig(n=3, k=2, q=3, n_unknown=2)
+    gate = _gates(params, _episode(small_dataset, 3))[0]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        chunk = _chunks(params, small_dataset, cfg, ("main",) + gate.spaces, 1)[0]
+        _gated(gate, chunk)  # takes the main and branch queries
+        dropped = weakref.ref(chunk)
+        del chunk
+        assert dropped() is None
+    finally:
+        if enabled:
+            gc.enable()
