@@ -15,7 +15,6 @@ from fsos.metrics import (
     aus,
     f1_open,
     normalized_accuracy,
-    records_from_arrays,
 )
 
 rng = np.random.default_rng(0)
@@ -35,14 +34,14 @@ for label, accept in [
     ("reject everything", np.zeros(45, bool)),
 ]:
     final = np.where(accept, closed, UNKNOWN)
-    records = records_from_arrays(true, final, score)
-    a, u = aks(records), aus(records)
+    triple = (true, final, score)
+    a, u = aks(triple), aus(triple)
     print(f"{label:<22} {a:>6.3f} {u:>6.3f} {normalized_accuracy(a, u):>6.3f} "
-          f"{f1_open(records):>8.3f} {auroc(records):>6.3f}")
+          f"{f1_open(triple):>8.3f} {auroc(triple):>6.3f}")
 
 print("\nAUROC only ranks scores, so it is identical for all three policies.")
 print("NA = (AKS + AUS) / 2 rewards gates that balance both error types.")
 
-records = records_from_arrays(true, np.where(score >= 0, closed, UNKNOWN), score)
+triple = (true, np.where(score >= 0, closed, UNKNOWN), score)
 print(f"\nthe alternative per-class AKS variant counts true negatives too: "
-      f"{aks_one_vs_rest(records):.3f} vs plain {aks(records):.3f}")
+      f"{aks_one_vs_rest(triple):.3f} vs plain {aks(triple):.3f}")

@@ -38,5 +38,5 @@ from .episodes import (
     run_meta_training,
     sample_episode,
 )
-from .metrics import UNKNOWN, PredictionRecord
+from .metrics import UNKNOWN
 from .optim import make_optimizer

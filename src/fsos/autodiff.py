@@ -17,8 +17,6 @@ of tape entries. sq_distances, the one squared-distance kernel, is untaped:
 squared_distance and protonet's chunk scorer both call it.
 """
 
-import threading
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -88,18 +86,11 @@ class _TapeEntry:
         self.backward_fn = backward_fn
 
 
-_tls = threading.local()
-
-
-def _tape_stack():
-    if not hasattr(_tls, "stack"):
-        _tls.stack = []
-    return _tls.stack
+_tapes = []  # the entered tapes, innermost last
 
 
 def active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _tapes[-1] if _tapes else None
 
 
 class Tape:
@@ -123,11 +114,11 @@ class Tape:
         return id(tensor) in self._produced
 
     def __enter__(self):
-        _tape_stack().append(self)
+        _tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _tape_stack().pop()
+        popped = _tapes.pop()
         assert popped is self
         return False
 

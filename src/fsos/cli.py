@@ -60,7 +60,10 @@ def _parse_int_list(s):
 def _parse_split(s):
     if s == "auto":
         return None
-    return tuple(int(tok) for tok in s.split("/"))
+    counts = tuple(int(tok) for tok in s.split("/"))
+    if len(counts) != 3:
+        raise ValueError(f"expected three train/val/test counts, got {len(counts)}")
+    return counts
 
 
 def _parse_ocml_arch(text):
@@ -534,6 +537,17 @@ def cmd_ablate(settings):
 _SHAPE_KEYS = ("task", "n", "k", "q", "n_unknown", "m_episodes", "partition")
 
 
+def _is_float(value):
+    """A JSON number that converts to a float (an integer may be too large)."""
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _read_report(path):
     """A report JSON as EvaluationReport.write_json writes it: a config object
     and metric cells holding numeric mean and ci."""
@@ -544,15 +558,14 @@ def _read_report(path):
         and isinstance(doc.get("config"), dict)
         and isinstance(doc.get("metrics"), dict)
         and all(
-            isinstance(cell, dict)
-            and all(isinstance(cell.get(key), (int, float)) for key in ("mean", "ci"))
+            isinstance(cell, dict) and all(_is_float(cell.get(key)) for key in ("mean", "ci"))
             for cell in doc["metrics"].values()
         )
     )
     if not ok:
         raise EpisodeError(
             f"{path} is not an evaluation report: needs 'config' and 'metrics' objects, "
-            "each metric with a numeric mean and ci"
+            "each metric with a mean and ci that are float numbers"
         )
     return doc
 

@@ -150,9 +150,10 @@ def generate_synthetic(spec, split_counts=None, name="synthetic", input_shape=No
         noise = rng.normal(0.0, spec.spread, size=(spec.examples_per_class, spec.dim))
         class_examples[cid] = means[cid] + noise
     counts = split_counts or default_split_counts(spec.num_classes)
-    if sum(counts) != spec.num_classes or any(c < 1 for c in counts):
+    if len(counts) != 3 or sum(counts) != spec.num_classes or any(c < 1 for c in counts):
         raise DatasetError(
-            f"split counts {counts} must be positive and sum to {spec.num_classes}"
+            f"split counts {counts} must be three positive train/val/test counts "
+            f"summing to {spec.num_classes}"
         )
     ids = list(range(spec.num_classes))
     split = MetaSplit(

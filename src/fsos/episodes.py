@@ -34,7 +34,7 @@ its loss diverges (DIVERGENCE_FACTOR).
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -765,14 +765,18 @@ class MetricSummary:
 
 @dataclass
 class EvaluationReport:
+    """Summaries of M evaluation episodes, with their per-episode metric
+    columns [M] and, when collected, the (truth, pred, score) [M, m] triple
+    of their queries; row e of each is episode e."""
+
     task: str
     config: dict
     seed: int
     m_episodes: int
     metrics: dict  # name -> MetricSummary
-    per_episode: list  # dicts: episode_id + metric columns
+    per_episode: dict  # name -> [M] values
     degenerate_ci: bool
-    records: list = field(default_factory=list)  # optional (episode_id, records) pairs
+    records: tuple = None
 
     def as_dict(self):
         return {
@@ -793,20 +797,17 @@ class EvaluationReport:
 
     def write_episode_csv(self, path):
         names = sorted(self.metrics)
+        table = np.column_stack([self.per_episode[n] for n in names])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["episode_id"] + names)
-            for row in self.per_episode:
-                writer.writerow([row["episode_id"]] + [repr(row[n]) for n in names])
+            for e, row in enumerate(table):
+                writer.writerow([e] + [repr(v) for v in row.tolist()])
 
     def write_records_csv(self, path):
-        if not self.records:
+        if self.records is None:
             raise EpisodeError("report was built without per-query records")
-        flat, ids = [], []
-        for eid, recs in self.records:
-            flat.extend(recs)
-            ids.extend([eid] * len(recs))
-        metrics.write_records_csv(path, flat, episode_ids=ids)
+        metrics.write_records_csv(path, self.records)
 
 
 def confidence_interval(samples):
@@ -824,21 +825,10 @@ def confidence_interval(samples):
     return mean, half, False
 
 
-def _aggregate(task, config, seed, m, names, per_episode, records):
-    summaries = {}
-    degenerate = False
-    for name in names:
-        vals = [row[name] for row in per_episode]
-        mean, half, dg = confidence_interval(vals)
-        degenerate = degenerate or dg
-        summaries[name] = MetricSummary(mean, half)
-    return EvaluationReport(task, config, seed, m, summaries, per_episode, degenerate, records)
-
-
 def _evaluate(task, params, gate, dataset, cfg, m_episodes, seed, partition,
               collect_records, score_rows, spaces):
     """Score m_episodes evaluation episodes in index order, chunk by chunk,
-    and aggregate.
+    and summarize each metric column.
 
     score_rows maps a ScoredChunk to ({metric name: [B] values}, (truth,
     pred, score) [B, m]); spaces are the embedding spaces it reads.
@@ -846,16 +836,22 @@ def _evaluate(task, params, gate, dataset, cfg, m_episodes, seed, partition,
     if m_episodes < 1:
         raise EpisodeError("m_episodes must be >= 1")
     table = dataset.row_table(_eval_classes(dataset, partition))
-    per_episode, records = [], []
+    columns, records = [], None
     for start, chunk in _scored_chunks(params, table, cfg, m_episodes, seed, _EVAL_STREAM,
                                        spaces):
-        columns, triple = score_rows(chunk)
-        for b in range(chunk.class_ids.shape[0]):
-            per_episode.append(
-                {"episode_id": start + b, **{name: float(v[b]) for name, v in columns.items()}}
-            )
-            if collect_records:
-                records.append((start + b, metrics.records_from_arrays(*(a[b] for a in triple))))
+        chunk_columns, triple = score_rows(chunk)
+        columns.append(chunk_columns)
+        if collect_records:
+            if records is None:
+                records = tuple(np.empty((m_episodes,) + a.shape[1:], a.dtype) for a in triple)
+            for whole, part in zip(records, triple):
+                whole[start : start + len(part)] = part
+    per_episode = {name: np.concatenate([c[name] for c in columns]) for name in columns[0]}
+    summaries, degenerate = {}, False
+    for name, values in per_episode.items():
+        mean, half, dg = confidence_interval(values)
+        degenerate = degenerate or dg
+        summaries[name] = MetricSummary(mean, half)
     config = {
         "task": task,
         "partition": partition,
@@ -864,7 +860,8 @@ def _evaluate(task, params, gate, dataset, cfg, m_episodes, seed, partition,
         "seed": seed,
         "m_episodes": m_episodes,
     }
-    return _aggregate(task, config, seed, m_episodes, list(columns), per_episode, records)
+    return EvaluationReport(task, config, seed, m_episodes, summaries, per_episode, degenerate,
+                            records)
 
 
 def evaluate_oneclass(

@@ -1,21 +1,21 @@
 """Metrics for one-class and open-set evaluation.
 
-Records carry a true label, a final predicted label (after any known/unknown
-gating), and a real-valued known-ness score used for ranking. UNKNOWN is a
-distinguished marker; class ids are non-negative integers.
+Each query has a true label, a final predicted label (after any
+known/unknown gating), and a real-valued known-ness score used for ranking.
+UNKNOWN is a distinguished marker; class ids are non-negative integers.
 
-The episode metrics (AKS, AUS, F1-open, binary F1, AUROC) take records, or
-a (true, pred, score) triple of [m] arrays, and return a float; given a
-triple of [B, m] arrays they score each row and return [B] values. They are
-integer counts and one division per row, so each row's value is the same,
-bit for bit, however many rows are scored together.
+The episode metrics (AKS, AUS, F1-open, binary F1, AUROC) take one operand
+form: a (truth, pred, score) triple of [..., m] arrays, one episode of m
+queries per row. Each reduces over the last axis and returns [...] values,
+a scalar for one [m] row. They are integer counts and one division per
+row, so each row's value is the same, bit for bit, however many rows are
+scored together. aks_one_vs_rest takes one [m] row.
 
 Conventions: precision/recall/F1 are 0 whenever their denominator is 0, and
 AUROC counts tied pairs as half (Mann-Whitney form).
 """
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,33 +26,14 @@ class MetricError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    true_label: int
-    predicted_label: int
-    score: float
-
-
-def records_from_arrays(true_labels, predicted_labels, scores):
-    return [
-        PredictionRecord(int(t), int(p), float(s))
-        for t, p, s in zip(true_labels, predicted_labels, scores)
-    ]
-
-
-def _arrays(records):
-    """Records -> (true, pred, score) arrays; a pre-built triple passes through."""
-    if isinstance(records, tuple) and len(records) == 3:
-        t, p, s = records
-        return (
-            np.asarray(t, dtype=np.int64),
-            np.asarray(p, dtype=np.int64),
-            np.asarray(s, dtype=np.float64),
-        )
-    t = np.array([r.true_label for r in records], dtype=np.int64)
-    p = np.array([r.predicted_label for r in records], dtype=np.int64)
-    s = np.array([r.score for r in records], dtype=np.float64)
-    return t, p, s
+def _arrays(triple):
+    """(truth, pred, score) as int64, int64 and float64 arrays."""
+    t, p, s = triple
+    return (
+        np.asarray(t, dtype=np.int64),
+        np.asarray(p, dtype=np.int64),
+        np.asarray(s, dtype=np.float64),
+    )
 
 
 def accuracy(true_labels, predicted_labels):
@@ -60,21 +41,10 @@ def accuracy(true_labels, predicted_labels):
     t = np.asarray(true_labels)
     p = np.asarray(predicted_labels)
     if t.size == 0:
-        raise MetricError("accuracy of an empty record set is undefined")
+        raise MetricError("accuracy of no predictions is undefined")
     if t.shape != p.shape:
         raise MetricError(f"{t.size} truths vs {p.size} predictions")
     return float(np.mean(t == p))
-
-
-def _rows(records):
-    """(true, pred, score) as [B, m] arrays, plus whether the input was a
-    single row to be returned as a float."""
-    t, p, s = _arrays(records)
-    return np.atleast_2d(t), np.atleast_2d(p), np.atleast_2d(s), t.ndim == 1
-
-
-def _per_row(values, single):
-    return float(values[0]) if single else values
 
 
 def _f1(tp, fp, fn):
@@ -83,39 +53,41 @@ def _f1(tp, fp, fn):
         prec = tp / (tp + fp)
         rec = tp / (tp + fn)
         f1 = 2.0 * prec * rec / (prec + rec)
-    return np.where(tp > 0, f1, 0.0)
+    return np.where(tp > 0, f1, 0.0)[()]
 
 
-def binary_f1(records):
+def binary_f1(triple):
     """F1 of the known/unknown decision with known as the positive class."""
-    t, p, _, single = _rows(records)
-    if t.shape[1] == 0:
-        raise MetricError("binary_f1 of an empty record set is undefined")
+    t, p, _ = _arrays(triple)
+    if t.shape[-1] == 0:
+        raise MetricError("binary_f1 of an empty episode is undefined")
     pred_known = p != UNKNOWN
     true_known = t != UNKNOWN
-    tp = np.sum(pred_known & true_known, axis=1)
-    fp = np.sum(pred_known & ~true_known, axis=1)
-    fn = np.sum(~pred_known & true_known, axis=1)
-    return _per_row(_f1(tp, fp, fn), single)
+    tp = np.sum(pred_known & true_known, axis=-1)
+    fp = np.sum(pred_known & ~true_known, axis=-1)
+    fn = np.sum(~pred_known & true_known, axis=-1)
+    return _f1(tp, fp, fn)
 
 
-def auroc(records):
-    """Probability a random known-truth record outscores a random
-    unknown-truth record, ties counted half: (#greater + 0.5 * #equal) over
+def auroc(triple):
+    """Probability a random known-truth query outscores a random
+    unknown-truth query, ties counted half: (#greater + 0.5 * #equal) over
     the known x unknown pairs, counted exactly from each row's sorted scores."""
-    t, _, s, single = _rows(records)
+    t, _, s = _arrays(triple)
+    shape, m = t.shape[:-1], t.shape[-1]
+    t, s = t.reshape(-1, m), s.reshape(-1, m)
     known = t != UNKNOWN
     nk, nu = known.sum(axis=1), (~known).sum(axis=1)
     if not (nk.all() and nu.all()):
-        raise MetricError("auroc needs at least one known and one unknown record")
+        raise MetricError("auroc needs at least one known and one unknown query")
     order = np.argsort(s, axis=1, kind="stable")
     s = np.take_along_axis(s, order, axis=1)
     unknown = ~np.take_along_axis(known, order, axis=1)
     # equal scores form runs from sorted position first to last; for a known
     # score, #greater counts the unknown scores below its run and
     # #greater + #equal those up to the run's end
-    pos = np.arange(s.shape[1])
-    edge = np.ones((s.shape[0], s.shape[1] + 1), dtype=bool)
+    pos = np.arange(m)
+    edge = np.ones((s.shape[0], m + 1), dtype=bool)
     edge[:, 1:-1] = s[:, 1:] != s[:, :-1]
     first = np.maximum.accumulate(np.where(edge[:, :-1], pos, 0), axis=1)
     last = np.minimum.accumulate(np.where(edge[:, 1:], pos, pos[-1])[:, ::-1], axis=1)[:, ::-1]
@@ -123,29 +95,30 @@ def auroc(records):
     below = np.take_along_axis(upto - unknown, first, axis=1)
     at_most = np.take_along_axis(upto, last, axis=1)
     halves = np.sum(below + at_most, axis=1, where=~unknown)
-    return _per_row(0.5 * halves / (nk * nu), single)
+    return (0.5 * halves / (nk * nu)).reshape(shape)[()]
 
 
-def aks(records):
+def aks(triple):
     """Accuracy on known samples: gated-UNKNOWN predictions count as wrong."""
-    t, p, _, single = _rows(records)
+    t, p, _ = _arrays(triple)
     known = t != UNKNOWN
-    nk = known.sum(axis=1)
+    nk = known.sum(axis=-1)
     if not nk.all():
-        raise MetricError("aks needs at least one known-truth record")
-    return _per_row(np.sum(known & (t == p), axis=1) / nk, single)
+        raise MetricError("aks needs at least one known-truth query")
+    return np.sum(known & (t == p), axis=-1) / nk
 
 
-def aks_one_vs_rest(records):
-    """One-vs-rest (TP+TN) / (TP+TN+FP+FN) summed over known classes.
+def aks_one_vs_rest(triple):
+    """One-vs-rest (TP+TN) / (TP+TN+FP+FN) summed over known classes, on
+    one [m] row.
 
     The per-class true negatives dominate for larger class counts, which is
     why this variant is reported for comparison only.
     """
-    t, p, _ = _arrays(records)
+    t, p, _ = _arrays(triple)
     known = t != UNKNOWN
     if not known.any():
-        raise MetricError("aks_one_vs_rest needs at least one known-truth record")
+        raise MetricError("aks_one_vs_rest needs at least one known-truth query")
     tk, pk = t[known], p[known]
     classes = sorted(set(tk.tolist()) | (set(pk.tolist()) - {UNKNOWN}))
     total = 0
@@ -156,15 +129,15 @@ def aks_one_vs_rest(records):
     return total / (len(classes) * tk.size)
 
 
-def aus(records):
-    """Accuracy on unknown samples: fraction of unknown-truth records
+def aus(triple):
+    """Accuracy on unknown samples: fraction of unknown-truth queries
     predicted UNKNOWN."""
-    t, p, _, single = _rows(records)
+    t, p, _ = _arrays(triple)
     unknown = t == UNKNOWN
-    nu = unknown.sum(axis=1)
+    nu = unknown.sum(axis=-1)
     if not nu.all():
-        raise MetricError("aus needs at least one unknown-truth record")
-    return _per_row(np.sum(unknown & (p == UNKNOWN), axis=1) / nu, single)
+        raise MetricError("aus needs at least one unknown-truth query")
+    return np.sum(unknown & (p == UNKNOWN), axis=-1) / nu
 
 
 def normalized_accuracy(aks_value, aus_value, weight=0.5):
@@ -174,61 +147,55 @@ def normalized_accuracy(aks_value, aus_value, weight=0.5):
     return weight * aks_value + (1.0 - weight) * aus_value
 
 
-def f1_open(records):
+def f1_open(triple):
     """Micro-averaged open-set F1 over the known classes.
 
     Per class c: TP = known-truth c labeled c; FP = anything else labeled c
-    (unknown-truth records included); FN = known-truth c labeled anything
-    else, UNKNOWN included. Unknown-truth records therefore only ever count
+    (unknown-truth queries included); FN = known-truth c labeled anything
+    else, UNKNOWN included. Unknown-truth queries therefore only ever count
     as false positives of the class they were labeled with.
     """
-    t, p, _, single = _rows(records)
-    if t.shape[1] == 0:
-        raise MetricError("f1_open of an empty record set is undefined")
+    t, p, _ = _arrays(triple)
+    if t.shape[-1] == 0:
+        raise MetricError("f1_open of an empty episode is undefined")
     known = t != UNKNOWN
-    tp = np.sum(known & (t == p), axis=1)
-    fp = np.sum((p != UNKNOWN) & (p != t), axis=1)
-    fn = np.sum(known & (p != t), axis=1)
-    return _per_row(_f1(tp, fp, fn), single)
+    tp = np.sum(known & (t == p), axis=-1)
+    fp = np.sum((p != UNKNOWN) & (p != t), axis=-1)
+    fn = np.sum(known & (p != t), axis=-1)
+    return _f1(tp, fp, fn)
 
 
 # ---------------------------------------------------------------------------
-# record CSV round trip
+# records CSV round trip: one row per query, tagged with its episode's row
+# index in the (truth, pred, score) [M, m] triple
 
-RECORD_HEADER = ["true_label", "predicted_label", "score"]
+RECORD_HEADER = ["episode_id", "true_label", "predicted_label", "score"]
 
 
-def write_records_csv(path, records, episode_ids=None):
-    """Write records; with episode_ids an extra leading column tags each row."""
-    recs = list(records)
+def write_records_csv(path, triple):
+    """Write the [M, m] triple of M episodes, one episode at a time."""
+    t, p, s = triple
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if episode_ids is None:
-            writer.writerow(RECORD_HEADER)
-            for r in recs:
-                writer.writerow([r.true_label, r.predicted_label, repr(r.score)])
-        else:
-            writer.writerow(["episode_id"] + RECORD_HEADER)
-            for e, r in zip(episode_ids, recs):
-                writer.writerow([e, r.true_label, r.predicted_label, repr(r.score)])
+        writer.writerow(RECORD_HEADER)
+        for e in range(len(t)):
+            writer.writerows(zip([e] * len(t[e]), t[e].tolist(), p[e].tolist(),
+                                 map(repr, s[e].tolist())))
 
 
 def read_records_csv(path):
-    """Read a record CSV (with or without the episode_id column)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MetricError(f"{path}: empty record file")
-        if header == RECORD_HEADER:
-            offset = 0
-        elif header == ["episode_id"] + RECORD_HEADER:
-            offset = 1
-        else:
+    """Read a records CSV back into its (truth, pred, score) [M, m] triple;
+    its rows must hold episodes 0 .. M - 1 in order, m queries each."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        if header != RECORD_HEADER:
             raise MetricError(f"{path}: unexpected header {header}")
-        records = []
-        for row in reader:
-            records.append(
-                PredictionRecord(int(row[offset]), int(row[offset + 1]), float(row[offset + 2]))
-            )
-    return records
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    ids = table[:, 0]
+    m = np.count_nonzero(ids == 0)
+    if table.shape[1] != 4 or not m or ids.size % m or not np.array_equal(
+        ids, np.arange(ids.size) // m
+    ):
+        raise MetricError(f"{path}: rows are not episodes 0 .. M - 1 of one query count")
+    table = table.reshape(-1, m, 4)
+    return table[..., 1].astype(np.int64), table[..., 2].astype(np.int64), table[..., 3].copy()

@@ -289,6 +289,23 @@ def test_backward_requires_scalar_and_on_tape_loss():
         backward(tape, Tensor(1.0))  # constant, never produced here
 
 
+def test_nested_tapes_record_to_the_innermost():
+    x = Tensor([[3.0]], requires_grad=True)
+    assert ad.active_tape() is None
+    with Tape() as outer:
+        ad.dot(x, x)
+        with Tape() as inner:
+            assert ad.active_tape() is inner
+            loss = ad.dot(x, x)
+        assert ad.active_tape() is outer
+        ad.relu(x)
+    assert ad.active_tape() is None
+    assert [e.kind for e in outer.entries] == ["dot", "relu"]
+    assert [e.kind for e in inner.entries] == ["dot"]
+    backward(inner, loss)
+    assert np.array_equal(x.grad, [[6.0]])
+
+
 def test_backward_consumes_tape():
     x = Tensor([[3.0]], requires_grad=True)
     with Tape() as tape:

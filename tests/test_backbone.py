@@ -226,31 +226,3 @@ def test_image_mode_training_is_bit_reproducible():
         for (pname, a), (pname2, b) in zip(params, params2):
             assert pname == pname2
             assert np.array_equal(a.data, b.data), (name, pname)
-
-
-def test_tapes_are_thread_independent():
-    import threading
-
-    from fsos.autodiff import Tape, backward, dot
-
-    grads = {}
-
-    def work(tag, value):
-        x = Tensor(np.array([[value]]), requires_grad=True)
-        for _ in range(200):
-            with Tape() as tape:
-                loss = dot(x, x)
-            backward(tape, loss)
-            got = x.grad.copy()
-            x.grad = None
-        grads[tag] = (got, 2.0 * value)
-
-    threads = [threading.Thread(target=work, args=(i, float(i + 1))) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-    # a worker that raised, or still runs, recorded nothing
-    assert sorted(grads) == [0, 1, 2, 3]
-    for got, expect in grads.values():
-        assert np.allclose(got, [expect])

@@ -1,11 +1,15 @@
+import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from fsos import metrics
 from fsos.checkpoint import load_checkpoint, save_checkpoint
 from fsos.cli import SCHEMAS, _resolve_schedule, main, parse_command
 from fsos.episodes import TrainSchedule, default_schedule
+from fsos.metrics import UNKNOWN
 
 TRAIN_METHODS = SCHEMAS["train"]["method"].choices
 
@@ -53,6 +57,16 @@ def test_generate_rejects_non_finite_spec(tmp_path, capsys, option, value):
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: [runtime] {option} must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("split", ["10/10/10/10", "24/16", "40"])
+def test_generate_split_needs_three_counts(tmp_path, capsys, split):
+    code = run(["generate", f"--out={tmp_path}/x.json", f"--split={split}"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "'split'" in lines[0] and "three" in lines[0]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -275,6 +289,38 @@ def test_eval_reports_deterministic(workdir, tmp_path):
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
+@pytest.mark.parametrize("task", ["openset", "oneclass"])
+def test_records_csv_recomputes_the_episode_csv(workdir, tmp_path, task):
+    """Every per-episode metric recomputed from the records CSV with
+    fsos.metrics equals the episode CSV's value bit for bit. Open-set
+    accuracy is the ungated closed-set accuracy, which the gated records do
+    not hold: it bounds the recomputed AKS."""
+    n = ["--n=2", "--n_unknown=1"] if task == "openset" else ["--n=1", "--n_unknown=2"]
+    assert run([
+        "eval", f"--task={task}", "--head=mbce", f"--checkpoint={workdir}/mbce.ckpt",
+        f"--dataset={workdir}/ds.json", *n, "--k=3", "--q=4", "--episodes=12", "--seed=6",
+        f"--out={tmp_path}/r.json", f"--episode_csv={tmp_path}/ep.csv",
+        f"--records_csv={tmp_path}/rec.csv",
+    ]) == 0
+    triple = metrics.read_records_csv(tmp_path / "rec.csv")
+    with open(tmp_path / "ep.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[1:]] == [str(e) for e in range(12)]
+    written = {name: [row[i] for row in rows[1:]] for i, name in enumerate(rows[0]) if i}
+    truth, pred, _ = triple
+    if task == "openset":
+        aks, aus = metrics.aks(triple), metrics.aus(triple)
+        recomputed = {"aks": aks, "aus": aus, "na": metrics.normalized_accuracy(aks, aus),
+                      "f1_open": metrics.f1_open(triple), "auroc": metrics.auroc(triple)}
+        assert np.all(aks <= np.array(written.pop("accuracy"), dtype=float))
+    else:
+        recomputed = {"accuracy": np.mean((truth != UNKNOWN) == (pred != UNKNOWN), axis=1),
+                      "f1": metrics.binary_f1(triple), "auroc": metrics.auroc(triple)}
+    assert sorted(written) == sorted(recomputed)
+    for name, values in recomputed.items():
+        assert [repr(v) for v in values.tolist()] == written[name], name
+
+
 def _one_runtime_error(capsys):
     err = capsys.readouterr().err
     lines = err.splitlines()
@@ -377,7 +423,12 @@ _CELL = {"mean": 0.5, "ci": 0.1}
     ([[{"config": {}, "metrics": {}}]], "not an evaluation report"),
     ([{"config": {}, "metrics": {"na": _CELL}}, {"config": {}, "metrics": {"auroc": _CELL}}],
      "holds metrics"),
-], ids=["without_metrics", "json_list", "metric_names_differ"])
+    ([{"config": {}, "metrics": {"na": {"mean": 10**400, "ci": 0.1}}}],
+     "not an evaluation report"),
+    ([{"config": {}, "metrics": {"na": {"mean": 0.5, "ci": -(10**400)}}}],
+     "not an evaluation report"),
+], ids=["without_metrics", "json_list", "metric_names_differ", "mean_beyond_float",
+        "ci_beyond_float"])
 def test_report_rejects_malformed_report_json(tmp_path, capsys, docs, reason):
     paths = []
     for i, doc in enumerate(docs):

@@ -34,6 +34,13 @@ def test_default_split_counts():
         assert min(tr, va, te) >= 1
 
 
+@pytest.mark.parametrize("counts", [(10, 10, 10, 10), (24, 16), (40,)])
+def test_split_counts_other_than_three_are_refused(counts):
+    spec = SyntheticSpec(num_classes=40, examples_per_class=4, dim=4, seed=1)
+    with pytest.raises(DatasetError, match="three positive"):
+        generate_synthetic(spec, split_counts=counts)
+
+
 def test_generation_deterministic():
     spec = SyntheticSpec(num_classes=6, examples_per_class=10, dim=8, seed=42)
     a = generate_synthetic(spec)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fsos.metrics import (
     UNKNOWN,
     MetricError,
-    PredictionRecord,
     accuracy,
     aks,
     aks_one_vs_rest,
@@ -16,7 +15,6 @@ from fsos.metrics import (
     f1_open,
     normalized_accuracy,
     read_records_csv,
-    records_from_arrays,
     write_records_csv,
 )
 
@@ -24,10 +22,10 @@ from fsos.metrics import (
 # brute-force oracle twins
 
 
-def auroc_oracle(records):
+def auroc_oracle(triple):
     """O(n^2) pair count: wins + half-ties over known x unknown pairs."""
-    known = [r.score for r in records if r.true_label != UNKNOWN]
-    unknown = [r.score for r in records if r.true_label == UNKNOWN]
+    known = [s for t, p, s in zip(*triple) if t != UNKNOWN]
+    unknown = [s for t, p, s in zip(*triple) if t == UNKNOWN]
     total = 0.0
     for ks in known:
         for us in unknown:
@@ -38,22 +36,22 @@ def auroc_oracle(records):
     return total / (len(known) * len(unknown))
 
 
-def f1_open_oracle(records):
+def f1_open_oracle(triple):
     """Per-class confusion dictionaries, micro-averaged."""
     classes = sorted(
-        {r.true_label for r in records if r.true_label != UNKNOWN}
-        | {r.predicted_label for r in records if r.predicted_label != UNKNOWN}
+        {t for t, p, s in zip(*triple) if t != UNKNOWN}
+        | {p for t, p, s in zip(*triple) if p != UNKNOWN}
     )
     tp = {c: 0 for c in classes}
     fp = {c: 0 for c in classes}
     fn = {c: 0 for c in classes}
-    for r in records:
+    for t, p, s in zip(*triple):
         for c in classes:
-            if r.true_label == c and r.predicted_label == c:
+            if t == c and p == c:
                 tp[c] += 1
-            if r.predicted_label == c and r.true_label != c:
+            if p == c and t != c:
                 fp[c] += 1
-            if r.true_label == c and r.predicted_label != c:
+            if t == c and p != c:
                 fn[c] += 1
     stp, sfp, sfn = sum(tp.values()), sum(fp.values()), sum(fn.values())
     if stp == 0:
@@ -63,9 +61,9 @@ def f1_open_oracle(records):
     return 2 * prec * rec / (prec + rec)
 
 
-def aks_oracle(records):
-    known = [r for r in records if r.true_label != UNKNOWN]
-    return sum(1 for r in known if r.predicted_label == r.true_label) / len(known)
+def aks_oracle(triple):
+    known = [(t, p) for t, p, s in zip(*triple) if t != UNKNOWN]
+    return sum(1 for t, p in known if p == t) / len(known)
 
 
 def random_records(seed):
@@ -89,7 +87,7 @@ def random_records(seed):
         true[0] = 0
     if not has_unknown:
         true[-1] = UNKNOWN
-    return records_from_arrays(true, pred, score)
+    return np.array(true), np.array(pred), np.array(score)
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -191,72 +189,61 @@ def test_accuracy_spot_values():
 
 
 def test_binary_f1_spot_values():
-    perfect = records_from_arrays([0, 0, UNKNOWN, UNKNOWN], [0, 0, UNKNOWN, UNKNOWN], [0] * 4)
+    perfect = ([0, 0, UNKNOWN, UNKNOWN], [0, 0, UNKNOWN, UNKNOWN], [0] * 4)
     assert binary_f1(perfect) == 1.0
-    none_pred = records_from_arrays([0, UNKNOWN], [UNKNOWN, UNKNOWN], [0, 0])
+    none_pred = ([0, UNKNOWN], [UNKNOWN, UNKNOWN], [0, 0])
     assert binary_f1(none_pred) == 0.0
     # TP=2, FP=1, FN=1 -> P=R=2/3
-    recs = records_from_arrays(
-        [0, 0, UNKNOWN, 0], [0, 0, 0, UNKNOWN], [0] * 4
-    )
+    recs = ([0, 0, UNKNOWN, 0], [0, 0, 0, UNKNOWN], [0] * 4)
     assert binary_f1(recs) == pytest.approx(2 / 3)
 
 
 def test_auroc_spot_values():
-    recs = records_from_arrays(
-        [0, 0, UNKNOWN, UNKNOWN], [0, 0, UNKNOWN, UNKNOWN], [0.9, 0.5, 0.5, 0.1]
-    )
+    recs = ([0, 0, UNKNOWN, UNKNOWN], [0, 0, UNKNOWN, UNKNOWN], [0.9, 0.5, 0.5, 0.1])
     assert auroc(recs) == pytest.approx(0.875)
-    separated = records_from_arrays([0, UNKNOWN], [0, UNKNOWN], [1.0, 0.0])
+    separated = ([0, UNKNOWN], [0, UNKNOWN], [1.0, 0.0])
     assert auroc(separated) == 1.0
-    ties = records_from_arrays([0, 0, UNKNOWN], [0, 0, UNKNOWN], [0.5] * 3)
+    ties = ([0, 0, UNKNOWN], [0, 0, UNKNOWN], [0.5] * 3)
     assert auroc(ties) == 0.5
     with pytest.raises(MetricError):
-        auroc(records_from_arrays([0, 1], [0, 1], [0.5, 0.5]))
+        auroc(([0, 1], [0, 1], [0.5, 0.5]))
 
 
 def test_auroc_role_swap_sums_to_one():
     for seed in range(10):
         recs = random_records(seed)
-        swapped = [
-            PredictionRecord(UNKNOWN if r.true_label != UNKNOWN else 0,
-                             r.predicted_label, r.score)
-            for r in recs
-        ]
+        t, p, s = recs
+        swapped = (np.where(t != UNKNOWN, UNKNOWN, 0), p, s)
         assert abs(auroc(recs) + auroc(swapped) - 1.0) < 1e-12
 
 
 def test_aks_spot_values():
-    recs = records_from_arrays(
-        [1, 2, 2, 2, 3], [1, 1, UNKNOWN, 2, 3], np.zeros(5)
-    )
+    recs = ([1, 2, 2, 2, 3], [1, 1, UNKNOWN, 2, 3], np.zeros(5))
     assert aks(recs) == pytest.approx(3 / 5)
-    all_unknown = records_from_arrays([1, 2], [UNKNOWN, UNKNOWN], [0, 0])
+    all_unknown = ([1, 2], [UNKNOWN, UNKNOWN], [0, 0])
     assert aks(all_unknown) == 0.0
-    perfect = records_from_arrays([1, 2], [1, 2], [0, 0])
+    perfect = ([1, 2], [1, 2], [0, 0])
     assert aks(perfect) == 1.0
 
 
 def test_aks_one_vs_rest_values():
-    perfect = records_from_arrays([0, 1], [0, 1], [0, 0])
+    perfect = ([0, 1], [0, 1], [0, 0])
     assert aks_one_vs_rest(perfect) == 1.0
     # 3-class consistent permutation: plain accuracy 0, one-vs-rest form counts TNs
-    perm = records_from_arrays([0, 1, 2], [1, 2, 0], [0, 0, 0])
+    perm = ([0, 1, 2], [1, 2, 0], [0, 0, 0])
     assert aks(perm) == 0.0
     assert aks_one_vs_rest(perm) == pytest.approx(3 / 9)
-    single = records_from_arrays([4, 4, 4], [4, UNKNOWN, 4], [0, 0, 0])
+    single = ([4, 4, 4], [4, UNKNOWN, 4], [0, 0, 0])
     assert aks_one_vs_rest(single) == pytest.approx(accuracy([4, 4, 4], [4, UNKNOWN, 4]))
 
 
 def test_aus_spot_values():
-    recs = records_from_arrays(
-        [UNKNOWN, UNKNOWN, UNKNOWN], [UNKNOWN, 2, UNKNOWN], [0, 0, 0]
-    )
+    recs = ([UNKNOWN, UNKNOWN, UNKNOWN], [UNKNOWN, 2, UNKNOWN], [0, 0, 0])
     assert aus(recs) == pytest.approx(2 / 3)
-    assert aus(records_from_arrays([UNKNOWN], [3], [0])) == 0.0
-    assert aus(records_from_arrays([UNKNOWN], [UNKNOWN], [0])) == 1.0
+    assert aus(([UNKNOWN], [3], [0])) == 0.0
+    assert aus(([UNKNOWN], [UNKNOWN], [0])) == 1.0
     with pytest.raises(MetricError):
-        aus(records_from_arrays([0], [0], [0]))
+        aus(([0], [0], [0]))
 
 
 def test_normalized_accuracy_formula():
@@ -270,11 +257,11 @@ def test_f1_open_spot_values():
     # two known classes plus unknowns: TP=3, FP=2, FN=2
     true = [0, 0, 1, 1, 1, UNKNOWN, UNKNOWN]
     pred = [0, 1, 1, 1, UNKNOWN, 0, UNKNOWN]
-    recs = records_from_arrays(true, pred, np.zeros(7))
+    recs = (true, pred, np.zeros(7))
     assert f1_open(recs) == pytest.approx(0.6)
-    perfect = records_from_arrays([0, 1, UNKNOWN], [0, 1, UNKNOWN], np.zeros(3))
+    perfect = ([0, 1, UNKNOWN], [0, 1, UNKNOWN], np.zeros(3))
     assert f1_open(perfect) == 1.0
-    rejected = records_from_arrays([0, UNKNOWN], [UNKNOWN, UNKNOWN], np.zeros(2))
+    rejected = ([0, UNKNOWN], [UNKNOWN, UNKNOWN], np.zeros(2))
     assert f1_open(rejected) == 0.0
 
 
@@ -283,16 +270,11 @@ def test_f1_open_spot_values():
 def test_class_relabeling_invariance(seed):
     records = random_records(seed % 40)
     rng = np.random.default_rng(seed)
-    classes = sorted(
-        {r.true_label for r in records if r.true_label != UNKNOWN}
-        | {r.predicted_label for r in records if r.predicted_label != UNKNOWN}
-    )
+    t, p, s = records
+    classes = sorted(set(t[t != UNKNOWN].tolist()) | set(p[p != UNKNOWN].tolist()))
     perm = {c: int(p) for c, p in zip(classes, rng.permutation(len(classes)))}
     perm[UNKNOWN] = UNKNOWN
-    relabeled = [
-        PredictionRecord(perm[r.true_label], perm[r.predicted_label], r.score)
-        for r in records
-    ]
+    relabeled = ([perm[c] for c in t.tolist()], [perm[c] for c in p.tolist()], s)
     for fn in (aks, aks_one_vs_rest, aus, f1_open, binary_f1, auroc):
         assert fn(records) == pytest.approx(fn(relabeled), abs=1e-12)
 
@@ -308,14 +290,14 @@ def test_metric_ranges_and_na_betweenness():
 
 
 def test_records_csv_round_trip(tmp_path):
-    records = random_records(3)
+    t, p, s = random_records(3)
+    m = t.size // 2 * 2
+    records = tuple(a[:m].reshape(2, -1) for a in (t, p, s))
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     back = read_records_csv(path)
-    assert back == records
-    path2 = tmp_path / "records_ep.csv"
-    write_records_csv(path2, records, episode_ids=[7] * len(records))
-    assert read_records_csv(path2) == records
-    with open(path2) as fh:
-        header = fh.readline().strip()
-    assert header == "episode_id,true_label,predicted_label,score"
+    for got, want in zip(back, records):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    lines = path.read_text().splitlines()
+    assert lines[0] == "episode_id,true_label,predicted_label,score"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0"] * (m // 2) + ["1"] * (m // 2)

@@ -127,8 +127,8 @@ def test_distance_tie_resolves_to_lowest_class_id(small_dataset, params):
 
 @pytest.mark.parametrize("task", ["openset", "oneclass"])
 def test_chunk_boundaries_match_one_episode_chunks(small_dataset, params, monkeypatch, task):
-    """Per-episode rows, records and tau from chunks of 3 episodes equal
-    those from chunks of one episode, for 1, 3 and 4 episodes."""
+    """Per-episode metric columns, records and tau from chunks of 3 episodes
+    equal those from chunks of one episode, for 1, 3 and 4 episodes."""
     n = 2 if task == "openset" else 1
     cfg = EpisodeConfig(n=n, k=2, q=3, n_unknown=1)
     evaluate = evaluate_openset if task == "openset" else evaluate_oneclass
@@ -139,13 +139,18 @@ def test_chunk_boundaries_match_one_episode_chunks(small_dataset, params, monkey
         monkeypatch.setattr(episodes, "CHUNK_VALUES", values)
         rep = evaluate(params, gate, small_dataset, cfg, m_episodes, seed=5, collect_records=True)
         tau = calibrate_threshold_baseline(params, small_dataset, cfg, m_episodes, seed=5).tau
-        return rep.per_episode, rep.records, tau
+        names = sorted(rep.per_episode)
+        return names, [rep.per_episode[n] for n in names] + list(rep.records), tau
 
     for m_episodes in (1, chunk, chunk + 1):
         for gate in _gates(params, _episode(small_dataset, 3)):
-            rows, records, tau = scored(three, m_episodes, gate)
-            assert [row["episode_id"] for row in rows] == list(range(m_episodes))
-            assert (rows, records, tau) == scored(1, m_episodes, gate), (m_episodes, gate.name)
+            names, arrays, tau = scored(three, m_episodes, gate)
+            assert all(len(a) == m_episodes for a in arrays)
+            one_names, one_arrays, one_tau = scored(1, m_episodes, gate)
+            assert (names, tau) == (one_names, one_tau), (m_episodes, gate.name)
+            for got, want in zip(arrays, one_arrays, strict=True):
+                assert np.array_equal(got, want), (m_episodes, gate.name)
+                assert got.dtype == want.dtype, (m_episodes, gate.name)
 
 
 def test_row_embeddings_do_not_depend_on_the_slice(small_dataset, params):
