@@ -15,6 +15,19 @@ scale_shift takes a scalar gamma/beta on any input or a per-channel one on
 [n, c, h, w] images. These batched forms keep episode graphs to a handful
 of tape entries. sq_distances, the one squared-distance kernel, is untaped:
 squared_distance and protonet's chunk scorer both call it.
+
+Tape entries: a primitive returns its output after appending one entry to
+the innermost active tape. Tape.entries is that list in execution order;
+each entry holds the primitive's kind, its input tensors, its output and a
+backward_fn, which callers may replace with a wrapper (the benchmark times
+backward passes that way). backward(tape, loss) walks it in reverse.
+
+Gradient ownership: a backward_fn may return views of its upstream gradient
+(reshape does), so it must not write into that gradient, and backward never
+writes into an array a backward_fn returned. A produced tensor keeps its
+first gradient as returned and adds each further one out of place
+(acc + g); a leaf's first gradient is copied into a fresh grad buffer of
+the leaf's shape, and later ones are added into that buffer in place.
 """
 
 import numpy as np
@@ -65,8 +78,10 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # zeros + g in one pass: the same bits, -0.0 becoming +0.0 included
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -103,15 +118,10 @@ class Tape:
 
     def __init__(self):
         self.entries = []
-        self._produced = set()
         self.consumed = False
 
-    def record(self, kind, inputs, output, backward_fn):
-        self.entries.append(_TapeEntry(kind, inputs, output, backward_fn))
-        self._produced.add(id(output))
-
     def produced(self, tensor):
-        return id(tensor) in self._produced
+        return any(entry.output is tensor for entry in self.entries)
 
     def __enter__(self):
         _tapes.append(self)
@@ -127,10 +137,16 @@ class Tape:
 
 
 def _finish(kind, inputs, out_data, backward_fn):
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
-    tape = active_tape()
-    if tape is not None:
-        tape.record(kind, tuple(inputs), out, backward_fn)
+    """The output tensor of a primitive, appended to the innermost tape as
+    one entry when a tape is active."""
+    requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            requires_grad = True
+            break
+    out = Tensor(out_data, requires_grad)
+    if _tapes:
+        _tapes[-1].entries.append(_TapeEntry(kind, inputs, out, backward_fn))
     return out
 
 
@@ -161,13 +177,13 @@ def affine(x, w, b=None):
         )
     y = xd @ wd
     if b is not None:
-        y = y + b.data
+        y += b.data
 
     def backward_fn(g):
         gx = g @ wd.T if x.requires_grad else None
         gflat = g.reshape(-1, g.shape[-1])
         gw = xd.reshape(-1, xd.shape[-1]).T @ gflat
-        gb = gflat.sum(axis=0) if b is not None else None
+        gb = np.add.reduce(gflat, axis=0) if b is not None else None
         return (gx, gw, gb) if b is not None else (gx, gw)
 
     inputs = (x, w, b) if b is not None else (x, w)
@@ -188,12 +204,9 @@ def relu(x):
 def sigmoid(x):
     x = as_tensor(x)
     z = x.data
-    y = np.empty_like(z)
-    pos = z >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    y[~pos] = ez / (1.0 + ez)
-    y = np.clip(y, _SIG_LO, _SIG_HI)
+    # exp(-|z|) is exp(-z) where z >= 0 and exp(z) below: it never overflows
+    e = np.exp(-np.abs(z))
+    y = np.clip(np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e)), _SIG_LO, _SIG_HI)
 
     def backward_fn(g):
         return (g * y * (1.0 - y),)
@@ -216,20 +229,23 @@ def softmax_xent(logits, labels):
         raise PrimitiveError(
             "softmax_xent", f"{idx.shape[0]} labels for {z.shape[0]} logit rows"
         )
-    ints = idx.astype(np.int64)
-    if np.any(ints != idx) or np.any(ints < 0) or np.any(ints >= z.shape[1]):
-        raise PrimitiveError("softmax_xent", "labels must be integers in [0, n_classes)")
     m = z.shape[0]
+    if m == 0:
+        raise PrimitiveError("softmax_xent", "empty operands")
+    ints = idx.astype(np.int64)
+    if (ints != idx).any() or ints.min() < 0 or ints.max() >= z.shape[1]:
+        raise PrimitiveError("softmax_xent", "labels must be integers in [0, n_classes)")
     zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    lse = np.log(np.exp(shifted).sum(axis=1)) + zmax[:, 0]
-    picked = z[np.arange(m), ints]
+    ez = np.exp(z - zmax)
+    total = ez.sum(axis=1, keepdims=True)
+    lse = np.log(total[:, 0]) + zmax[:, 0]
+    rows = np.arange(m)
+    picked = z[rows, ints]
     loss = np.float64((lse - picked).mean())
 
     def backward_fn(g):
-        soft = np.exp(shifted)
-        soft /= soft.sum(axis=1, keepdims=True)
-        soft[np.arange(m), ints] -= 1.0
+        soft = ez / total
+        soft[rows, ints] -= 1.0
         return ((float(g) / m) * soft, None)
 
     return _finish("softmax_xent", (logits, labels), loss, backward_fn)
@@ -320,7 +336,7 @@ def mean_rows(x, groups=1):
 
     def backward_fn(g):
         gm = g.reshape(groups, 1, d) / block
-        return (np.broadcast_to(gm, (groups, block, d)).reshape(n, d).copy(),)
+        return (gm.repeat(block, axis=1).reshape(n, d),)
 
     return _finish("mean_rows", (x,), out, backward_fn)
 
@@ -484,28 +500,31 @@ def backward(tape, loss):
         raise TapeError("tape already consumed by a previous backward pass")
     if not isinstance(loss, Tensor) or loss.data.size != 1:
         raise TapeError("loss must be a scalar tensor")
-    if not tape.produced(loss):
+    entries = tape.entries
+    produced = {id(entry.output) for entry in entries}
+    if id(loss) not in produced:
         raise TapeError("loss was not produced on this tape")
     tape.consumed = True
+    if not loss.requires_grad:
+        return
+    # only a requires_grad input is given a gradient, so an entry whose
+    # output no gradient reaches is skipped
     grads = {id(loss): np.ones_like(loss.data)}
-    for entry in reversed(tape.entries):
+    for entry in reversed(entries):
         g_out = grads.pop(id(entry.output), None)
         if g_out is None:
             continue
-        if not any(t.requires_grad for t in entry.inputs):
-            continue
-        input_grads = entry.backward_fn(g_out)
-        for tensor, g in zip(entry.inputs, input_grads):
+        for tensor, g in zip(entry.inputs, entry.backward_fn(g_out)):
             if g is None or not tensor.requires_grad:
                 continue
-            if tape.produced(tensor):
-                acc = grads.get(id(tensor))
-                if acc is None:
-                    grads[id(tensor)] = np.array(g, dtype=np.float64, copy=True)
-                else:
-                    acc += g
+            key = id(tensor)
+            if key in produced:
+                # out of place: a backward function may return a view of
+                # its upstream gradient, or the same array twice
+                acc = grads.get(key)
+                grads[key] = g if acc is None else acc + g
             else:
-                tensor.accumulate_grad(np.asarray(g, dtype=np.float64))
+                tensor.accumulate_grad(g)
 
 
 class GradientCheckReport:

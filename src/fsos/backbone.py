@@ -217,7 +217,7 @@ def _coerce_input(spec, x):
     are reshaped to [n, c, h, w]."""
     x = as_tensor(x)
     d = x.data
-    flat = int(np.prod(spec.input_shape))
+    flat = math.prod(spec.input_shape)
     if d.ndim != 2 or d.shape[1] != flat:
         raise SpecError(f"input must be rows [n, {flat}] for {spec.input_shape}, got {d.shape}")
     if spec.input_kind == "vector":

@@ -34,6 +34,7 @@ its loss diverges (DIVERGENCE_FACTOR).
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -183,13 +184,6 @@ class RowTable:
         spans = {c: (int(s), b.shape[0]) for c, s, b in zip(class_ids, starts, blocks)}
         return RowTable(np.array(class_ids, dtype=np.int64), spans, _stacked(blocks, dim))
 
-    def permuted_rows(self, class_id, needed, rng, what):
-        """The rows of one class in random order; it must hold `needed`."""
-        start, count = self.spans[class_id]
-        if count < needed:
-            raise _shortfall(class_id, count, needed, what)
-        return start + rng.permutation(count)
-
 
 def _shortfall(class_id, count, needed, what):
     return EpisodeError(f"class {class_id} has {count} examples, needs {what}={needed}")
@@ -212,26 +206,23 @@ def draw_episode(table, cfg, rng):
 
     n + n_U classes are chosen without replacement, then each known class
     permutes its rows once for k support and q query rows, and each unknown
-    class once for q query rows.
+    class once for q query rows. The indices fill one array, class by class.
     """
     needed = _class_count(table, cfg)
-    chosen = rng.choice(table.class_ids, size=needed, replace=False)
-    known = tuple(int(c) for c in chosen[: cfg.n])
-    unknown = tuple(int(c) for c in chosen[cfg.n :])
-    support, query_known, query_unknown = [], [], []
-    for cid in known:
-        idx = table.permuted_rows(cid, cfg.k + cfg.q, rng, "k+q")
-        support.append(idx[: cfg.k])
-        query_known.append(idx[cfg.k : cfg.k + cfg.q])
-    for cid in unknown:
-        query_unknown.append(table.permuted_rows(cid, cfg.q, rng, "q")[: cfg.q])
-    return Episode(
-        known,
-        unknown,
-        np.array(support),
-        np.array(query_known),
-        np.array(query_unknown, dtype=np.intp).reshape(len(unknown), cfg.q),
-    )
+    ids = rng.choice(table.class_ids, size=needed, replace=False).tolist()
+    n, k, q = cfg.n, cfg.k, cfg.q
+    rows = np.empty(n * (k + q) + cfg.n_unknown * q, dtype=np.intp)
+    at = 0
+    for j, cid in enumerate(ids):
+        want, what = (k + q, "k+q") if j < n else (q, "q")
+        start, count = table.spans[cid]
+        if count < want:
+            raise _shortfall(cid, count, want, what)
+        np.add(rng.permutation(count)[:want], start, out=rows[at : at + want])
+        at += want
+    known = rows[: n * (k + q)].reshape(n, k + q)
+    unknown = rows[n * (k + q) :].reshape(cfg.n_unknown, q)
+    return Episode(tuple(ids[:n]), tuple(ids[n:]), known[:, :k], known[:, k:], unknown)
 
 
 def draw_block(table, cfg, rng, count):
@@ -707,28 +698,32 @@ def run_meta_training(
     best = snapshot()
     stale = 0  # validation points since the last new best
     episodes = _training_episodes(table, episode_cfg, schedule.episodes, seed, cache)
-    for i, ep in enumerate(episodes):
-        with Tape() as tape:
-            loss = loss_fn(embed_fn, ep)
-        loss_curve.append(float(loss.data))
-        if not np.isfinite(loss_curve[-1]) or (
-            loss_curve[-1] > DIVERGENCE_FACTOR * max(1.0, loss_curve[0])
-        ):
-            raise EpisodeError(
-                f"{method} training diverged at episode {i}: loss {loss_curve[-1]!r} is not "
-                f"finite or above {DIVERGENCE_FACTOR:g} x max(1, first loss {loss_curve[0]!r})"
-            )
-        backward(tape, loss)
-        for opt in optimizers:
-            opt.step()
-        if (i + 1) % interval == 0 or (i + 1) == schedule.episodes:
-            metric = validate(validation)
-            val_history.append((i + 1, metric))
-            stale += 1
-            if metric > best_val:
-                best_val, best, stale = metric, snapshot(), 0
-            elif stale == schedule.patience:
-                break
+    # a diverging step overflows before its loss is checked: the guard below
+    # is its one report, not numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, ep in enumerate(episodes):
+            with Tape() as tape:
+                loss = loss_fn(embed_fn, ep)
+            loss_curve.append(float(loss.data))
+            if not math.isfinite(loss_curve[-1]) or (
+                loss_curve[-1] > DIVERGENCE_FACTOR * max(1.0, loss_curve[0])
+            ):
+                raise EpisodeError(
+                    f"{method} training diverged at episode {i}: loss {loss_curve[-1]!r} is "
+                    f"not finite or above {DIVERGENCE_FACTOR:g} x max(1, first loss "
+                    f"{loss_curve[0]!r})"
+                )
+            backward(tape, loss)
+            for opt in optimizers:
+                opt.step()
+            if (i + 1) % interval == 0 or (i + 1) == schedule.episodes:
+                metric = validate(validation)
+                val_history.append((i + 1, metric))
+                stale += 1
+                if metric > best_val:
+                    best_val, best, stale = metric, snapshot(), 0
+                elif stale == schedule.patience:
+                    break
     return TrainResult(method, best[0], best[1], loss_curve, val_history, float(best_val))
 
 

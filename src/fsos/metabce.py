@@ -84,7 +84,7 @@ def episode_loss(head, embed_fn, episode):
     d = squared_distance(emb_q, protos)
     neg_t = scale_shift(head.t, Tensor(-1.0), Tensor(0.0))
     logits = scale_shift(d, Tensor(-1.0), neg_t)
-    targets = np.repeat(np.eye(episode.n), episode.q, axis=0)
+    targets = np.eye(episode.n).repeat(episode.q, axis=0)
     return bce(logits, Tensor(targets))
 
 

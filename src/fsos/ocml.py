@@ -152,5 +152,5 @@ def episode_loss(transfer, embed_fn, episode):
     protos, emb_q = embed_episode(embed_fn, episode)
     weights = generate_weight(transfer, protos)
     logits = dot(emb_q, weights)
-    targets = np.repeat(np.eye(episode.n), episode.q, axis=0)
+    targets = np.eye(episode.n).repeat(episode.q, axis=0)
     return bce(logits, Tensor(targets))

@@ -1,4 +1,11 @@
-"""First-order optimizers over lists of parameter tensors."""
+"""First-order optimizers over lists of parameter tensors.
+
+A step makes one update over the flat concatenation of every parameter's
+gradient, in parameter order, and subtracts each parameter's slice of it in
+place. Adam holds its moments flat in the same layout. Every elementwise
+operation keeps the operands and order of the per-tensor textbook rule, so a
+flat step gives the same bits as one update per tensor, 0-d tensors included.
+"""
 
 import numpy as np
 
@@ -8,7 +15,10 @@ class MissingGradError(RuntimeError):
 
 
 class OptimizerState:
-    """Shared step logic: update in place, clear grads, count steps."""
+    """Shared step logic: update in place, clear grads, count steps.
+
+    _update turns the flat gradient buffer into the flat update, in place.
+    """
 
     kind = None
 
@@ -18,25 +28,36 @@ class OptimizerState:
         self.params = list(params)
         self.learning_rate = float(learning_rate)
         self.step_count = 0
+        sizes = [p.data.size for p in self.params]
+        self._flat = np.empty(sum(sizes))
+        # each parameter's slice of the flat update, in the parameter's shape
+        ends = np.cumsum([0] + sizes).tolist()
+        self._pieces = [self._flat[a:b].reshape(p.data.shape)
+                        for p, a, b in zip(self.params, ends, ends[1:])]
 
     def step(self):
+        grads = []
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise MissingGradError(f"parameter {i} has no gradient")
+            grads.append(p.grad)
         self.step_count += 1
-        for i, p in enumerate(self.params):
-            p.data -= self._update(i, p.grad)
+        if not grads:
+            return
+        self._update(np.concatenate(grads, axis=None, out=self._flat))
+        for p, piece in zip(self.params, self._pieces):
+            p.data -= piece
             p.grad = None
 
-    def _update(self, index, grad):
+    def _update(self, grad):
         raise NotImplementedError
 
 
 class Sgd(OptimizerState):
     kind = "sgd"
 
-    def _update(self, index, grad):
-        return self.learning_rate * grad
+    def _update(self, grad):
+        grad *= self.learning_rate
 
 
 class Adam(OptimizerState):
@@ -45,20 +66,27 @@ class Adam(OptimizerState):
     def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         super().__init__(params, learning_rate)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(self._flat)
+        self.v = np.zeros_like(self._flat)
+        self._tmp = np.empty_like(self._flat)
 
-    def _update(self, index, grad):
+    def _update(self, grad):
         t = self.step_count
-        m = self.m[index]
-        v = self.v[index]
+        m, v, tmp = self.m, self.v, self._tmp
         m *= self.beta1
-        m += (1.0 - self.beta1) * grad
+        m += np.multiply(1.0 - self.beta1, grad, out=tmp)
         v *= self.beta2
-        v += (1.0 - self.beta2) * grad * grad
-        m_hat = m / (1.0 - self.beta1**t)
-        v_hat = v / (1.0 - self.beta2**t)
-        return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(1.0 - self.beta2, grad, out=tmp)
+        tmp *= grad
+        v += tmp
+        # lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - beta1^t)
+        # and v_hat = v / (1 - beta2^t)
+        np.divide(v, 1.0 - self.beta2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, 1.0 - self.beta1**t, out=grad)
+        grad *= self.learning_rate
+        grad /= tmp
 
 
 def make_optimizer(kind, params, learning_rate):

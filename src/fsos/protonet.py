@@ -283,7 +283,7 @@ def episode_loss(embed_fn, episode):
     protos, emb_q = embed_episode(embed_fn, episode)
     d = squared_distance(emb_q, protos)
     logits = scale_shift(d, Tensor(-1.0), Tensor(0.0))
-    labels = Tensor(np.repeat(np.arange(n), q).astype(np.float64))
+    labels = Tensor(np.arange(n, dtype=np.float64).repeat(q))
     return softmax_xent(logits, labels)
 
 

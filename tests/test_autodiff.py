@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,30 @@ def test_sigmoid_extremes_stay_open_interval():
         p = float(ad.sigmoid(Tensor(x)).data)
         assert 0.0 < p < 1.0
         assert np.isfinite(p)
+
+
+def _masked_sigmoid(z):
+    """The sigmoid as each half of a boolean mask computes it: exp(-z) on
+    the non-negative inputs, exp(z) on the rest, then clipped into (0, 1)."""
+    y = np.empty_like(z)
+    pos = z >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    y[~pos] = ez / (1.0 + ez)
+    return np.clip(y, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def test_sigmoid_equals_the_masked_formula_bit_for_bit():
+    edges = [0.0, -0.0, 745.0, -745.0, 746.0, -746.0, 1e308, -1e308, np.inf, -np.inf,
+             5e-324, -5e-324]
+    rng = np.random.default_rng(0)
+    z = np.concatenate([edges, rng.normal(scale=30.0, size=3000), rng.uniform(-800, 800, 3000)])
+    for x in (z, z[:6000].reshape(10, 150, 4)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ad.sigmoid(Tensor(x)).data
+            want = _masked_sigmoid(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def _scalar(t):
@@ -287,6 +313,54 @@ def test_backward_requires_scalar_and_on_tape_loss():
         ad.relu(x)
     with pytest.raises(TapeError):
         backward(tape, Tensor(1.0))  # constant, never produced here
+
+
+@pytest.mark.parametrize("reshape_first", [True, False])
+def test_backward_owns_no_returned_gradient(reshape_first):
+    """A produced tensor h with two consumers, one of them reshape, whose
+    backward returns a view of its upstream gradient: h's gradients equal
+    finite differences, and backward modifies no array a backward function
+    returned, in either consumer order."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(4, 3))
+    labels = Tensor(np.array([0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 2.0, 3.0]))
+
+    def build(ps):
+        h = ad.relu(ad.affine(Tensor(x), ps[0]))  # [4, 6], produced
+        if reshape_first:
+            la = ad.affine(ad.reshape(h, (8, 3)), ps[1])
+            lb = ad.affine(h, ps[2])
+        else:
+            lb = ad.affine(h, ps[2])
+            la = ad.affine(ad.reshape(h, (8, 3)), ps[1])
+        return ad.softmax_xent(ad.squared_distance(la, lb), labels)
+
+    point = [rng.normal(size=(3, 6)), rng.normal(size=(3, 2)), rng.normal(size=(6, 2))]
+    report = gradient_check(build, point)
+    assert report.passed, report.errors
+
+    params = [Tensor(p.copy(), requires_grad=True) for p in point]
+    with Tape() as tape:
+        loss = build(params)
+    returned = []  # (kind, upstream gradient, returned arrays, their copies)
+
+    def recording(kind, backward_fn):
+        def fn(g):
+            out = backward_fn(g)
+            arrays = [a for a in out if a is not None]
+            returned.append((kind, g, arrays, [np.array(a, copy=True) for a in arrays]))
+            return out
+
+        return fn
+
+    for entry in tape.entries:
+        entry.backward_fn = recording(entry.kind, entry.backward_fn)
+    backward(tape, loss)
+    views = [(g, arrays[0]) for kind, g, arrays, _ in returned if kind == "reshape"]
+    assert len(views) == 1 and np.shares_memory(*views[0])
+    for kind, _, arrays, copies in returned:
+        for a, c in zip(arrays, copies):
+            assert np.array_equal(a, c), kind
 
 
 def test_nested_tapes_record_to_the_innermost():

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,27 @@ def test_train_divergence_is_runtime_error_without_checkpoint(workdir, tmp_path,
     assert code == 2
     assert f"{method} training diverged at episode" in _one_runtime_error(capsys)
     assert not (tmp_path / "d.ckpt").exists()
+
+
+@pytest.mark.parametrize("method, rates", [
+    ("protonet", ["--learning_rate=1e300"]),
+    ("mbce", ["--learning_rate=1e200", "--offset_learning_rate=1e200"]),
+    ("mbce_projected", ["--learning_rate=1e200", "--offset_learning_rate=1e200"]),
+    ("ocml_frozen", ["--learning_rate=1e300"]),
+    ("ocml_joint", ["--learning_rate=1e300"]),
+])
+def test_train_divergence_prints_no_numpy_warning(workdir, tmp_path, capsys, method, rates):
+    """An overflowing step is reported by the divergence guard alone."""
+    backbone = [] if method == "protonet" else [f"--backbone={workdir}/pn.ckpt"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run([
+            "train", f"--method={method}", f"--dataset={workdir}/ds.json",
+            f"--out={tmp_path}/d.ckpt", "--episodes=5", *rates, *backbone,
+        ])
+    assert code == 2
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert "training diverged at episode" in _one_runtime_error(capsys)
 
 
 def test_eval_oneclass_requires_n_one(workdir, capsys):
