@@ -30,6 +30,8 @@ first gradient as returned and adds each further one out of place
 the leaf's shape, and later ones are added into that buffer in place.
 """
 
+from functools import lru_cache
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -307,16 +309,60 @@ def squared_distance(a, b):
     return _finish("squared_distance", (a, b), sq_distances(ad, bd), backward_fn)
 
 
+@lru_cache(maxsize=None)
+def _sorting_network(k):
+    """Comparators (i, j), i < j, of Batcher's odd-even merge sort of k
+    values: after each one, slot i holds the smaller value and slot j the
+    larger."""
+    pairs, p = [], 1
+    while p < k:
+        step = p
+        while step >= 1:
+            for j in range(step % p, k - step, 2 * step):
+                for i in range(min(step, k - j - step)):
+                    if (i + j) // (2 * p) == (i + j + step) // (2 * p):
+                        pairs.append((i + j, i + j + step))
+            step //= 2
+        p *= 2
+    return tuple(pairs)
+
+
 def row_block_mean(values, groups=1):
     """Column means over consecutive row blocks, order-independent.
 
-    Summands are sorted before reduction, so the result depends only on the
-    multiset of rows: permuting examples leaves a prototype bit-identical.
-    Shared by the mean_rows primitive and every prototype computation.
+    Each block's k rows are sorted per column before they are summed, so the
+    result depends only on the multiset of rows: permuting examples leaves a
+    prototype bit-identical. Shared by the mean_rows primitive and every
+    prototype computation. The result is np.sort(blocks, axis=1).mean(axis=1)
+    bit for bit, ties and -0.0 included, for any values but NaN.
+
+    _network_mean sorts the rows with a comparator network, two whole-array
+    numpy passes per comparator, and sums them in sorted order from +0.0, as
+    numpy's mean does for d > 1; numpy sums a single column pairwise, so
+    d == 1 keeps np.sort.
     """
     n, d = values.shape
-    block = n // groups
-    return np.sort(values.reshape(groups, block, d), axis=1).mean(axis=1)
+    blocks = values.reshape(groups, n // groups, d)
+    if d == 1:
+        return np.sort(blocks, axis=1).mean(axis=1)
+    return _network_mean(blocks)
+
+
+def _network_mean(blocks):
+    """Means [g, d] over axis 1 of blocks [g, k, d]: the k rows sorted by
+    _sorting_network, then summed in order from +0.0 and divided by k."""
+    g, k, d = blocks.shape
+    rows = list(blocks.transpose(1, 0, 2).copy())
+    spare = np.empty((g, d))
+    for i, j in _sorting_network(k):
+        np.minimum(rows[i], rows[j], out=spare)
+        np.maximum(rows[i], rows[j], out=rows[j])
+        rows[i], spare = spare, rows[i]
+    total = rows[0] + 0.0
+    for row in rows[1:]:
+        total += row
+    total /= k
+    return total
 
 
 def mean_rows(x, groups=1):

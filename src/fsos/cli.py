@@ -85,7 +85,7 @@ SCHEMAS = {
         "dim": Option(32, int),
         "separation": Option(8.0, float),
         "spread": Option(1.0, float),
-        "seed": Option(0, int),
+        "seed": Option(0, int, minimum=0),
         "split": Option(None, _parse_split, help="train/val/test counts, e.g. 24/6/10"),
     },
     "train": {
@@ -110,7 +110,7 @@ SCHEMAS = {
         ),
         "val_interval": Option(0, int, help="0 uses the method default", minimum=0),
         "val_episodes": Option(0, int, help="0 uses the method default", minimum=0),
-        "seed": Option(0, int),
+        "seed": Option(0, int, minimum=0),
         "blocks": Option((64, 64), _parse_int_list, help="dense widths for a fresh backbone"),
         "ocml_arch": Option(None, _parse_ocml_arch, help="1layer or mid<N> transfer module"),
     },
@@ -127,7 +127,7 @@ SCHEMAS = {
         "q": Option(15, int, minimum=1),
         "n_unknown": Option(-1, int, help="-1 matches n", minimum=-1),
         "episodes": Option(10000, int, help="number of evaluation episodes", minimum=1),
-        "seed": Option(0, int),
+        "seed": Option(0, int, minimum=0),
         "partition": Option("meta_test", str, choices=("meta_val", "meta_test")),
         "calib_episodes": Option(200, int, help="threshold calibration episodes", minimum=1),
     },
@@ -145,7 +145,7 @@ SCHEMAS = {
         "q": Option(15, int, minimum=1),
         "train_episodes": Option(0, int, help="0 uses the method default", minimum=0),
         "eval_episodes": Option(200, int, minimum=1),
-        "seed": Option(0, int),
+        "seed": Option(0, int, minimum=0),
     },
     "report": {
         "inputs": Option(None, str, required=True, help="comma-separated report JSONs"),
@@ -400,6 +400,9 @@ def cmd_eval(settings):
         settings["n"] = 1 if settings["task"] == "oneclass" else 5
     if settings["task"] == "oneclass" and settings["n"] != 1:
         raise UsageError(f"oneclass evaluation requires n=1, got n={settings['n']}")
+    if settings["n_unknown"] == 0:
+        raise UsageError(f"{settings['task']} evaluation needs unknown classes: 'n_unknown' "
+                         "must be >= 1, or -1 to match n, got 0")
 
     dataset = load_dataset(settings["dataset"])
     params, heads, _ = load_pipeline_checkpoint(settings["checkpoint"])

@@ -19,10 +19,18 @@ extractor (protonet, ocml_joint) embed an episode's rows on the tape. The
 heads trained on a frozen extractor (mbce, ocml_frozen) read them from a
 per-run RowEmbeddings cache of the meta_train table, filled once per drawn
 block with the rows its episodes hold. Only sample_episode gathers an
-episode's rows. Evaluation and threshold calibration score each drawn
-block as a chunk (protonet.ScoredChunk) from a per-call cache, so each
-drawn row is embedded once per call, and the gates read the same
-embeddings as the closed-set classifier.
+episode's rows.
+
+Evaluation, threshold calibration and validation score their episodes in
+chunks (protonet.ScoredChunk) from a per-call cache, so each drawn row is
+embedded once per call, and the gates read the same embeddings as the
+closed-set classifier. A chunk holds about CHUNK_QUERIES queries: its draw,
+truth, gate decisions, closed predictions and metrics run once, on [B, m]
+arrays. Only the work that grows with the embedding width e (embedding,
+gathers, prototypes, distances, the gates' query products) runs in slices
+of at most CHUNK_VALUES embedding values. Every slice computes what a
+chunk of its own episodes would, and the rest works row by row, so results
+do not depend on either size.
 
 Validation scores the same episodes at every point of a run, so a run draws
 them once (_ValidationSet). On a frozen extractor it also keeps their cache
@@ -316,7 +324,8 @@ def max_prob_decision(probs):
 
 
 # A gate has a name, the embedding spaces it reads, and judge(chunk), which
-# maps a protonet.ScoredChunk to (score [B, m], is_known [B, m]).
+# maps a protonet.ScoredChunk to (score [B, m], is_known [B, m]); the heads
+# compute their per-class probabilities slice by slice (query_products).
 
 
 class MetaBceGate:
@@ -329,9 +338,8 @@ class MetaBceGate:
         self.spaces = (head.variant,)
 
     def judge(self, chunk):
-        space = self.head.variant
-        probs = metabce.prob_known(self.head, chunk.queries(space), chunk.prototypes(space))
-        return max_prob_decision(probs)
+        probs = partial(metabce.prob_known, self.head)
+        return max_prob_decision(chunk.query_products(self.head.variant, probs))
 
 
 class OcmlGate:
@@ -344,8 +352,11 @@ class OcmlGate:
         self.transfer = transfer
 
     def judge(self, chunk):
-        weights = ocml.generate_weight(self.transfer, chunk.prototypes()).data
-        return max_prob_decision(ocml.prob_known(weights, chunk.queries()))
+        def probs(queries, prototypes):
+            weights = ocml.generate_weight(self.transfer, prototypes).data
+            return ocml.prob_known(weights, queries)
+
+        return max_prob_decision(chunk.query_products("main", probs))
 
 
 class ThresholdGate:
@@ -451,10 +462,15 @@ class TrainResult:
 METHODS = ("protonet", "mbce", "ocml_joint", "ocml_frozen")
 
 
-# Episodes are scored in chunks of B episodes whose [B, m, e] query stack
-# holds at most this many values (750 KiB): 10 episodes of the 5-way,
-# 150-query shape at e = 64, which measured fastest. The distance kernel's
-# [B, m, n] result is e / n times smaller than the query stack.
+# Scored chunks hold about this many queries (6000: 40 episodes of the
+# 5-way, 150-query shape, 200 of the one-class 30-query one), from a
+# measured sweep (CHANGES.md): doubling it again gained little and doubled
+# the chunk's [B, m, n] arrays. Within a chunk, the work on embeddings runs
+# in slices of episodes whose [b, m, e] query stack holds at most
+# CHUNK_VALUES values (750 KiB): 10 episodes of the 5-way shape at e = 64,
+# which measured fastest. The distance kernel's [b, m, n] result is e / n
+# times smaller than the query stack.
+CHUNK_QUERIES = 6000
 CHUNK_VALUES = 10 * 150 * 64
 
 
@@ -468,12 +484,14 @@ def _row_cache(params, table, cfg, spaces):
 def _drawn_blocks(table, cfg, episodes, seed, stream, embed_dim):
     """Episodes 0 .. episodes - 1 of (seed, stream), drawn from table in
     blocks of one scored chunk; yields (index of the block's first episode,
-    block)."""
+    the ScoredChunk arguments after the cache: the drawn rows, q and the
+    episodes per slice). A chunk is a whole number of slices, at least one."""
     m = (cfg.n + cfg.n_unknown) * cfg.q
-    size = max(1, CHUNK_VALUES // (m * embed_dim))
+    step = max(1, CHUNK_VALUES // (m * embed_dim))
+    size = step * max(1, CHUNK_QUERIES // (m * step))
     rng = np.random.default_rng([int(seed), int(stream)])
     for start in range(0, episodes, size):
-        yield start, draw_block(table, cfg, rng, min(size, episodes - start))
+        yield start, (*draw_block(table, cfg, rng, min(size, episodes - start)), cfg.q, step)
 
 
 def _scored_chunks(params, table, cfg, episodes, seed, stream, spaces):
@@ -482,7 +500,7 @@ def _scored_chunks(params, table, cfg, episodes, seed, stream, spaces):
     Every row is embedded at most once per call, in the given spaces."""
     cache = _row_cache(params, table, cfg, spaces)
     for start, block in _drawn_blocks(table, cfg, episodes, seed, stream, params.embed_dim):
-        yield start, protonet.ScoredChunk(cache, *block, cfg.q)
+        yield start, protonet.ScoredChunk(cache, *block)
 
 
 class _ValidationSet:
@@ -497,15 +515,15 @@ class _ValidationSet:
     of the drawn rows and the chunks' main-space distances, closed
     predictions and truth are computed once, and each later iteration
     re-embeds only the trained spaces from the frozen ones (RowEmbeddings.
-    refresh). A scored chunk forgets the embeddings it took after each
-    point, so the next point takes the refreshed ones.
+    refresh). A chunk forgets its prototypes after each point, so the next
+    point takes them from the refreshed embeddings and the run does not
+    hold them between points.
     """
 
     def __init__(self, params, table, cfg, episodes, seed, spaces, trained):
         drawn = _drawn_blocks(table, cfg, episodes, seed, _VAL_STREAM, params.embed_dim)
         self.blocks = [block for _, block in drawn]
         self.new_cache = partial(_row_cache, params, table, cfg, spaces)
-        self.q = cfg.q
         self.trained = trained
         self.kept = None
 
@@ -513,11 +531,11 @@ class _ValidationSet:
         if self.trained is None:
             cache = self.new_cache()
             for block in self.blocks:
-                yield protonet.ScoredChunk(cache, *block, self.q)
+                yield protonet.ScoredChunk(cache, *block)
             return
         if self.kept is None:
             self.cache = self.new_cache()
-            self.kept = [protonet.ScoredChunk(self.cache, *b, self.q) for b in self.blocks]
+            self.kept = [protonet.ScoredChunk(self.cache, *b) for b in self.blocks]
         else:
             for space in self.trained:
                 self.cache.refresh(space)

@@ -17,11 +17,12 @@ whole validation of such a run, where refresh re-embeds the trained branch
 or projected space from the cached trunk or main space. A ScoredChunk
 stacks B episodes of one shape from a cache and derives their prototypes
 [B, n, e], main-space distances [B, m, n], nearest distances, closed
-predictions and true labels as batched arrays. A chunk gathers its query
-embeddings into one buffer per space and query shape that the chunks of its
-cache share, so a scoring call reuses the same memory chunk after chunk: an
-array that queries() returns stays valid only until the next chunk of the
-same cache takes that space, so ask the chunk again rather than keep it.
+predictions and true labels as batched arrays. Work on embeddings, whose
+size grows with e, runs in slices of a few episodes: each slice embeds the
+rows it lacks, gathers its support rows for its prototypes and its query
+rows into the cache's scratch buffer (RowEmbeddings.lend), and writes its
+prototypes, distances and gate products into the chunk's arrays, so a
+chunk can hold many slices' worth of episodes.
 Closed-set logits are negative squared Euclidean distances to per-class
 prototypes, from autodiff's Gram-form kernel, which clamps at 0; argmin
 ties, exact zeros included, break toward the lowest class id. The threshold
@@ -30,7 +31,6 @@ accepts it as known when that distance is at most tau.
 """
 
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -85,7 +85,7 @@ def predict_closed(distances, class_ids):
 class RowEmbeddings:
     """Embeddings of a row table's rows in the given spaces, each row
     embedded at most once: a cache for one evaluation or calibration call
-    or one validation point, filled once per scored chunk, or for one
+    or one validation point, filled once per scored slice, or for one
     training run of a head on a frozen extractor, filled once per block of
     drawn episodes, which draw the same rows again and again, or for that
     run's validation, refreshed at each point in the space the run trains.
@@ -94,11 +94,9 @@ class RowEmbeddings:
     trunk_from_rows restores their shape), the others embed_dim values per
     row. Missing rows are embedded in slices of at most slice_rows rows.
 
-    lend gathers into one buffer per space and index shape, shared by the
-    chunks of this cache: what it returns stays valid until another chunk
-    takes that buffer, which first makes the chunk holding it forget. The
-    cache refers to that chunk only weakly, so a chunk its caller drops is
-    freed at once, not by the cyclic garbage collector.
+    lend gathers into one scratch buffer per space and index shape: what it
+    returns stays valid until the next lend of that space and shape, so a
+    caller uses it before it lends again.
     """
 
     def __init__(self, params, rows, spaces, slice_rows):
@@ -112,7 +110,7 @@ class RowEmbeddings:
             for s in self.spaces
         }
         self._done = np.zeros(rows.shape[0], dtype=bool)
-        self._lent = {}  # (space, index shape) -> (buffer, weakref to its holder)
+        self._lent = {}  # (space, index shape) -> scratch buffer
 
     def _slices(self, indices):
         """(slice, the row indices to embed it from) per slice_rows of
@@ -162,23 +160,16 @@ class RowEmbeddings:
         """Embeddings [*indices.shape, e] of embedded rows in one space."""
         return self._space(space)[indices]
 
-    def lend(self, space, indices, holder):
-        """take of filled rows, into this cache's buffer for space and
-        indices.shape; the chunk that held that buffer before, if not
-        holder, forgets first."""
+    def lend(self, space, indices):
+        """take of filled rows, into this cache's scratch buffer for space
+        and indices.shape, valid until the next lend of both."""
         values = self._space(space)
         key = (space, indices.shape)
-        if key in self._lent:
-            buffer, previous = self._lent[key]
-            previous = previous()
-            if previous is not None and previous is not holder:
-                previous.forget()
-        else:
-            buffer = np.empty(indices.shape + values.shape[1:])
-        self._lent[key] = buffer, weakref.ref(holder)
+        if key not in self._lent:
+            self._lent[key] = np.empty(indices.shape + values.shape[1:])
         # fill has indexed every row, so "wrap" never wraps; "raise" would
         # copy through a temporary
-        return np.take(values, indices, axis=0, out=buffer, mode="wrap")
+        return np.take(values, indices, axis=0, out=self._lent[key], mode="wrap")
 
 
 class ScoredChunk:
@@ -190,14 +181,21 @@ class ScoredChunk:
     RowEmbeddings. Every derived quantity is computed on first use and
     shared by the closed-set classifier and the gates.
 
-    Query embeddings live in the cache's shared buffer (RowEmbeddings.lend):
-    an array that queries() returns stays valid only until the next chunk
-    of the same cache takes that space, which makes this chunk forget it.
-    Ask the chunk again rather than keep the array.
+    Work on embeddings runs in slices of at most step episodes (all B when
+    step is None): embedding the rows the cache lacks (fill), the support
+    gather and prototype mean (prototypes), and the query gather with the
+    products over it (query_products, distances). Each slice is computed as
+    a chunk of its own episodes would compute it and written into the
+    [B, ...] result; the slices' query embeddings are consumed in the call
+    that gathers them, so the chunk keeps none.
     """
 
-    def __init__(self, cache, class_ids, support_rows, query_rows, q):
-        cache.fill(np.concatenate([support_rows.ravel(), query_rows.ravel()]))
+    def __init__(self, cache, class_ids, support_rows, query_rows, q, step=None):
+        size = class_ids.shape[0]
+        step = step or size
+        self._slices = [slice(s, s + step) for s in range(0, size, step)]
+        for s in self._slices:
+            cache.fill(np.concatenate([support_rows[s].ravel(), query_rows[s].ravel()]))
         self.cache = cache
         self.class_ids = class_ids
         self.support_rows = support_rows
@@ -205,29 +203,30 @@ class ScoredChunk:
         self.n = class_ids.shape[1]
         self.q = q
         self.n_known = self.n * q
-        self._queries = {}
         self._prototypes = {}
 
     def forget(self):
-        """Drop the query embeddings and prototypes taken from the cache, as
-        when another chunk takes a buffer this one held; what derives from
-        them (distances, closed predictions) stays, and they are taken again
-        when asked for."""
-        self._queries.clear()
+        """Drop the prototypes, as when the embeddings of a space change;
+        they are computed again when asked for."""
         self._prototypes.clear()
-
-    def queries(self, space="main"):
-        """Query embeddings [B, m, e] in the "main", "branch" or "projected"
-        space, valid until another chunk of the cache takes that space."""
-        if space not in self._queries:
-            self._queries[space] = self.cache.lend(space, self.query_rows, self)
-        return self._queries[space]
 
     def prototypes(self, space="main"):
         """Per-class prototypes [B, n, e] in the given space, episode class order."""
         if space not in self._prototypes:
-            self._prototypes[space] = prototypes(self.cache.take(space, self.support_rows), self.n)
+            self._prototypes[space] = np.concatenate([
+                prototypes(self.cache.take(space, self.support_rows[s]), self.n)
+                for s in self._slices])
         return self._prototypes[space]
+
+    def query_products(self, space, fn):
+        """fn(queries [b, m, e], prototypes [b, n, e]) -> [b, m, n] applied to
+        each slice's query embeddings and prototypes in space, as one
+        [B, m, n] array."""
+        protos = self.prototypes(space)
+        out = np.empty(self.query_rows.shape + (self.n,))
+        for s in self._slices:
+            out[s] = fn(self.cache.lend(space, self.query_rows[s]), protos[s])
+        return out
 
     @cached_property
     def truth(self):
@@ -239,7 +238,7 @@ class ScoredChunk:
     @cached_property
     def distances(self):
         """Main-space squared distances [B, m, n]; closed logits are their negation."""
-        return pairwise_sq_distances(self.queries(), self.prototypes())
+        return self.query_products("main", pairwise_sq_distances)
 
     @cached_property
     def nearest_distance(self):

@@ -164,6 +164,46 @@ def test_mean_rows_plain_and_grouped():
     assert np.array_equal(g.data, [[1.0, 1.0], [6.0, 6.0]])
 
 
+# special values for the order-independent mean: signed zeros, infinities,
+# subnormals and values whose sums overflow
+_MEAN_SPECIALS = (0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                  1.7e308, -1.7e308, 1.0, -1.0)
+
+
+@st.composite
+def _row_blocks(draw):
+    """(values [g * k, d], g): k 1..20, g 1..80, d 1..6 or 64, drawn from a
+    small pool of special and arbitrary floats, so ties are common."""
+    k, g = draw(st.integers(1, 20)), draw(st.integers(1, 80))
+    d = draw(st.integers(1, 6) | st.just(64))
+    pool = draw(st.lists(st.sampled_from(_MEAN_SPECIALS) | st.floats(allow_nan=False),
+                         min_size=1, max_size=8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    picks = np.random.default_rng(seed).integers(0, len(pool), size=(g * k, d))
+    return np.array(pool, dtype=np.float64)[picks], g
+
+
+@given(_row_blocks())
+@settings(max_examples=300, deadline=None)
+def test_row_block_mean_is_the_sorted_mean_bit_for_bit(case):
+    values, g = case
+    n, d = values.shape
+    blocks = values.reshape(g, n // g, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.sort(blocks, axis=1).mean(axis=1)
+        got = ad.row_block_mean(values, g)
+        assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_sorting_network_sorts_every_zero_one_input(k):
+    """A comparator network that sorts every 0/1 input sorts every input."""
+    rows = list((np.arange(2**k)[None, :] >> np.arange(k)[:, None]) & 1)
+    for i, j in ad._sorting_network(k):
+        rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+    assert np.all(np.diff(np.stack(rows), axis=0) >= 0)
+
+
 def test_dot_pairwise_matches_vector_form():
     rng = np.random.default_rng(1)
     a, b = rng.normal(size=(3, 5)), rng.normal(size=(2, 5))

@@ -261,6 +261,40 @@ def test_episode_shape_bounds_are_usage_errors_before_loading(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "ablate"])
+def test_negative_seed_is_usage_error_before_loading(tmp_path, capsys, command):
+    # no input exists: the check must come before any load, and nothing is written
+    args = {
+        "generate": [f"--out={tmp_path}/ds.json"],
+        "train": ["--method=protonet", f"--dataset={tmp_path}/ds.json",
+                  f"--out={tmp_path}/pn.ckpt"],
+        "eval": ["--task=openset", "--head=threshold", f"--checkpoint={tmp_path}/pn.ckpt",
+                 f"--dataset={tmp_path}/ds.json", f"--out={tmp_path}/report.json"],
+        "ablate": ["--grid=kshot", f"--dataset={tmp_path}/ds.json",
+                   f"--backbone={tmp_path}/pn.ckpt", f"--out_dir={tmp_path}"],
+    }[command]
+    code = run([command, *args, "--seed=-1"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: [usage] 'seed' must be >= 0, got '-1'"], lines
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("task,n", [("openset", 5), ("oneclass", 1)])
+def test_eval_without_unknown_classes_is_usage_error(workdir, capsys, task, n):
+    out = workdir / f"no-unknown-{task}.json"
+    code = run([
+        "eval", f"--task={task}", "--head=threshold", f"--checkpoint={workdir}/pn.ckpt",
+        f"--dataset={workdir}/ds.json", f"--n={n}", "--n_unknown=0", "--episodes=3",
+        "--calib_episodes=2", f"--out={out}",
+    ])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "'n_unknown'" in lines[0]
+    assert not out.exists()
+
+
 def test_protonet_one_way_is_usage_error_before_loading(tmp_path, capsys):
     # closed-set training needs two classes; the dataset does not exist, so
     # the check must come before any load

@@ -123,9 +123,11 @@ def test_cached_validation_equals_a_fresh_cache_at_every_point(
     base = init_backbone(spec, seed=5)
     val_classes = dataset.split.meta_val
     val_cfg = _gate_val_config(val_classes, k=2)
-    # chunks of 3 episodes: 3 chunks per point, refreshed rows span chunks
+    # chunks of 3 episodes in slices of one: 3 chunks per point, refreshed
+    # rows span chunks
     m = (val_cfg.n + val_cfg.n_unknown) * val_cfg.q
-    monkeypatch.setattr(fsos.episodes, "CHUNK_VALUES", 3 * m * base.embed_dim)
+    monkeypatch.setattr(fsos.episodes, "CHUNK_VALUES", m * base.embed_dim)
+    monkeypatch.setattr(fsos.episodes, "CHUNK_QUERIES", 3 * m)
     copies = []
     copy = BackboneParams.copy
     monkeypatch.setattr(BackboneParams, "copy", lambda self: copies.append(copy(self)) or

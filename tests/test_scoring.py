@@ -127,30 +127,34 @@ def test_distance_tie_resolves_to_lowest_class_id(small_dataset, params):
 
 @pytest.mark.parametrize("task", ["openset", "oneclass"])
 def test_chunk_boundaries_match_one_episode_chunks(small_dataset, params, monkeypatch, task):
-    """Per-episode metric columns, records and tau from chunks of 3 episodes
-    equal those from chunks of one episode, for 1, 3 and 4 episodes."""
+    """Per-episode metric columns, records and tau from chunks of 3 episodes,
+    scored in one slice or in slices of one episode, equal those from chunks
+    of one episode, for 1, 3 and 4 episodes."""
     n = 2 if task == "openset" else 1
     cfg = EpisodeConfig(n=n, k=2, q=3, n_unknown=1)
     evaluate = evaluate_openset if task == "openset" else evaluate_oneclass
     chunk = 3
-    three = chunk * (n + 1) * cfg.q * params.embed_dim  # CHUNK_VALUES for 3 episodes
+    m = (n + 1) * cfg.q
+    three = chunk * m * params.embed_dim  # CHUNK_VALUES for 3 episodes
 
-    def scored(values, m_episodes, gate):
+    def scored(values, queries, m_episodes, gate):
         monkeypatch.setattr(episodes, "CHUNK_VALUES", values)
+        monkeypatch.setattr(episodes, "CHUNK_QUERIES", queries)
         rep = evaluate(params, gate, small_dataset, cfg, m_episodes, seed=5, collect_records=True)
         tau = calibrate_threshold_baseline(params, small_dataset, cfg, m_episodes, seed=5).tau
         names = sorted(rep.per_episode)
         return names, [rep.per_episode[n] for n in names] + list(rep.records), tau
 
-    for m_episodes in (1, chunk, chunk + 1):
-        for gate in _gates(params, _episode(small_dataset, 3)):
-            names, arrays, tau = scored(three, m_episodes, gate)
-            assert all(len(a) == m_episodes for a in arrays)
-            one_names, one_arrays, one_tau = scored(1, m_episodes, gate)
-            assert (names, tau) == (one_names, one_tau), (m_episodes, gate.name)
-            for got, want in zip(arrays, one_arrays, strict=True):
-                assert np.array_equal(got, want), (m_episodes, gate.name)
-                assert got.dtype == want.dtype, (m_episodes, gate.name)
+    for values in (three, 1):  # slices of 3 episodes, then of 1
+        for m_episodes in (1, chunk, chunk + 1):
+            for gate in _gates(params, _episode(small_dataset, 3)):
+                names, arrays, tau = scored(values, chunk * m, m_episodes, gate)
+                assert all(len(a) == m_episodes for a in arrays)
+                one_names, one_arrays, one_tau = scored(1, 1, m_episodes, gate)
+                assert (names, tau) == (one_names, one_tau), (m_episodes, gate.name)
+                for got, want in zip(arrays, one_arrays, strict=True):
+                    assert np.array_equal(got, want), (m_episodes, gate.name)
+                    assert got.dtype == want.dtype, (m_episodes, gate.name)
 
 
 def test_row_embeddings_do_not_depend_on_the_slice(small_dataset, params):
@@ -175,16 +179,17 @@ def _chunks(params, dataset, cfg, spaces, count, own_caches=False):
     if not own_caches:
         return [chunk for _, chunk in episodes._scored_chunks(
             params, table, cfg, count, 5, episodes._EVAL_STREAM, spaces)]
-    return [protonet.ScoredChunk(episodes._row_cache(params, table, cfg, spaces), *block, cfg.q)
+    return [protonet.ScoredChunk(episodes._row_cache(params, table, cfg, spaces), *block)
             for _, block in episodes._drawn_blocks(table, cfg, count, 5, episodes._EVAL_STREAM,
                                                    params.embed_dim)]
 
 
 @pytest.fixture
 def two_episode_chunks(monkeypatch, params):
-    """An episode shape, and chunks of 2 episodes of it."""
+    """An episode shape, and chunks of 2 episodes of it in slices of one."""
     cfg = EpisodeConfig(n=3, k=2, q=3, n_unknown=2)
-    monkeypatch.setattr(episodes, "CHUNK_VALUES", 2 * 5 * cfg.q * params.embed_dim)
+    monkeypatch.setattr(episodes, "CHUNK_VALUES", 5 * cfg.q * params.embed_dim)
+    monkeypatch.setattr(episodes, "CHUNK_QUERIES", 2 * 5 * cfg.q)
     return cfg
 
 
@@ -201,7 +206,9 @@ def test_chunks_of_one_cache_read_alternately_equal_chunks_of_their_own(
         for _ in range(2):
             for got, want in zip(shared, own):
                 for space in spaces:
-                    assert np.array_equal(got.queries(space), want.queries(space)), gate.name
+                    got_d, want_d = (c.query_products(space, protonet.pairwise_sq_distances)
+                                     for c in (got, want))
+                    assert np.array_equal(got_d, want_d), gate.name
                     assert np.array_equal(got.prototypes(space), want.prototypes(space))
                 for a, b in zip(_gated(gate, got), _gated(gate, want), strict=True):
                     assert np.array_equal(a, b), gate.name
@@ -227,15 +234,15 @@ def test_holding_every_chunk_of_a_call_gives_the_streamed_triples(
 
 
 def test_a_dropped_chunk_is_freed_without_the_cycle_collector(small_dataset, params):
-    """The cache refers to the chunk that holds a buffer only weakly, so a
-    chunk its caller drops dies at once, with its query embeddings taken."""
+    """The cache refers to no chunk, so a chunk its caller drops dies at
+    once, after its gate has gathered query embeddings."""
     cfg = EpisodeConfig(n=3, k=2, q=3, n_unknown=2)
     gate = _gates(params, _episode(small_dataset, 3))[0]
     enabled = gc.isenabled()
     gc.disable()
     try:
         chunk = _chunks(params, small_dataset, cfg, ("main",) + gate.spaces, 1)[0]
-        _gated(gate, chunk)  # takes the main and branch queries
+        _gated(gate, chunk)  # gathers the main and branch queries
         dropped = weakref.ref(chunk)
         del chunk
         assert dropped() is None
