@@ -18,7 +18,6 @@ from .backbone import (
     BackboneSpec,
     embed,
     embed_branch,
-    embed_projected,
     init_backbone,
 )
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, save_dataset

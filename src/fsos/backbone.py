@@ -3,11 +3,11 @@
 The extractor is a stack of blocks (dense or conv). Its last block is the
 "head"; a shape-identical "branch" copy of that block provides the separate
 one-class feature space, and an optional dense projection maps main
-embeddings into a one-class space without a branch. The trunk (all blocks
-before the last) is shared by every embedding path; its features can be
-cached as flat rows and fed back to a last block (trunk_from_rows). Inputs
-are rows [n, prod(input_shape)], as datasets store them; embeddings are
-[n, embed_dim].
+embeddings into a one-class space without a branch. SOURCE names the space
+embed_from computes each embedding space from: main and branch from the
+trunk (all blocks before the last, shared by every space), projected from
+main. Inputs are rows [n, prod(input_shape)], as datasets store them;
+embeddings are [n, embed_dim].
 """
 
 import math
@@ -232,28 +232,16 @@ def _run_block(kind, block, h):
     return scale_shift(pooled, block["gamma"], block["beta"])
 
 
+# embedding space -> the space it is computed from (embed_from)
+SOURCE = {"main": "trunk", "branch": "trunk", "projected": "main"}
+
+
 def trunk_features(params, x):
-    """Output of the shared trunk for input rows x, ready for any last block."""
+    """Trunk features [n, *trunk_shape] of input rows x: main's and branch's source."""
     spec = params.spec
     h = _coerce_input(spec, x)
     for (kind, _), block in zip(spec.blocks[:-1], params.trunk):
         h = _run_block(kind, block, h)
-    return h
-
-
-def trunk_from_rows(params, rows):
-    """Trunk features kept as flat rows [n, prod(trunk_shape)], the form
-    protonet.RowEmbeddings caches, shaped as trunk_features returns them: a
-    constant input of last_block."""
-    return Tensor(rows.reshape((-1,) + params.spec.trunk_shape))
-
-
-def last_block(params, h, block):
-    """Finish embeddings [n, embed_dim] from trunk_features with the head or
-    branch block."""
-    h = _run_block(params.spec.blocks[-1][0], block, h)
-    if params.spec.input_kind == "image":
-        h = reshape(h, (-1, params.embed_dim))
     return h
 
 
@@ -290,23 +278,25 @@ def from_param_groups(spec, groups):
     return params
 
 
-def embed(params, x):
-    """Main embedding f(x): trunk then head block, flattened to embed_dim."""
-    return last_block(params, trunk_features(params, x), params.head)
+def embed_from(params, space, source):
+    """Embeddings [n, embed_dim] in space from its SOURCE space's values:
+    the head or branch block on trunk features, or the projection of main
+    embeddings."""
+    if space == "projected":
+        return affine(source, *params.projection_tensors())  # W, b
+    h = _run_block(params.spec.blocks[-1][0], params.head if space == "main" else params.branch,
+                   source)
+    return reshape(h, (-1, params.embed_dim)) if params.spec.input_kind == "image" else h
+
+
+def embed(params, x, space="main"):
+    """Embeddings of input rows x in space: the trunk, then each space on
+    the way to it (SOURCE)."""
+    source = SOURCE[space]
+    h = trunk_features(params, x) if source == "trunk" else embed(params, x, source)
+    return embed_from(params, space, h)
 
 
 def embed_branch(params, x):
     """One-class branch embedding: shared trunk, branch copy of the last block."""
-    return last_block(params, trunk_features(params, x), params.branch)
-
-
-def project(params, main_embedding):
-    """Dense map of main embeddings into the projected one-class space."""
-    if params.projection is None:
-        raise SpecError("projection parameters are not initialized")
-    return affine(main_embedding, params.projection["W"], params.projection["b"])
-
-
-def embed_projected(params, x):
-    """Projected one-class embedding: dense map applied to the main embedding."""
-    return project(params, embed(params, x))
+    return embed(params, x, "branch")

@@ -11,7 +11,7 @@ import configparser
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__, metabce, ocml
@@ -54,7 +54,10 @@ class Option:
 
 
 def _parse_int_list(s):
-    return tuple(int(tok) for tok in str(s).split(",") if tok.strip())
+    values = tuple(int(tok) for tok in str(s).split(",") if tok.strip())
+    if not values:
+        raise ValueError("expected a non-empty comma-separated list of integers")
+    return values
 
 
 def _parse_split(s):
@@ -233,18 +236,21 @@ def _write_csv(path, header, rows):
 # checkpoint assembly
 
 
+# checkpoint group name -> (head -> (group, metadata), (group, metadata) -> head)
+HEAD_GROUPS = {
+    "mbce": (metabce.head_to_group, metabce.head_from_group),
+    "ocml": (ocml.transfer_to_group, ocml.transfer_from_group),
+}
+
+
 def save_pipeline_checkpoint(path, params, heads, meta):
     """Backbone groups plus optional named head groups in one checkpoint."""
     groups = to_param_groups(params)
     head_meta = {}
-    if "mbce" in heads:
-        group, hm = metabce.head_to_group(heads["mbce"])
-        groups.append(group)
-        head_meta["mbce"] = hm
-    if "ocml" in heads:
-        group, hm = ocml.transfer_to_group(heads["ocml"])
-        groups.append(group)
-        head_meta["ocml"] = hm
+    for name, (to_group, _) in HEAD_GROUPS.items():
+        if name in heads:
+            group, head_meta[name] = to_group(heads[name])
+            groups.append(group)
     header = {
         "backbone_spec": params.spec.to_dict(),
         "heads": head_meta,
@@ -259,17 +265,16 @@ def load_pipeline_checkpoint(path):
     if not isinstance(header, dict) or not isinstance(header.get("backbone_spec"), dict):
         raise CheckpointError(f"checkpoint {path} has no backbone_spec object in its header")
     spec = BackboneSpec.from_dict(header["backbone_spec"])
-    backbone_groups = [(g, p) for g, p in groups if g not in ("mbce", "ocml")]
+    backbone_groups = [(g, p) for g, p in groups if g not in HEAD_GROUPS]
     params = from_param_groups(spec, backbone_groups)
     heads = {}
     by_name = dict(groups)
     head_meta = header.get("heads", {})
     if not isinstance(head_meta, dict) or not all(isinstance(m, dict) for m in head_meta.values()):
         raise CheckpointError(f"checkpoint {path} header 'heads' must map head names to objects")
-    if "mbce" in by_name:
-        heads["mbce"] = metabce.head_from_group(by_name["mbce"], head_meta.get("mbce", {}))
-    if "ocml" in by_name:
-        heads["ocml"] = ocml.transfer_from_group(by_name["ocml"], head_meta.get("ocml", {}))
+    for name, (_, from_group) in HEAD_GROUPS.items():
+        if name in by_name:
+            heads[name] = from_group(by_name[name], head_meta.get(name, {}))
     return params, heads, header
 
 
@@ -359,7 +364,7 @@ def cmd_train(settings):
     meta = {
         "method": method,
         "seed": settings["seed"],
-        "episode_config": cfg.as_dict(),
+        "episode_config": asdict(cfg),
         "schedule": schedule.as_dict(),
         "dataset": {"name": dataset.name, "meta": dataset.meta},
         "best_validation": result.best_val,
@@ -443,8 +448,6 @@ def cmd_ablate(settings):
     out_dir = Path(settings["out_dir"])
     if not out_dir.is_dir():
         raise UsageError(f"out_dir does not exist: {out_dir}")
-    if not settings["k_values"] or not settings["n_values"]:
-        raise UsageError("ablation grids must be non-empty")
 
     dataset = load_dataset(settings["dataset"])
     base_params, _, _ = load_pipeline_checkpoint(settings["backbone"])

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,16 +50,6 @@ class SyntheticSpec:
             raise DatasetError(f"separation must be finite and >= 0, got {self.separation}")
         if not (math.isfinite(self.spread) and self.spread > 0):
             raise DatasetError(f"spread must be finite and > 0, got {self.spread}")
-
-    def as_dict(self):
-        return {
-            "num_classes": self.num_classes,
-            "examples_per_class": self.examples_per_class,
-            "dim": self.dim,
-            "separation": self.separation,
-            "spread": self.spread,
-            "seed": self.seed,
-        }
 
 
 class Dataset:
@@ -161,7 +151,7 @@ def generate_synthetic(spec, split_counts=None, name="synthetic", input_shape=No
         tuple(ids[counts[0] : counts[0] + counts[1]]),
         tuple(ids[counts[0] + counts[1] :]),
     )
-    return Dataset(name, class_examples, split, input_shape=input_shape, meta=spec.as_dict())
+    return Dataset(name, class_examples, split, input_shape=input_shape, meta=asdict(spec))
 
 
 def _payload_path(manifest_path):

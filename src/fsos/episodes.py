@@ -43,14 +43,14 @@ its loss diverges (DIVERGENCE_FACTOR).
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import metabce, metrics, ocml, protonet
 from .autodiff import Tape, backward
-from .backbone import add_projection, embed, init_backbone
+from .backbone import SOURCE, add_projection, embed, init_backbone
 from .metrics import UNKNOWN
 from .optim import make_optimizer
 
@@ -108,14 +108,6 @@ class EpisodeConfig:
         if self.n_unknown < 0:
             raise EpisodeError(f"n_unknown must be >= 0, got {self.n_unknown}")
 
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "q": self.q,
-            "n_unknown": self.n_unknown,
-        }
-
 
 @dataclass
 class Episode:
@@ -145,10 +137,6 @@ class Episode:
     @property
     def q(self):
         return self.query_known.shape[1]
-
-    @property
-    def n_U(self):
-        return len(self.unknown_class_ids)
 
     @property
     def query_rows(self):
@@ -659,7 +647,7 @@ def run_meta_training(
         if variant == "projected" and params.projection is None:
             add_projection(params)
         head = metabce.init_head(variant)
-        gate, frozen = MetaBceGate(head), metabce.FROZEN_SPACE[variant]
+        gate, frozen = MetaBceGate(head), SOURCE[variant]
         loss_fn = partial(metabce.episode_loss, head)
         trainable = metabce.trainable_tensors(head, params)
     else:
@@ -680,8 +668,7 @@ def run_meta_training(
         # support and known-query rows
         cache = protonet.RowEmbeddings(params, table.rows, (frozen,),
                                        slice_rows=episode_cfg.n * (episode_cfg.k + episode_cfg.q))
-        embed_fn = (partial(metabce.cached_oneclass_embed, head, params, cache)
-                    if method == "mbce" else partial(cache.take, frozen))
+        embed_fn = partial(cache.embed, gate.spaces[0])
 
     groups = [(trainable, schedule.learning_rate)]
     if method == "mbce" and schedule.offset_learning_rate is not None:
@@ -701,9 +688,9 @@ def run_meta_training(
     trained = None
     if cache is not None and schedule.episodes > interval:
         # a frozen extractor's embeddings are kept for the next point, if
-        # any: only the gate's spaces beyond the main one train
+        # any: only the gate's spaces beyond the cached ones train
         spaces += cache.spaces
-        trained = tuple(s for s in gate.spaces if s != "main")
+        trained = tuple(s for s in gate.spaces if s not in cache.spaces)
     validation = _ValidationSet(params, dataset.row_table(val_classes), val_cfg,
                                 schedule.val_episodes, seed, spaces, trained)
 
@@ -869,7 +856,7 @@ def _evaluate(task, params, gate, dataset, cfg, m_episodes, seed, partition,
         "task": task,
         "partition": partition,
         "gate": gate.name,
-        **cfg.as_dict(),
+        **asdict(cfg),
         "seed": seed,
         "m_episodes": m_episodes,
     }

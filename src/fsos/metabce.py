@@ -10,7 +10,7 @@ embedding ("projected", the ablation variant that keeps the main branch).
 Meta-training minimizes binary cross-entropy over every (query, episode
 class) pair; negatives are the episode's other classes, so no background
 categories are needed. The extractor stays frozen: training reads its
-output from a per-run cache (FROZEN_SPACE) and tapes only the trained block.
+output from a per-run cache (backbone.SOURCE) and tapes only what it trains.
 For n classes, a query is unknown when even its best-matching class rejects
 it (episodes.max_prob_decision).
 """
@@ -20,12 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, bce, scale_shift, sigmoid, squared_distance
-from .backbone import embed_branch, embed_projected, last_block, project, trunk_from_rows
 from .protonet import embed_episode, pairwise_sq_distances
 
-VARIANTS = ("branch", "projected")
-# the frozen extractor's output each variant trains on, as a RowEmbeddings space
-FROZEN_SPACE = {"branch": "trunk", "projected": "main"}
+VARIANTS = ("branch", "projected")  # each the embedding space it reads
 
 
 class MetaBceError(ValueError):
@@ -47,24 +44,6 @@ def init_head(variant="branch"):
     return MetaBceHead(Tensor(0.0, requires_grad=True), variant)
 
 
-def oneclass_embed(head, params, x):
-    """Embed input rows into the head's one-class feature space."""
-    if head.variant == "branch":
-        return embed_branch(params, x)
-    return embed_projected(params, x)
-
-
-def cached_oneclass_embed(head, params, cache, rows):
-    """One-class embeddings [N, e] of row indices [N] into a RowEmbeddings
-    cache of the head's FROZEN_SPACE: the branch block on cached trunk
-    features, or the projection of cached main embeddings. Only that block
-    reaches the tape."""
-    if head.variant == "branch":
-        trunk = trunk_from_rows(params, cache.take("trunk", rows))
-        return last_block(params, trunk, params.branch)
-    return project(params, cache.take("main", rows))
-
-
 def prob_known(head, queries, prototypes):
     """sigmoid(-(d + t)) [..., m, n] for query rows [..., m, e] against
     prototype rows [..., n, e], both in the head's one-class space."""
@@ -76,8 +55,8 @@ def episode_loss(head, embed_fn, episode):
     """Mean BCE over all (known query, episode class) pairs, with target 1
     exactly when the query belongs to the class. embed_fn maps the episode's
     stacked entries into the one-class space (protonet.embed_episode):
-    training passes row indices to partial(cached_oneclass_embed, head,
-    params, cache); partial(oneclass_embed, head, params) embeds input rows."""
+    training passes row indices to partial(cache.embed, head.variant) of a
+    RowEmbeddings cache; partial(embed, params, space=head.variant) rows."""
     if episode.query_known.size == 0:
         raise MetaBceError("episode has no known queries")
     protos, emb_q = embed_episode(embed_fn, episode)

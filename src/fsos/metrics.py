@@ -140,11 +140,9 @@ def aus(triple):
     return np.sum(unknown & (p == UNKNOWN), axis=-1) / nu
 
 
-def normalized_accuracy(aks_value, aus_value, weight=0.5):
-    """weight * AKS + (1 - weight) * AUS."""
-    if not 0.0 <= weight <= 1.0:
-        raise MetricError(f"weight must be in [0, 1], got {weight}")
-    return weight * aks_value + (1.0 - weight) * aus_value
+def normalized_accuracy(aks_value, aus_value):
+    """0.5 * AKS + 0.5 * AUS."""
+    return 0.5 * aks_value + 0.5 * aus_value
 
 
 def f1_open(triple):

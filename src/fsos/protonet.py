@@ -9,12 +9,13 @@ taped step embed_episode: the embed function runs the extractor on the rows
 when it trains, or reads cached rows when it is frozen.
 
 RowEmbeddings embeds each row of a row table at most once per cache, untaped,
-in the spaces asked for: the trunk runs once per row for the main and branch
-blocks, and the projection is applied on top of main. A cache lives for one
+in the spaces asked for: the trunk runs once per row, and each space is
+computed from its backbone.SOURCE space on the way. A cache lives for one
 evaluation or calibration call, one validation point of a run that trains
-its extractor, one training run of a head on a frozen extractor, or the
+its extractor, one training run of a head on a frozen extractor, which
+embeds its trained space from the cached source on the tape (embed), or the
 whole validation of such a run, where refresh re-embeds the trained branch
-or projected space from the cached trunk or main space. A ScoredChunk
+or projected space from its cached source. A ScoredChunk
 stacks B episodes of one shape from a cache and derives their prototypes
 [B, n, e], main-space distances [B, m, n], nearest distances, closed
 predictions and true labels as batched arrays. Work on embeddings, whose
@@ -30,7 +31,6 @@ baseline scores a query by its distance to the nearest prototype and
 accepts it as known when that distance is at most tau.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,10 +38,10 @@ import numpy as np
 
 from .autodiff import Tensor, mean_rows, row_block_mean, scale_shift, softmax_xent
 from .autodiff import sq_distances, squared_distance
-from .backbone import last_block, project, trunk_features, trunk_from_rows
+from .backbone import SOURCE, embed_from, trunk_features
 from .metrics import UNKNOWN
 
-SPACES = ("trunk", "main", "branch", "projected")
+SPACES = ("trunk",) + tuple(SOURCE)  # each after its source
 
 
 class ProtonetError(ValueError):
@@ -90,9 +90,9 @@ class RowEmbeddings:
     drawn episodes, which draw the same rows again and again, or for that
     run's validation, refreshed at each point in the space the run trains.
 
-    The "trunk" space holds trunk features as flat rows (backbone.
-    trunk_from_rows restores their shape), the others embed_dim values per
-    row. Missing rows are embedded in slices of at most slice_rows rows.
+    The "trunk" space holds trunk features in their own shape, the others
+    embed_dim values per row. Missing rows are embedded in slices of at
+    most slice_rows rows.
 
     lend gathers into one scratch buffer per space and index shape: what it
     returns stays valid until the next lend of that space and shape, so a
@@ -104,11 +104,15 @@ class RowEmbeddings:
         self.rows = rows
         self.spaces = tuple(s for s in SPACES if s in spaces)
         self.slice_rows = slice_rows
-        trunk_dim = math.prod(params.spec.trunk_shape)
-        self._values = {
-            s: np.empty((rows.shape[0], trunk_dim if s == "trunk" else params.embed_dim))
-            for s in self.spaces
-        }
+        shape = {"trunk": params.spec.trunk_shape}
+        self._values = {s: np.empty((rows.shape[0],) + shape.get(s, (params.embed_dim,)))
+                        for s in self.spaces}
+        # the spaces a fill computes after the trunk: those asked for and their sources
+        needed = set(self.spaces)
+        for s in reversed(SPACES[1:]):
+            if s in needed:
+                needed.add(SOURCE[s])
+        self._walk = [s for s in SPACES[1:] if s in needed]
         self._done = np.zeros(rows.shape[0], dtype=bool)
         self._lent = {}  # (space, index shape) -> scratch buffer
 
@@ -124,32 +128,29 @@ class RowEmbeddings:
     def fill(self, indices):
         """Embed the rows among indices that are not embedded yet."""
         todo = np.unique(indices[~self._done[indices]])
-        params = self.params
         for part, rows in self._slices(todo):
-            h = trunk_features(params, self.rows[rows])
-            fresh = {"trunk": h}
-            if "branch" in self.spaces:
-                fresh["branch"] = last_block(params, h, params.branch)
-            if "main" in self.spaces or "projected" in self.spaces:
-                fresh["main"] = last_block(params, h, params.head)
-            if "projected" in self.spaces:
-                fresh["projected"] = project(params, fresh["main"])
+            fresh = {"trunk": trunk_features(self.params, self.rows[rows])}
+            for space in self._walk:
+                fresh[space] = embed_from(self.params, space, fresh[SOURCE[space]])
             for space, values in self._values.items():
-                values[part] = fresh[space].data[: part.size].reshape(part.size, -1)
+                values[part] = fresh[space].data[: part.size]
         self._done[todo] = True
 
     def refresh(self, space):
-        """Re-embed every embedded row in the "branch" or "projected" space
-        after its block has trained, from the cached trunk features or main
-        embeddings it is computed from; the cache must hold that space."""
-        params, values = self.params, self._values
+        """Re-embed every embedded row in space (the trained "branch" or
+        "projected" one) from its cached SOURCE space; the cache must hold
+        both."""
+        values, source = self._space(space), self._space(SOURCE[space])
         for part, rows in self._slices(np.flatnonzero(self._done)):
-            if space == "branch":
-                fresh = last_block(params, trunk_from_rows(params, values["trunk"][rows]),
-                                   params.branch)
-            else:
-                fresh = project(params, values["main"][rows])
-            values[space][part] = fresh.data[: part.size]
+            values[part] = embed_from(self.params, space, source[rows]).data[: part.size]
+
+    def embed(self, space, indices):
+        """Embeddings [N, e] of embedded rows indices [N] in space: taken
+        from the cache when it holds space, else computed from the cached
+        SOURCE space by backbone.embed_from, on the tape when one is active."""
+        if space in self._values:
+            return self._values[space][indices]
+        return embed_from(self.params, space, self.take(SOURCE[space], indices))
 
     def _space(self, space):
         if space not in self._values:

@@ -132,7 +132,7 @@ def test_criterion_1_gradient_correctness(small_dataset, small_spec):
     def build_loss(ps):
         head.t = ps[0]
         params.branch["W"], params.branch["b"] = ps[1], ps[2]
-        return metabce.episode_loss(head, partial(metabce.oneclass_embed, head, params), ep)
+        return metabce.episode_loss(head, partial(embed, params, space=head.variant), ep)
 
     rep = gradient_check(
         build_loss,
@@ -238,7 +238,7 @@ def test_criterion_3_formula_spot_values():
     assert abs(float(ad.sigmoid(Tensor(-np.log(3.0))).data) - 0.25) < 1e-12
     w = np.array([np.log(3.0), 0.0])
     assert abs(ocml.prob_known(w[None], np.array([[1.0, 0.0]]))[0, 0] - 0.75) < 1e-12
-    assert abs(normalized_accuracy(0.6, 2 / 3, 0.5) - 0.6333333333333333) <= 1e-9
+    assert abs(normalized_accuracy(0.6, 2 / 3) - 0.6333333333333333) <= 1e-9
     mean, half, _ = confidence_interval([0.0, 1.0])
     assert mean == 0.5
     assert abs(half - 0.98) < 1e-12

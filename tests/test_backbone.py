@@ -8,7 +8,6 @@ from fsos.backbone import (
     SpecError,
     embed,
     embed_branch,
-    embed_projected,
     from_param_groups,
     init_backbone,
     to_param_groups,
@@ -67,21 +66,21 @@ def test_trunk_shared_branch_independent(small_spec):
 def test_embedding_dims_and_determinism(small_spec):
     params = init_backbone(small_spec, seed=2, with_projection=True)
     x = np.random.default_rng(2).normal(size=(1, 16))
-    for fn in (embed, embed_branch, embed_projected):
-        out = fn(params, x)
+    for space in ("main", "branch", "projected"):
+        out = embed(params, x, space)
         assert out.data.shape == (1, small_spec.embed_dim)
-        assert np.array_equal(out.data, fn(params, x).data)
+        assert np.array_equal(out.data, embed(params, x, space).data)
         with pytest.raises(SpecError):
-            fn(params, x[0])  # a single unstacked row is not accepted
+            embed(params, x[0], space)  # a single unstacked row is not accepted
 
 
 def test_projection_identity_at_init_and_missing_error(small_spec):
     params = init_backbone(small_spec, seed=2, with_projection=True)
     x = np.random.default_rng(3).normal(size=(4, 16))
-    assert np.array_equal(embed_projected(params, x).data, embed(params, x).data)
+    assert np.array_equal(embed(params, x, "projected").data, embed(params, x).data)
     bare = init_backbone(small_spec, seed=2)
     with pytest.raises(SpecError):
-        embed_projected(bare, x)
+        embed(bare, x, "projected")
 
 
 def test_projection_gradient_check(small_spec):
@@ -91,7 +90,7 @@ def test_projection_gradient_check(small_spec):
 
     def build(ps):
         params.projection["W"], params.projection["b"] = ps[0], ps[1]
-        emb = embed_projected(params, x)
+        emb = embed(params, x, "projected")
         from fsos.autodiff import bce
 
         return bce(emb, Tensor((target > 0).astype(float)))

@@ -560,6 +560,18 @@ def test_ablate_empty_grid_rejected(workdir, tmp_path, capsys):
     assert "non-empty" in capsys.readouterr().err
 
 
+def test_train_empty_blocks_is_usage_error(workdir, tmp_path, capsys):
+    # the dataset exists: the list itself is refused, not the backbone it would build
+    out = tmp_path / "pn.ckpt"
+    code = run(["train", "--method=protonet", f"--dataset={workdir}/ds.json", f"--out={out}",
+                "--blocks="])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "'blocks'" in lines[0] and "non-empty" in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("option", [
     "eval_episodes=0", "n=0", "k=0", "q=-1", "k_values=0,5", "n_values=2,0",
     "train_episodes=-5",

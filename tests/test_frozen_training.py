@@ -12,8 +12,9 @@ import pytest
 
 import fsos.episodes
 from fsos import metabce, ocml
-from fsos.autodiff import Tape, backward
-from fsos.backbone import BackboneParams, BackboneSpec, add_projection, embed, init_backbone
+from fsos.autodiff import Tape, Tensor, backward, bce
+from fsos.backbone import SOURCE, BackboneParams, BackboneSpec, add_projection, embed
+from fsos.backbone import init_backbone
 from fsos.data import SyntheticSpec, generate_synthetic
 from fsos.episodes import EpisodeConfig, TrainSchedule, draw_episode, run_meta_training
 from fsos.episodes import sample_episode
@@ -37,7 +38,7 @@ def _head(method, variant, params):
     if method == "ocml_frozen":
         transfer = ocml.make_transfer_module(params.embed_dim, seed=3)
         return (transfer.tensors(), partial(ocml.episode_loss, transfer), partial(embed, params),
-                "main", lambda cache: partial(cache.take, "main"))
+                "main", lambda cache: partial(cache.embed, "main"))
     if variant == "projected":
         add_projection(params)
         # away from the identity, so the projection changes the embeddings
@@ -45,8 +46,8 @@ def _head(method, variant, params):
             size=params.projection["W"].shape)
     head = metabce.init_head(variant)
     return (metabce.trainable_tensors(head, params), partial(metabce.episode_loss, head),
-            partial(metabce.oneclass_embed, head, params), metabce.FROZEN_SPACE[variant],
-            lambda cache: partial(metabce.cached_oneclass_embed, head, params, cache))
+            partial(embed, params, space=variant), SOURCE[variant],
+            lambda cache: partial(cache.embed, variant))
 
 
 def _step(loss_fn, embed_fn, episode, trainable):
@@ -86,6 +87,60 @@ def test_cached_step_equals_gathered_taped_step(method, variant, kind, fill, sma
     assert len(grads) == len(want_grads)
     for got, want in zip(grads, want_grads):
         assert np.array_equal(got, want)
+
+
+def _block(params, space):
+    return {"main": params.head, "branch": params.branch, "projected": params.projection}[space]
+
+
+@pytest.mark.parametrize("kind", ["vector", "image"])
+@pytest.mark.parametrize("space", list(SOURCE))
+def test_cache_spaces_equal_the_uncached_embedding(space, kind, small_dataset, small_spec,
+                                                   image_dataset):
+    dataset, spec = (small_dataset, small_spec) if kind == "vector" else (image_dataset,
+                                                                          IMAGE_SPEC)
+    params = add_projection(init_backbone(spec, seed=8))
+    rng = np.random.default_rng(8)
+
+    def move(block):
+        for t in block.values():
+            t.data += 0.1 * rng.normal(size=t.shape)
+
+    move(params.branch)
+    move(params.projection)
+    rows = dataset.row_table(dataset.split.meta_train).rows[:9]
+    indices = np.array([4, 0, 7, 4, 8])
+    want = embed(params, rows[indices], space).data
+    held = RowEmbeddings(params, rows, (space, SOURCE[space]), slice_rows=4)
+    held.fill(np.arange(9))
+    source = RowEmbeddings(params, rows, (SOURCE[space],), slice_rows=4)
+    source.fill(np.arange(9))
+    assert np.array_equal(held.take(space, indices), want)
+    assert np.array_equal(held.embed(space, indices), want)
+    assert np.array_equal(source.embed(space, indices).data, want)
+
+    # the space's block trains: refresh re-embeds it from the cached source
+    move(_block(params, space))
+    held.refresh(space)
+    want = embed(params, rows[indices], space).data
+    assert np.array_equal(held.take(space, indices), want)
+    assert np.array_equal(source.embed(space, indices).data, want)
+
+    # a computed space is on the tape: its block's gradients equal the uncached route's
+    target = Tensor((rng.normal(size=want.shape) > 0).astype(float))
+    trained = [t for _, t in sorted(_block(params, space).items())]
+    grads = []
+    for route in (lambda: embed(params, rows[indices], space),
+                  lambda: source.embed(space, indices)):
+        with Tape() as tape:
+            loss = bce(route(), target)
+        backward(tape, loss)
+        grads.append([t.grad for t in trained])
+        for block in params.trunk + [params.head, params.branch, params.projection]:
+            for t in block.values():
+                t.grad = None
+    for got, want_grad in zip(grads[1], grads[0], strict=True):
+        assert got is not None and np.array_equal(got, want_grad)
 
 
 @pytest.mark.parametrize("method,variant", METHODS)

@@ -20,7 +20,6 @@ from fsos.metabce import (
     MetaBceError,
     episode_loss,
     init_head,
-    oneclass_embed,
     prob_known,
 )
 from fsos.protonet import ProtonetError
@@ -99,7 +98,7 @@ def test_episode_loss_half_probabilities_is_log_two(small_spec):
     x = np.random.default_rng(0).normal(size=16)
     ep = _episode_of([np.tile(x, (2, 1)), np.tile(x, (2, 1))], k=1, q=1, dim=16)
     with Tape():
-        loss = episode_loss(head, partial(oneclass_embed, head, params), ep)
+        loss = episode_loss(head, partial(embed, params, space=head.variant), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
 
 
@@ -109,7 +108,7 @@ def test_episode_loss_single_positive_pair(small_spec):
     x = np.random.default_rng(1).normal(size=16)
     ep = _episode_of([np.tile(x, (2, 1))], k=1, q=1, dim=16)
     with Tape():
-        loss = episode_loss(head, partial(oneclass_embed, head, params), ep)
+        loss = episode_loss(head, partial(embed, params, space=head.variant), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
 
 
@@ -123,7 +122,7 @@ def test_episode_loss_gradients_pass_check(small_spec, small_dataset):
     def build(ps):
         head.t = ps[0]
         params.branch["W"], params.branch["b"] = ps[1], ps[2]
-        return episode_loss(head, partial(oneclass_embed, head, params), ep)
+        return episode_loss(head, partial(embed, params, space=head.variant), ep)
 
     point = [
         np.array(0.1),
@@ -140,7 +139,7 @@ def test_variants_and_projection_requirement(small_spec):
     params = init_backbone(small_spec, seed=4)
     head = init_head("projected")
     with pytest.raises(SpecError, match="projection"):
-        oneclass_embed(head, params, np.zeros((1, 16)))
+        embed(params, np.zeros((1, 16)), head.variant)
 
 
 def test_train_lr_zero_keeps_head_bit_identical(small_dataset, small_spec):

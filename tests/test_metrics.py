@@ -247,10 +247,8 @@ def test_aus_spot_values():
 
 
 def test_normalized_accuracy_formula():
-    assert abs(normalized_accuracy(0.6, 2 / 3, 0.5) - 0.6333333333333333) < 1e-9
+    assert abs(normalized_accuracy(0.6, 2 / 3) - 0.6333333333333333) < 1e-9
     assert normalized_accuracy(0.7, 0.7) == pytest.approx(0.7)
-    with pytest.raises(MetricError):
-        normalized_accuracy(0.5, 0.5, 1.5)
 
 
 def test_f1_open_spot_values():

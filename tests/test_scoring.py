@@ -11,7 +11,7 @@ import pytest
 
 from fsos import episodes, metabce, ocml, protonet
 from fsos.autodiff import Tensor, row_block_mean
-from fsos.backbone import add_projection, embed, embed_branch, embed_projected, init_backbone
+from fsos.backbone import add_projection, embed, init_backbone
 from fsos.episodes import (
     Episode,
     EpisodeConfig,
@@ -75,9 +75,10 @@ def _recipe_closed(params, ep):
 def _recipe_judge(gate, params, ep):
     support, queries = _flat(ep)
     if isinstance(gate, MetaBceGate):
-        fn = embed_branch if gate.head.variant == "branch" else embed_projected
-        protos = _recipe_protos(fn(params, support).data, ep)
-        probs = np.atleast_2d(metabce.prob_known(gate.head, fn(params, queries).data, protos))
+        space = gate.head.variant
+        protos = _recipe_protos(embed(params, support, space).data, ep)
+        probs = np.atleast_2d(metabce.prob_known(gate.head, embed(params, queries, space).data,
+                                                 protos))
     elif isinstance(gate, OcmlGate):
         protos = _recipe_protos(embed(params, support).data, ep)
         weights = ocml.generate_weight(gate.transfer, protos).data
