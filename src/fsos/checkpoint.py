@@ -7,7 +7,8 @@ Layout (all integers little-endian):
     per param: u16 name_len | name | u8 ndim | u32 dims... | raw float64 data
 
 The header JSON carries the backbone spec and head metadata; array bytes are
-written verbatim, so save -> load -> save round-trips byte-exactly.
+written verbatim, so save -> load -> save round-trips byte-exactly. A load
+refuses a parameter that holds NaN or inf.
 """
 
 import json
@@ -94,6 +95,8 @@ def load_checkpoint(path):
             count = int(np.prod(shape)) if ndim else 1
             raw = r.take(count * 8)
             arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"parameter {gname}.{pname} holds NaN or inf values")
             params.append((pname, arr))
         groups.append((gname, params))
     if r.pos != len(buf):

@@ -10,6 +10,10 @@ number of uniforms, so a call's first M episodes do not depend on its
 length or chunking. Training runs, evaluations, and reports are
 reproducible bit for bit.
 
+Every stream shares one episode layout: an Episode is one row of a
+draw_block block, its n known class ids, class-ordered support rows
+[n * k] and query rows [m], the n * q known ones, then the unknown ones.
+
 Training draws row indices for every method: draw_episode picks classes
 and returns an Episode of row indices into the partition's RowTable, and
 each method's loss reads them through its embed function. Training draws
@@ -45,6 +49,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,40 +114,20 @@ class EpisodeConfig:
             raise EpisodeError(f"n_unknown must be >= 0, got {self.n_unknown}")
 
 
-@dataclass
-class Episode:
-    """One episode: the known and unknown class ids, support [n, k, ...],
-    known queries [n, q, ...] and unknown queries [n_U, q, ...]. Training
-    draws them as row indices into a RowTable (draw_episode); sample_episode
-    gathers the rows, one [dim] row per index."""
+class Episode(NamedTuple):
+    """One row of a draw_block block: the n known class ids in episode
+    order, support [n * k, ...] and queries [m, ...], and q, the queries per
+    class. draw_episode's entries are row indices into a RowTable;
+    sample_episode gathers the rows, one [dim] row per index."""
 
-    known_class_ids: tuple
-    unknown_class_ids: tuple
+    class_ids: tuple
     support: np.ndarray
-    query_known: np.ndarray
-    query_unknown: np.ndarray
-
-    def __post_init__(self):
-        if set(self.known_class_ids) & set(self.unknown_class_ids):
-            raise EpisodeError("support and unknown classes overlap")
+    queries: np.ndarray
+    q: int
 
     @property
     def n(self):
-        return len(self.known_class_ids)
-
-    @property
-    def k(self):
-        return self.support.shape[1]
-
-    @property
-    def q(self):
-        return self.query_known.shape[1]
-
-    @property
-    def query_rows(self):
-        """Stacked queries [m, ...]: known, then unknown."""
-        stacked = np.concatenate([self.query_known, self.query_unknown])
-        return stacked.reshape((-1,) + stacked.shape[2:])
+        return len(self.class_ids)
 
 
 def _stacked(blocks, dim):
@@ -202,23 +187,23 @@ def draw_episode(table, cfg, rng):
 
     n + n_U classes are chosen without replacement, then each known class
     permutes its rows once for k support and q query rows, and each unknown
-    class once for q query rows. The indices fill one array, class by class.
+    class once for q query rows. The indices fill one array: the support,
+    then the queries, class by class.
     """
     needed = _class_count(table, cfg)
     ids = rng.choice(table.class_ids, size=needed, replace=False).tolist()
     n, k, q = cfg.n, cfg.k, cfg.q
-    rows = np.empty(n * (k + q) + cfg.n_unknown * q, dtype=np.intp)
-    at = 0
+    rows = np.empty(n * k + needed * q, dtype=np.intp)
     for j, cid in enumerate(ids):
         want, what = (k + q, "k+q") if j < n else (q, "q")
         start, count = table.spans[cid]
         if count < want:
             raise _shortfall(cid, count, want, what)
-        np.add(rng.permutation(count)[:want], start, out=rows[at : at + want])
-        at += want
-    known = rows[: n * (k + q)].reshape(n, k + q)
-    unknown = rows[n * (k + q) :].reshape(cfg.n_unknown, q)
-    return Episode(tuple(ids[:n]), tuple(ids[n:]), known[:, :k], known[:, k:], unknown)
+        drawn = rng.permutation(count)[:want] + start
+        if j < n:
+            rows[j * k : (j + 1) * k] = drawn[:k]
+        rows[n * k + j * q : n * k + (j + 1) * q] = drawn[-q:]
+    return Episode(tuple(ids[:n]), rows[: n * k], rows[n * k :], q)
 
 
 def draw_block(table, cfg, rng, count):
@@ -254,12 +239,7 @@ def sample_episode(dataset, classes, cfg, rng):
     deterministically for a given rng."""
     table = dataset.row_table(classes)
     draw = draw_episode(table, cfg, rng)
-    return replace(
-        draw,
-        support=table.rows[draw.support],
-        query_known=table.rows[draw.query_known],
-        query_unknown=table.rows[draw.query_unknown],
-    )
+    return draw._replace(support=table.rows[draw.support], queries=table.rows[draw.queries])
 
 
 def _episode_rng(seed, stream, index):
@@ -284,8 +264,7 @@ def _training_episodes(table, cfg, episodes, seed, cache):
         ]
         if cache is not None:
             # outside the tape: the frozen extractor is never differentiated
-            cache.fill(np.concatenate([r.ravel() for ep in block
-                                       for r in (ep.support, ep.query_rows)]))
+            cache.fill(np.concatenate([r for ep in block for r in (ep.support, ep.queries)]))
         yield from block
 
 
@@ -403,15 +382,7 @@ class TrainSchedule:
         return self.val_interval if self.val_interval > 0 else max(1, self.episodes // 5)
 
     def as_dict(self):
-        return {
-            "episodes": self.episodes,
-            "learning_rate": self.learning_rate,
-            "optimizer": self.optimizer,
-            "val_interval": self.effective_val_interval,
-            "val_episodes": self.val_episodes,
-            "offset_learning_rate": self.offset_learning_rate,
-            "patience": self.patience,
-        }
+        return {**asdict(self), "val_interval": self.effective_val_interval}
 
 
 def default_schedule(method, episodes=None):
@@ -530,22 +501,6 @@ class _ValidationSet:
         for chunk in self.kept:
             yield chunk
             chunk.forget()
-
-
-def score_episode(params, episode, spaces=("main",)):
-    """Score one Episode as a chunk of one, through a row table made of the
-    episode's own rows (support, known queries, unknown queries)."""
-    support = episode.support.reshape(-1, episode.support.shape[-1])
-    rows = np.concatenate([support, episode.query_rows])
-    n_support = support.shape[0]
-    m = rows.shape[0] - n_support
-    return protonet.ScoredChunk(
-        protonet.RowEmbeddings(params, rows, spaces, slice_rows=m),
-        np.array([episode.known_class_ids]),
-        np.arange(n_support)[None],
-        np.arange(n_support, rows.shape[0])[None],
-        episode.q,
-    )
 
 
 def _gated(gate, chunk):

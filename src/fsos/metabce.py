@@ -54,10 +54,10 @@ def prob_known(head, queries, prototypes):
 def episode_loss(head, embed_fn, episode):
     """Mean BCE over all (known query, episode class) pairs, with target 1
     exactly when the query belongs to the class. embed_fn maps the episode's
-    stacked entries into the one-class space (protonet.embed_episode):
+    entries into the one-class space (protonet.embed_episode):
     training passes row indices to partial(cache.embed, head.variant) of a
     RowEmbeddings cache; partial(embed, params, space=head.variant) rows."""
-    if episode.query_known.size == 0:
+    if not episode.q:
         raise MetaBceError("episode has no known queries")
     protos, emb_q = embed_episode(embed_fn, episode)
     d = squared_distance(emb_q, protos)

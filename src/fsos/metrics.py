@@ -36,17 +36,6 @@ def _arrays(triple):
     )
 
 
-def accuracy(true_labels, predicted_labels):
-    """Fraction of correct labels over known-truth closed-set predictions."""
-    t = np.asarray(true_labels)
-    p = np.asarray(predicted_labels)
-    if t.size == 0:
-        raise MetricError("accuracy of no predictions is undefined")
-    if t.shape != p.shape:
-        raise MetricError(f"{t.size} truths vs {p.size} predictions")
-    return float(np.mean(t == p))
-
-
 def _f1(tp, fp, fn):
     """Row-wise F1 from integer counts; 0 where tp is 0."""
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -144,10 +144,10 @@ def prob_known(weights, queries):
 def episode_loss(transfer, embed_fn, episode):
     """Mean BCE over all (known query, episode class) pairs using
     sigmoid(w_c . f(x)) probabilities; prototypes come from the support set.
-    embed_fn maps the episode's stacked row indices to main embeddings
+    embed_fn maps the episode's row indices to main embeddings
     (protonet.embed_episode): through the extractor on the tape when it
     trains too, cached main embeddings when it is frozen."""
-    if episode.query_known.size == 0:
+    if not episode.q:
         raise OcmlError("episode has no known queries")
     protos, emb_q = embed_episode(embed_fn, episode)
     weights = generate_weight(transfer, protos)

@@ -253,30 +253,25 @@ class ScoredChunk:
         return predict_closed(self.distances, self.class_ids)
 
 
-def _stack(entries):
-    """[n, k, ...] class blocks of rows or row indices as one [n * k, ...] stack."""
-    return entries.reshape((-1,) + entries.shape[2:])
-
-
 def embed_episode(embed_fn, episode):
     """The taped step every episode loss starts with: support prototypes
     [n, e] and known-query embeddings [n * q, e].
 
     episode is an episodes.Episode, of row indices when training draws it;
-    embed_fn maps a class-ordered stack of its entries to embeddings [N, e].
-    Records the support embedding, then the prototypes, then the query
-    embedding."""
-    support = embed_fn(_stack(episode.support))
+    embed_fn maps its class-ordered support or known queries to embeddings
+    [N, e]. Records the support embedding, then the prototypes, then the
+    query embedding."""
+    support = embed_fn(episode.support)
     protos = mean_rows(support, groups=episode.n)
-    queries = embed_fn(_stack(episode.query_known))
+    queries = embed_fn(episode.queries[: episode.n * episode.q])
     return protos, queries
 
 
 def episode_loss(embed_fn, episode):
     """Mean softmax cross-entropy of closed logits over the known queries.
-    embed_fn maps the episode's stacked entries to main embeddings
-    (embed_episode); in training it embeds the table rows that the row
-    indices name through the extractor, on the tape."""
+    embed_fn maps the episode's entries to main embeddings (embed_episode);
+    in training it embeds the table rows that the row indices name through
+    the extractor, on the tape."""
     n, q = episode.n, episode.q
     if n < 2:
         raise ProtonetError(f"closed-set episode loss needs n >= 2 classes, got {n}")

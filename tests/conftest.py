@@ -5,6 +5,7 @@ import fsos.autodiff as ad
 from fsos.autodiff import Tensor
 from fsos.backbone import BackboneSpec, init_backbone
 from fsos.data import SyntheticSpec, generate_synthetic
+from fsos.protonet import RowEmbeddings, ScoredChunk
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,16 @@ def small_spec():
 @pytest.fixture()
 def small_backbone(small_spec):
     return init_backbone(small_spec, seed=11)
+
+
+def scored_episode(params, ep, spaces=("main",)):
+    """One Episode of gathered rows scored as a ScoredChunk of one, through
+    a cache of the episode's own rows: its support, then its queries."""
+    rows = np.concatenate([ep.support, ep.queries])
+    s = len(ep.support)
+    cache = RowEmbeddings(params, rows, spaces, slice_rows=len(ep.queries))
+    return ScoredChunk(cache, np.array([ep.class_ids]), np.arange(s)[None],
+                       np.arange(s, len(rows))[None], ep.q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import random_composition
+from conftest import random_composition, scored_episode
 
 import fsos.autodiff as ad
 from fsos import metabce, ocml
@@ -33,8 +33,8 @@ from fsos.episodes import (
     evaluate_oneclass,
     evaluate_openset,
     run_meta_training,
+    draw_episode,
     sample_episode,
-    score_episode,
 )
 from fsos.metrics import UNKNOWN, aks, auroc, f1_open, normalized_accuracy
 
@@ -92,11 +92,7 @@ def bench():
 
 def _relu_margins_ok(params, episode, margin=1e-3):
     """Central differences need every dense pre-activation away from zero."""
-    rows = np.vstack(
-        [episode.support.reshape(-1, episode.support.shape[-1]),
-         episode.query_known.reshape(-1, episode.support.shape[-1])]
-    )
-    h = rows
+    h = np.vstack([episode.support, episode.queries[: episode.n * episode.q]])
     for block in params.trunk:
         pre = h @ block["W"].data + block["b"].data
         if np.min(np.abs(pre)) < margin:
@@ -253,14 +249,19 @@ def test_criterion_4_protocol_exactness(bench):
     dataset = bench[1].dataset
     cfg = EpisodeConfig(n=5, k=1, q=15, n_unknown=5)
     classes = dataset.split.meta_test
+    table = dataset.row_table(classes)
+    owner = np.repeat(table.class_ids, [table.spans[int(c)][1] for c in table.class_ids])
     for i in range(10_000):
         ep = sample_episode(dataset, classes, cfg, _episode_rng(4040, 0, i))
-        assert ep.support.shape == (5, 1, 32)
-        assert ep.query_known.shape == (5, 15, 32)
-        assert ep.query_unknown.shape == (5, 15, 32)
-        assert len(set(ep.known_class_ids)) == 5
-        assert len(set(ep.unknown_class_ids)) == 5
-        assert not set(ep.known_class_ids) & set(ep.unknown_class_ids)
+        assert ep.support.shape == (5, 32)
+        assert ep.queries.shape == (150, 32)
+        draw = draw_episode(table, cfg, _episode_rng(4040, 0, i))
+        assert ep.class_ids == draw.class_ids and len(set(ep.class_ids)) == 5
+        assert owner[draw.support].tolist() == list(ep.class_ids)
+        assert owner[draw.queries[:75]].tolist() == np.repeat(ep.class_ids, 15).tolist()
+        unknown = owner[draw.queries[75:]].reshape(5, 15)
+        assert np.all(unknown == unknown[:, :1]) and len(set(unknown[:, 0])) == 5
+        assert not set(unknown[:, 0]) & set(ep.class_ids)
     report_line(4, True, "10,000 episodes with exact 5/75/75 counts, disjoint unknowns")
 
 
@@ -281,10 +282,10 @@ def test_criterion_5_augmentation_no_degradation(bench):
         # chunk scorer, which every evaluator and gate reads
         logit_blobs, correct, total = [], 0, 0
         for ep in suite:
-            scored = score_episode(params, ep)
+            scored = scored_episode(params, ep)
             logit_blobs.append(-scored.distances)
             known = slice(0, scored.n_known)
-            truth = np.repeat(np.array(ep.known_class_ids), ep.q)
+            truth = np.repeat(np.array(ep.class_ids), ep.q)
             correct += int(np.sum(scored.closed_predictions[0, known] == truth))
             total += truth.size
         return logit_blobs, correct / total

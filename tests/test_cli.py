@@ -431,25 +431,42 @@ def _set_header(keys, value):
     return alter
 
 
-@pytest.mark.parametrize("alter, reason", [
-    (_cut_trunk_rows, "trunk0.W has shape (3, 64), expected (16, 64)"),
-    (lambda header, groups: (header, groups + [("bogus", [("W", [[1.0]])])]),
+def _set_param(group, name, value):
+    """An alteration that sets every value of parameter group.name to value."""
+    def alter(header, groups):
+        return header, [
+            (g, [(p, np.full_like(a, value) if (g, p) == (group, name) else a) for p, a in items])
+            for g, items in groups
+        ]
+
+    return alter
+
+
+@pytest.mark.parametrize("head, alter, reason", [
+    ("threshold", _cut_trunk_rows, "trunk0.W has shape (3, 64), expected (16, 64)"),
+    ("threshold", lambda header, groups: (header, groups + [("bogus", [("W", [[1.0]])])]),
      "unknown parameter groups"),
-    (_set_header(["heads"], ["mbce"]), "'heads' must map head names to objects"),
-    (_set_header(["heads", "mbce"], ["branch"]), "'heads' must map head names to objects"),
-    (_set_header(["backbone_spec", "input_shape"], 5), "input_shape must be a list of integers"),
-    (_set_header(["backbone_spec", "blocks"], 5), "blocks must be a list of [kind, integer dim]"),
-    (_set_header(["backbone_spec", "blocks", 0, 1], [1]),
+    ("threshold", _set_header(["heads"], ["mbce"]), "'heads' must map head names to objects"),
+    ("threshold", _set_header(["heads", "mbce"], ["branch"]),
+     "'heads' must map head names to objects"),
+    ("threshold", _set_header(["backbone_spec", "input_shape"], 5),
+     "input_shape must be a list of integers"),
+    ("threshold", _set_header(["backbone_spec", "blocks"], 5),
      "blocks must be a list of [kind, integer dim]"),
+    ("threshold", _set_header(["backbone_spec", "blocks", 0, 1], [1]),
+     "blocks must be a list of [kind, integer dim]"),
+    ("threshold", _set_param("head", "b", np.inf), "parameter head.b holds NaN or inf"),
+    ("mbce", _set_param("mbce", "t", np.nan), "parameter mbce.t holds NaN or inf"),
 ], ids=["truncated_trunk_weight", "unknown_group", "heads_list", "heads_entry_list",
-        "input_shape_int", "blocks_int", "block_dim_list"])
+        "input_shape_int", "blocks_int", "block_dim_list", "inf_head_bias", "nan_mbce_offset"])
 def test_eval_checkpoint_with_bad_parameters_is_runtime_error(
-    workdir, tmp_path, capsys, alter, reason
+    workdir, tmp_path, capsys, head, alter, reason
 ):
-    header, groups = load_checkpoint(f"{workdir}/pn.ckpt")
+    checkpoint = "mbce" if head == "mbce" else "pn"
+    header, groups = load_checkpoint(f"{workdir}/{checkpoint}.ckpt")
     save_checkpoint(f"{tmp_path}/bad.ckpt", *alter(header, groups))
     code = run([
-        "eval", "--task=openset", "--head=threshold", f"--checkpoint={tmp_path}/bad.ckpt",
+        "eval", "--task=openset", f"--head={head}", f"--checkpoint={tmp_path}/bad.ckpt",
         f"--dataset={workdir}/ds.json", "--n=2", "--n_unknown=1", "--episodes=2",
         f"--out={tmp_path}/r.json",
     ])

@@ -10,7 +10,6 @@ from fsos import protonet
 from fsos.backbone import init_backbone
 from fsos.episodes import (
     DIVERGENCE_FACTOR,
-    Episode,
     EpisodeConfig,
     EpisodeError,
     MetaBceGate,
@@ -54,39 +53,33 @@ def test_episode_config_defaults_and_validation():
         EpisodeConfig(n=1, k=1, q=1, n_unknown=-2)
 
 
-def test_episode_rejects_class_overlap():
-    with pytest.raises(EpisodeError):
-        Episode((0, 1), (1,), np.zeros((2, 1, 3)), np.zeros((2, 1, 3)), np.zeros((1, 1, 3)))
-
-
 def test_sample_episode_counts_protocol_shape(small_dataset):
     # the 5-way 1-shot open-set protocol needs 5+5 classes; meta_train has 7,
     # so sample from the full class list for the shape check
     cfg = EpisodeConfig(n=5, k=1, q=15, n_unknown=5)
     ep = sample_episode(small_dataset, small_dataset.classes(), cfg,
                         np.random.default_rng(0))
-    assert ep.support.shape == (5, 1, 16)
-    assert ep.query_known.shape == (5, 15, 16)
-    assert ep.query_unknown.shape == (5, 15, 16)
-    assert not set(ep.known_class_ids) & set(ep.unknown_class_ids)
+    assert ep.support.shape == (5, 16)
+    assert ep.queries.shape == (150, 16)
+    assert (ep.n, ep.q) == (5, 15)
 
 
 def test_sample_episode_oneclass_shape(small_dataset):
     cfg = EpisodeConfig(n=1, k=1, q=15, n_unknown=1)
     ep = sample_episode(small_dataset, small_dataset.classes(), cfg,
                         np.random.default_rng(1))
-    assert ep.support.shape == (1, 1, 16)
-    assert ep.query_known.shape == (1, 15, 16)
-    assert ep.query_unknown.shape == (1, 15, 16)
+    assert ep.support.shape == (1, 16)
+    assert ep.queries.shape == (30, 16)
+    assert (ep.n, ep.q) == (1, 15)
 
 
 def test_sample_episode_deterministic(small_dataset):
     cfg = EpisodeConfig(n=2, k=3, q=4, n_unknown=1)
     a = sample_episode(small_dataset, small_dataset.classes(), cfg, np.random.default_rng(9))
     b = sample_episode(small_dataset, small_dataset.classes(), cfg, np.random.default_rng(9))
-    assert a.known_class_ids == b.known_class_ids
+    assert a.class_ids == b.class_ids
     assert np.array_equal(a.support, b.support)
-    assert np.array_equal(a.query_unknown, b.query_unknown)
+    assert np.array_equal(a.queries, b.queries)
 
 
 def test_sample_episode_support_query_disjoint(small_dataset):
@@ -95,8 +88,8 @@ def test_sample_episode_support_query_disjoint(small_dataset):
         ep = sample_episode(small_dataset, small_dataset.classes(), cfg,
                             _episode_rng(5, 0, i))
         for ci in range(ep.n):
-            sup_rows = {tuple(r) for r in ep.support[ci]}
-            q_rows = {tuple(r) for r in ep.query_known[ci]}
+            sup_rows = {tuple(r) for r in ep.support[ci * cfg.k : (ci + 1) * cfg.k]}
+            q_rows = {tuple(r) for r in ep.queries[ci * cfg.q : (ci + 1) * cfg.q]}
             assert not sup_rows & q_rows
 
 
@@ -115,17 +108,16 @@ def _reference_sample_episode(dataset, classes, cfg, rng):
     """Episode sampling as it was before the draw/gather split: per-class
     permutations applied to each class's own example matrix."""
     chosen = rng.choice(np.array(sorted(classes)), size=cfg.n + cfg.n_unknown, replace=False)
-    support, query_known, query_unknown = [], [], []
+    support, known, unknown = [], [], []
     for cid in chosen[: cfg.n]:
         ex = dataset.examples(cid)
         idx = rng.permutation(ex.shape[0])
         support.append(ex[idx[: cfg.k]])
-        query_known.append(ex[idx[cfg.k : cfg.k + cfg.q]])
+        known.append(ex[idx[cfg.k : cfg.k + cfg.q]])
     for cid in chosen[cfg.n :]:
         ex = dataset.examples(cid)
-        query_unknown.append(ex[rng.permutation(ex.shape[0])[: cfg.q]])
-    unknown = np.stack(query_unknown) if query_unknown else np.zeros((0, cfg.q, dataset.dim))
-    return tuple(int(c) for c in chosen), np.stack(support), np.stack(query_known), unknown
+        unknown.append(ex[rng.permutation(ex.shape[0])[: cfg.q]])
+    return tuple(int(c) for c in chosen), np.concatenate(support), np.concatenate(known + unknown)
 
 
 @given(n=st.integers(1, 6), k=st.integers(1, 10), q=st.integers(1, 15),
@@ -137,15 +129,12 @@ def test_draw_gathers_the_sampled_episode(small_dataset, n, k, q, n_unknown, ind
     table = small_dataset.row_table(classes)
     draw = draw_episode(table, cfg, _episode_rng(7, 0, index))
     ep = sample_episode(small_dataset, classes, cfg, _episode_rng(7, 0, index))
-    ids, support, query_known, query_unknown = _reference_sample_episode(
+    ids, support, queries = _reference_sample_episode(
         small_dataset, classes, cfg, _episode_rng(7, 0, index))
-    assert draw.known_class_ids + draw.unknown_class_ids == ids
-    assert draw.support.shape == (n, k) and draw.query_unknown.shape == (n_unknown, q)
-    assert ep.known_class_ids + ep.unknown_class_ids == ids
+    assert draw.class_ids == ep.class_ids == ids[:n]
+    assert draw.support.shape == (n * k,) and draw.queries.shape == ((n + n_unknown) * q,)
     assert np.array_equal(ep.support, support)
-    assert np.array_equal(ep.query_known, query_known)
-    assert ep.query_unknown.shape == query_unknown.shape
-    assert np.array_equal(ep.query_unknown, query_unknown)
+    assert np.array_equal(ep.queries, queries)
 
 
 def _table(sizes, first_id=3):
@@ -192,6 +181,28 @@ def test_draw_block_episodes_are_valid_and_blocks_compose(extra, n, k, q, n_unkn
     ones = [draw_block(table, cfg, rng, 1) for _ in range(count)]
     for whole, pieces in zip((class_ids, support, query), zip(*ones)):
         assert np.array_equal(whole, np.concatenate(pieces))
+
+
+@given(extra=st.lists(st.integers(0, 9), min_size=6, max_size=8), n=st.integers(1, 3),
+       k=st.integers(1, 4), q=st.integers(1, 4), n_unknown=st.integers(0, 3),
+       seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_draw_episode_rows_belong_to_their_classes(extra, n, k, q, n_unknown, seed):
+    """By the table's row-to-class map: the support and known queries belong
+    to class_ids, k and q rows per class in episode order; the unknown
+    queries come from n_unknown other distinct classes, q rows each; and no
+    row is drawn twice."""
+    table = _table([k + q + e for e in extra])
+    cfg = EpisodeConfig(n=n, k=k, q=q, n_unknown=n_unknown)
+    ep = draw_episode(table, cfg, np.random.default_rng(seed))
+    owner = np.repeat(table.class_ids, [table.spans[int(c)][1] for c in table.class_ids])
+    assert ep.q == q and ep.n == len(set(ep.class_ids)) == n
+    assert owner[ep.support].tolist() == np.repeat(ep.class_ids, k).tolist()
+    assert owner[ep.queries[: n * q]].tolist() == np.repeat(ep.class_ids, q).tolist()
+    unknown = owner[ep.queries[n * q :]].reshape(n_unknown, q)
+    assert np.all(unknown == unknown[:, :1])
+    assert len(set(unknown[:, 0])) == n_unknown and not set(unknown[:, 0]) & set(ep.class_ids)
+    assert len(set(ep.support) | set(ep.queries)) == n * k + (n + n_unknown) * q
 
 
 def _normalized(message):

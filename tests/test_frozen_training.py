@@ -75,7 +75,7 @@ def test_cached_step_equals_gathered_taped_step(method, variant, kind, fill, sma
     gathered = sample_episode(dataset, dataset.split.meta_train, cfg, _episode_rng(3, 0, 0))
     want_loss, want_grads = _step(loss_fn, taped_fn, gathered, trainable)
 
-    rows = np.concatenate([draw.support.ravel(), draw.query_rows])
+    rows = np.concatenate([draw.support, draw.queries])
     cache = RowEmbeddings(params, table.rows, (space,), slice_rows=rows.size)
     if fill == "single_row":
         # an episode's rows are distinct, so the fill below embeds rows[0] alone

@@ -13,7 +13,6 @@ from fsos.episodes import (
     max_prob_decision,
     run_meta_training,
     sample_episode,
-    score_episode,
     _episode_rng,
 )
 from fsos.metabce import (
@@ -23,6 +22,8 @@ from fsos.metabce import (
     prob_known,
 )
 from fsos.protonet import ProtonetError
+
+from conftest import scored_episode
 
 
 def test_prob_known_spot_values():
@@ -84,11 +85,10 @@ def test_prob_unknown_duplicate_prototype_invariant():
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-def _episode_of(x_by_class, k, q, dim):
-    n = len(x_by_class)
-    sup = np.stack([v[:k] for v in x_by_class])
-    qk = np.stack([v[k : k + q] for v in x_by_class])
-    return Episode(tuple(range(n)), (), sup, qk, np.zeros((0, q, dim)))
+def _episode_of(x_by_class, k, q):
+    sup = np.concatenate([v[:k] for v in x_by_class])
+    queries = np.concatenate([v[k : k + q] for v in x_by_class])
+    return Episode(tuple(range(len(x_by_class))), sup, queries, q)
 
 
 def test_episode_loss_half_probabilities_is_log_two(small_spec):
@@ -96,7 +96,7 @@ def test_episode_loss_half_probabilities_is_log_two(small_spec):
     params = init_backbone(small_spec, seed=2)
     head = init_head()
     x = np.random.default_rng(0).normal(size=16)
-    ep = _episode_of([np.tile(x, (2, 1)), np.tile(x, (2, 1))], k=1, q=1, dim=16)
+    ep = _episode_of([np.tile(x, (2, 1)), np.tile(x, (2, 1))], k=1, q=1)
     with Tape():
         loss = episode_loss(head, partial(embed, params, space=head.variant), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
@@ -106,7 +106,7 @@ def test_episode_loss_single_positive_pair(small_spec):
     params = init_backbone(small_spec, seed=2)
     head = init_head()
     x = np.random.default_rng(1).normal(size=16)
-    ep = _episode_of([np.tile(x, (2, 1))], k=1, q=1, dim=16)
+    ep = _episode_of([np.tile(x, (2, 1))], k=1, q=1)
     with Tape():
         loss = episode_loss(head, partial(embed, params, space=head.variant), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
@@ -198,7 +198,7 @@ def test_trained_head_separates_known_from_unknown(small_dataset, small_spec):
     for i in range(20):
         ep = sample_episode(small_dataset, small_dataset.split.meta_test, cfg,
                             _episode_rng(99, 2, i))
-        score, _ = gate.judge(score_episode(mb.params, ep, gate.spaces))
+        score, _ = gate.judge(scored_episode(mb.params, ep, gate.spaces))
         known_p.extend(score[0, : ep.q])
         unknown_p.extend(score[0, ep.q :])
     assert np.mean(known_p) > np.mean(unknown_p)

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from fsos.metrics import (
     UNKNOWN,
     MetricError,
-    accuracy,
     aks,
     aks_one_vs_rest,
     auroc,
@@ -181,13 +180,6 @@ def test_row_wise_metrics_equal_scalar_references_bit_for_bit(seed, rows, m, dec
 # spot values
 
 
-def test_accuracy_spot_values():
-    assert accuracy([1, 0, 0], [1, 1, 0]) == pytest.approx(2 / 3)
-    assert accuracy([2, 2], [2, 2]) == 1.0
-    with pytest.raises(MetricError):
-        accuracy([], [])
-
-
 def test_binary_f1_spot_values():
     perfect = ([0, 0, UNKNOWN, UNKNOWN], [0, 0, UNKNOWN, UNKNOWN], [0] * 4)
     assert binary_f1(perfect) == 1.0
@@ -234,7 +226,7 @@ def test_aks_one_vs_rest_values():
     assert aks(perm) == 0.0
     assert aks_one_vs_rest(perm) == pytest.approx(3 / 9)
     single = ([4, 4, 4], [4, UNKNOWN, 4], [0, 0, 0])
-    assert aks_one_vs_rest(single) == pytest.approx(accuracy([4, 4, 4], [4, UNKNOWN, 4]))
+    assert aks_one_vs_rest(single) == pytest.approx(2 / 3)
 
 
 def test_aus_spot_values():

@@ -13,7 +13,6 @@ from fsos.episodes import (
     max_prob_decision,
     run_meta_training,
     sample_episode,
-    score_episode,
     _episode_rng,
 )
 from fsos.ocml import (
@@ -27,6 +26,8 @@ from fsos.ocml import (
     transfer_from_group,
     transfer_to_group,
 )
+
+from conftest import scored_episode
 
 
 def _identity_transfer(e):
@@ -121,9 +122,7 @@ def test_episode_loss_half_logits_is_log_two(small_spec):
     params = init_backbone(small_spec, seed=1)
     g = _zero_transfer(small_spec.embed_dim)
     rng = np.random.default_rng(0)
-    sup = rng.normal(size=(2, 2, 16))
-    qk = rng.normal(size=(2, 3, 16))
-    ep = Episode((0, 1), (), sup, qk, np.zeros((0, 3, 16)))
+    ep = Episode((0, 1), rng.normal(size=(4, 16)), rng.normal(size=(6, 16)), 3)
     with Tape():
         loss = episode_loss(g, partial(embed, params), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
@@ -208,7 +207,7 @@ def test_trained_module_separates_known_from_unknown(small_dataset, small_spec):
     for i in range(20):
         ep = sample_episode(small_dataset, small_dataset.split.meta_test, cfg,
                             _episode_rng(98, 2, i))
-        score, _ = gate.judge(score_episode(pn.params, ep, gate.spaces))
+        score, _ = gate.judge(scored_episode(pn.params, ep, gate.spaces))
         known_s.extend(score[0, : ep.q])
         unknown_s.extend(score[0, ep.q :])
     assert np.mean(known_s) > np.mean(unknown_s)

@@ -5,7 +5,7 @@ import pytest
 
 from fsos.autodiff import Tape, backward
 from fsos.backbone import embed, init_backbone
-from fsos.episodes import Episode, EpisodeConfig, sample_episode, score_episode
+from fsos.episodes import Episode, EpisodeConfig, sample_episode
 from fsos.protonet import (
     ProtonetError,
     ThresholdBaseline,
@@ -16,6 +16,8 @@ from fsos.protonet import (
     prototypes,
     scan_threshold,
 )
+
+from conftest import scored_episode
 
 
 def test_prototypes_single_and_mean():
@@ -85,23 +87,17 @@ def test_closed_logits_translation_invariant():
 def _toy_episode(rng, n=2, k=3, q=4, dim=16, sep=6.0):
     means = rng.normal(size=(n + 1, dim))
     means = means / np.linalg.norm(means, axis=1, keepdims=True) * sep
-    sup = np.stack([means[i] + rng.normal(size=(k, dim)) for i in range(n)])
-    qk = np.stack([means[i] + rng.normal(size=(q, dim)) for i in range(n)])
-    qu = means[n] + rng.normal(size=(1, q, dim))
-    return Episode(tuple(range(n)), (n,), sup, qk, qu)
+    sup = np.concatenate([means[i] + rng.normal(size=(k, dim)) for i in range(n)])
+    known = [means[i] + rng.normal(size=(q, dim)) for i in range(n)]
+    unknown = means[n] + rng.normal(size=(q, dim))
+    return Episode(tuple(range(n)), sup, np.concatenate(known + [unknown]), q)
 
 
 def test_episode_loss_equidistant_is_log_two(small_spec):
     params = init_backbone(small_spec, seed=1)
     rng = np.random.default_rng(2)
     x = rng.normal(size=16)
-    ep = Episode(
-        (0, 1),
-        (),
-        np.stack([np.tile(x, (1, 1)), np.tile(x, (1, 1))]),
-        np.stack([x[None, :], x[None, :]]),
-        np.zeros((0, 1, 16)),
-    )
+    ep = Episode((0, 1), np.stack([x, x]), np.stack([x, x]), 1)
     with Tape():
         loss = episode_loss(partial(embed, params), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-9
@@ -109,7 +105,7 @@ def test_episode_loss_equidistant_is_log_two(small_spec):
 
 def test_episode_loss_requires_two_classes(small_spec):
     params = init_backbone(small_spec, seed=1)
-    ep = Episode((0,), (), np.zeros((1, 2, 16)), np.ones((1, 2, 16)), np.zeros((0, 2, 16)))
+    ep = Episode((0,), np.zeros((2, 16)), np.ones((2, 16)), 2)
     with pytest.raises(ProtonetError):
         episode_loss(partial(embed, params), ep)
 
@@ -128,13 +124,15 @@ def test_episode_loss_nonnegative_and_trains(small_spec):
 def test_threshold_score_properties(small_spec):
     params = init_backbone(small_spec, seed=3)
     ep = _toy_episode(np.random.default_rng(4))
-    scored = score_episode(params, ep)
+    scored = scored_episode(params, ep)
     assert np.array_equal(scored.nearest_distance, scored.distances.min(axis=2))
     assert np.all(scored.nearest_distance >= 0.0)
     # adding a class (prototype) cannot raise the min; the two episodes embed
     # different row counts, so allow for last-bit matmul differences
-    one = score_episode(params, Episode(ep.known_class_ids[:1], ep.unknown_class_ids,
-                                        ep.support[:1], ep.query_known[:1], ep.query_unknown))
+    k, known = len(ep.support) // ep.n, ep.n * ep.q
+    one = scored_episode(params, Episode(ep.class_ids[:1], ep.support[:k],
+                                         np.concatenate([ep.queries[: ep.q], ep.queries[known:]]),
+                                         ep.q))
     assert np.all(scored.nearest_distance[0, : ep.q] <= one.nearest_distance[0, : ep.q] + 1e-9)
 
 
@@ -166,7 +164,7 @@ def test_calibrate_threshold_needs_unknowns(small_spec, small_dataset):
     eps = [sample_episode(small_dataset, small_dataset.split.meta_val, cfg,
                           np.random.default_rng(0))]
     with pytest.raises(ProtonetError):
-        calibrate_threshold(score_episode(params, ep) for ep in eps)
+        calibrate_threshold(scored_episode(params, ep) for ep in eps)
     with pytest.raises(ProtonetError):
         calibrate_threshold([])
 
@@ -179,7 +177,7 @@ def test_calibrate_threshold_on_episodes(small_spec, small_dataset):
                        np.random.default_rng([3, i]))
         for i in range(8)
     ]
-    baseline = calibrate_threshold(score_episode(params, ep) for ep in eps)
+    baseline = calibrate_threshold(scored_episode(params, ep) for ep in eps)
     assert baseline.tau >= 0.0
 
 
@@ -240,8 +238,8 @@ def test_embed_episode_records_support_prototypes_then_queries(small_spec):
     with Tape() as shared:
         protos, queries = embed_episode(partial(embed, params), ep)
     with Tape() as manual:
-        want_protos = mean_rows(embed(params, ep.support.reshape(6, 16)), groups=3)
-        want_queries = embed(params, ep.query_known.reshape(12, 16))
+        want_protos = mean_rows(embed(params, ep.support), groups=3)
+        want_queries = embed(params, ep.queries[:12])
     assert [e.kind for e in shared.entries] == [e.kind for e in manual.entries]
     assert np.array_equal(protos.data, want_protos.data)
     assert np.array_equal(queries.data, want_queries.data)

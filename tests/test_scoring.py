@@ -24,9 +24,10 @@ from fsos.episodes import (
     evaluate_oneclass,
     evaluate_openset,
     sample_episode,
-    score_episode,
 )
 from fsos.protonet import RowEmbeddings, ThresholdBaseline
+
+from conftest import scored_episode
 
 
 @pytest.fixture(scope="module")
@@ -45,12 +46,6 @@ def _episode(dataset, n):
     return sample_episode(dataset, dataset.classes(), cfg, _episode_rng(22, 2, n))
 
 
-def _flat(ep):
-    dim = ep.support.shape[-1]
-    queries = np.vstack([ep.query_known.reshape(-1, dim), ep.query_unknown.reshape(-1, dim)])
-    return ep.support.reshape(-1, dim), queries
-
-
 def _sq_distances(q, p):
     """The distance kernel's Gram formula, (|q|^2 + |p|^2) - 2 q.p clamped at 0."""
     norms = np.einsum("md,md->m", q, q)[:, None] + np.einsum("nd,nd->n", p, p)[None, :]
@@ -64,16 +59,16 @@ def _recipe_protos(emb_s, ep):
 def _recipe_closed(params, ep):
     """Closed predictions as the evaluators made them: one prototype per
     class, in class-id order, and argmax of the negated distances."""
-    support, queries = _flat(ep)
-    emb_s = embed(params, support).data
-    order = np.argsort(ep.known_class_ids)
-    protos = np.stack([row_block_mean(emb_s[j * ep.k : (j + 1) * ep.k])[0] for j in order])
-    logits = -_sq_distances(embed(params, queries).data, protos)
-    return np.array(ep.known_class_ids)[order][np.argmax(logits, axis=1)]
+    emb_s = embed(params, ep.support).data
+    order = np.argsort(ep.class_ids)
+    k = len(ep.support) // ep.n
+    protos = np.stack([row_block_mean(emb_s[j * k : (j + 1) * k])[0] for j in order])
+    logits = -_sq_distances(embed(params, ep.queries).data, protos)
+    return np.array(ep.class_ids)[order][np.argmax(logits, axis=1)]
 
 
 def _recipe_judge(gate, params, ep):
-    support, queries = _flat(ep)
+    support, queries = ep.support, ep.queries
     if isinstance(gate, MetaBceGate):
         space = gate.head.variant
         protos = _recipe_protos(embed(params, support, space).data, ep)
@@ -96,9 +91,8 @@ def _gates(params, ep):
     branch.t.data = np.asarray(-1.5)
     projected.t.data = np.asarray(-1.5)
     transfer = ocml.make_transfer_module(params.embed_dim, seed=2, init_scale=1.0)
-    support, queries = _flat(ep)
-    protos = _recipe_protos(embed(params, support).data, ep)
-    tau = float(np.median(_sq_distances(embed(params, queries).data, protos).min(axis=1)))
+    protos = _recipe_protos(embed(params, ep.support).data, ep)
+    tau = float(np.median(_sq_distances(embed(params, ep.queries).data, protos).min(axis=1)))
     return [MetaBceGate(branch), MetaBceGate(projected), OcmlGate(transfer),
             ThresholdGate(ThresholdBaseline(tau))]
 
@@ -107,7 +101,7 @@ def _gates(params, ep):
 def test_gates_match_per_gate_recipe(small_dataset, params, n):
     ep = _episode(small_dataset, n)
     for gate in _gates(params, ep):
-        scored = score_episode(params, ep, ("main",) + gate.spaces)
+        scored = scored_episode(params, ep, ("main",) + gate.spaces)
         score, is_known = gate.judge(scored)
         want_score, want_known = _recipe_judge(gate, params, ep)
         assert np.array_equal(score[0], want_score), gate.name
@@ -119,9 +113,9 @@ def test_gates_match_per_gate_recipe(small_dataset, params, n):
 def test_distance_tie_resolves_to_lowest_class_id(small_dataset, params):
     ep = _episode(small_dataset, 3)
     # classes 9 and 4 share one support set, so every query ties between them
-    tied = Episode((9, 4), (), np.stack([ep.support[0], ep.support[0]]),
-                   ep.query_known[:2], np.zeros((0, ep.q, ep.support.shape[-1])))
-    scored = score_episode(params, tied)
+    k = len(ep.support) // ep.n
+    tied = Episode((9, 4), np.tile(ep.support[:k], (2, 1)), ep.queries[: 2 * ep.q], ep.q)
+    scored = scored_episode(params, tied)
     assert np.array_equal(scored.distances[0, :, 0], scored.distances[0, :, 1])
     assert scored.closed_predictions.tolist() == [[4] * (2 * ep.q)]
 

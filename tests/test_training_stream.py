@@ -46,9 +46,8 @@ def test_each_loss_receives_its_own_episode(method, small_dataset, small_spec, m
     assert len(received) == EPISODES
     for i, got in enumerate(received):
         want = draw_episode(table, CFG, _episode_rng(SEED, 0, i))
-        assert got.known_class_ids == want.known_class_ids, i
-        assert got.unknown_class_ids == want.unknown_class_ids, i
-        for name in ("support", "query_known", "query_unknown"):
+        assert (got.class_ids, got.q) == (want.class_ids, want.q), i
+        for name in ("support", "queries"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
 
 
@@ -75,7 +74,7 @@ def test_frozen_run_fills_its_training_cache_once_per_block(method, small_datase
         rows = set()
         for i in range(start, min(start + DRAW_AHEAD, EPISODES)):
             draw = draw_episode(table, CFG, _episode_rng(SEED, 0, i))
-            rows.update(draw.support.ravel().tolist(), draw.query_known.ravel().tolist())
+            rows.update(draw.support.tolist(), draw.queries.tolist())
         blocks.append(rows)
     assert len(blocks) == 2
     assert [rows for cache, rows in filled if cache is training] == blocks
