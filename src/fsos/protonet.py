@@ -21,7 +21,7 @@ stacks B episodes of one shape from a cache and derives their prototypes
 predictions and true labels as batched arrays. Work on embeddings, whose
 size grows with e, runs in slices of a few episodes: each slice embeds the
 rows it lacks, gathers its support rows for its prototypes and its query
-rows into the cache's scratch buffer (RowEmbeddings.lend), and writes its
+rows (RowEmbeddings.embed, the cache's one reader), and writes its
 prototypes, distances and gate products into the chunk's arrays, so a
 chunk can hold many slices' worth of episodes.
 Closed-set logits are negative squared Euclidean distances to per-class
@@ -92,11 +92,8 @@ class RowEmbeddings:
 
     The "trunk" space holds trunk features in their own shape, the others
     embed_dim values per row. Missing rows are embedded in slices of at
-    most slice_rows rows.
-
-    lend gathers into one scratch buffer per space and index shape: what it
-    returns stays valid until the next lend of that space and shape, so a
-    caller uses it before it lends again.
+    most slice_rows rows. fill and refresh write the cache; embed is its
+    one reader.
     """
 
     def __init__(self, params, rows, spaces, slice_rows):
@@ -114,7 +111,6 @@ class RowEmbeddings:
                 needed.add(SOURCE[s])
         self._walk = [s for s in SPACES[1:] if s in needed]
         self._done = np.zeros(rows.shape[0], dtype=bool)
-        self._lent = {}  # (space, index shape) -> scratch buffer
 
     def _slices(self, indices):
         """(slice, the row indices to embed it from) per slice_rows of
@@ -145,32 +141,18 @@ class RowEmbeddings:
             values[part] = embed_from(self.params, space, source[rows]).data[: part.size]
 
     def embed(self, space, indices):
-        """Embeddings [N, e] of embedded rows indices [N] in space: taken
-        from the cache when it holds space, else computed from the cached
-        SOURCE space by backbone.embed_from, on the tape when one is active."""
+        """Embeddings [*indices.shape, e] of embedded rows in space, which
+        the caller owns: a copy of the cached rows when the cache holds
+        space, else computed from the cached SOURCE space by
+        backbone.embed_from, on the tape when one is active."""
         if space in self._values:
             return self._values[space][indices]
-        return embed_from(self.params, space, self.take(SOURCE[space], indices))
+        return embed_from(self.params, space, self._space(SOURCE[space])[indices])
 
     def _space(self, space):
         if space not in self._values:
             raise ProtonetError(f"embedding space {space!r} was not requested ({self.spaces})")
         return self._values[space]
-
-    def take(self, space, indices):
-        """Embeddings [*indices.shape, e] of embedded rows in one space."""
-        return self._space(space)[indices]
-
-    def lend(self, space, indices):
-        """take of filled rows, into this cache's scratch buffer for space
-        and indices.shape, valid until the next lend of both."""
-        values = self._space(space)
-        key = (space, indices.shape)
-        if key not in self._lent:
-            self._lent[key] = np.empty(indices.shape + values.shape[1:])
-        # fill has indexed every row, so "wrap" never wraps; "raise" would
-        # copy through a temporary
-        return np.take(values, indices, axis=0, out=self._lent[key], mode="wrap")
 
 
 class ScoredChunk:
@@ -182,19 +164,17 @@ class ScoredChunk:
     RowEmbeddings. Every derived quantity is computed on first use and
     shared by the closed-set classifier and the gates.
 
-    Work on embeddings runs in slices of at most step episodes (all B when
-    step is None): embedding the rows the cache lacks (fill), the support
-    gather and prototype mean (prototypes), and the query gather with the
-    products over it (query_products, distances). Each slice is computed as
-    a chunk of its own episodes would compute it and written into the
-    [B, ...] result; the slices' query embeddings are consumed in the call
-    that gathers them, so the chunk keeps none.
+    Work on embeddings runs in slices of at most step episodes: embedding
+    the rows the cache lacks (fill), the support gather and prototype mean
+    (prototypes), and the query gather with the products over it
+    (query_products, distances), both through cache.embed. Each slice is
+    computed as a chunk of its own episodes would compute it and written
+    into the [B, ...] result; the slices' query embeddings are dropped
+    after the call that gathers them, so the chunk keeps none.
     """
 
-    def __init__(self, cache, class_ids, support_rows, query_rows, q, step=None):
-        size = class_ids.shape[0]
-        step = step or size
-        self._slices = [slice(s, s + step) for s in range(0, size, step)]
+    def __init__(self, cache, class_ids, support_rows, query_rows, q, step):
+        self._slices = [slice(s, s + step) for s in range(0, class_ids.shape[0], step)]
         for s in self._slices:
             cache.fill(np.concatenate([support_rows[s].ravel(), query_rows[s].ravel()]))
         self.cache = cache
@@ -215,18 +195,18 @@ class ScoredChunk:
         """Per-class prototypes [B, n, e] in the given space, episode class order."""
         if space not in self._prototypes:
             self._prototypes[space] = np.concatenate([
-                prototypes(self.cache.take(space, self.support_rows[s]), self.n)
+                prototypes(self.cache.embed(space, self.support_rows[s]), self.n)
                 for s in self._slices])
         return self._prototypes[space]
 
     def query_products(self, space, fn):
         """fn(queries [b, m, e], prototypes [b, n, e]) -> [b, m, n] applied to
         each slice's query embeddings and prototypes in space, as one
-        [B, m, n] array."""
+        [B, m, n] array. Each query stack is a fresh array fn may keep."""
         protos = self.prototypes(space)
         out = np.empty(self.query_rows.shape + (self.n,))
         for s in self._slices:
-            out[s] = fn(self.cache.lend(space, self.query_rows[s]), protos[s])
+            out[s] = fn(self.cache.embed(space, self.query_rows[s]), protos[s])
         return out
 
     @cached_property

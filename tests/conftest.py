@@ -33,7 +33,7 @@ def scored_episode(params, ep, spaces=("main",)):
     s = len(ep.support)
     cache = RowEmbeddings(params, rows, spaces, slice_rows=len(ep.queries))
     return ScoredChunk(cache, np.array([ep.class_ids]), np.arange(s)[None],
-                       np.arange(s, len(rows))[None], ep.q)
+                       np.arange(s, len(rows))[None], ep.q, step=1)
 
 
 # ---------------------------------------------------------------------------

@@ -566,6 +566,27 @@ def test_ablate_gtheta_grid(workdir, tmp_path):
     assert len(rows) == 1 + 4 * 2  # four architectures x two k values
 
 
+@pytest.mark.parametrize("grid,axis,values", [("kshot", "k", (1, 3)), ("nway", "n", (1, 2))])
+def test_ablate_openset_grids(workdir, tmp_path, grid, axis, values):
+    # meta_test holds 3 classes: 2-way episodes keep one unknown class
+    out = tmp_path / "abl"
+    out.mkdir()
+    assert run([
+        "ablate", f"--grid={grid}", f"--dataset={workdir}/ds.json",
+        f"--backbone={workdir}/pn.ckpt", f"--out_dir={out}", "--n=2", "--q=6",
+        f"--{axis}_values={','.join(map(str, values))}", "--train_episodes=40",
+        "--eval_episodes=6", "--seed=3",
+    ]) == 0
+    for metric in ("accuracy", "na", "f1_open", "auroc"):
+        rows = (out / f"{grid}_{metric}.csv").read_text().splitlines()
+        assert rows[0] == f"method,{axis},mean,ci", metric
+        table = [r.split(",") for r in rows[1:]]
+        assert len(table) == 3 * len(values), metric
+        assert {r[0] for r in table} == {"mbce", "ocml", "threshold"}, metric
+        assert sorted(int(r[1]) for r in table) == sorted(values * 3), metric
+        assert all(0.0 <= float(r[2]) <= 1.0 for r in table), metric
+
+
 def test_ablate_empty_grid_rejected(workdir, tmp_path, capsys):
     out = tmp_path / "abl"
     out.mkdir()

@@ -19,7 +19,7 @@ from fsos.data import SyntheticSpec, generate_synthetic
 from fsos.episodes import EpisodeConfig, TrainSchedule, draw_episode, run_meta_training
 from fsos.episodes import sample_episode
 from fsos.episodes import _VAL_STREAM, _episode_rng, _gate_val_config, _gated, _scored_chunks
-from fsos.protonet import RowEmbeddings
+from fsos.protonet import ProtonetError, RowEmbeddings
 
 IMAGE_SPEC = BackboneSpec("image", (1, 8, 8), (("conv", 4), ("conv", 4)))
 METHODS = [("mbce", "branch"), ("mbce", "projected"), ("ocml_frozen", "branch")]
@@ -115,7 +115,6 @@ def test_cache_spaces_equal_the_uncached_embedding(space, kind, small_dataset, s
     held.fill(np.arange(9))
     source = RowEmbeddings(params, rows, (SOURCE[space],), slice_rows=4)
     source.fill(np.arange(9))
-    assert np.array_equal(held.take(space, indices), want)
     assert np.array_equal(held.embed(space, indices), want)
     assert np.array_equal(source.embed(space, indices).data, want)
 
@@ -123,7 +122,7 @@ def test_cache_spaces_equal_the_uncached_embedding(space, kind, small_dataset, s
     move(_block(params, space))
     held.refresh(space)
     want = embed(params, rows[indices], space).data
-    assert np.array_equal(held.take(space, indices), want)
+    assert np.array_equal(held.embed(space, indices), want)
     assert np.array_equal(source.embed(space, indices).data, want)
 
     # a computed space is on the tape: its block's gradients equal the uncached route's
@@ -141,6 +140,20 @@ def test_cache_spaces_equal_the_uncached_embedding(space, kind, small_dataset, s
                 t.grad = None
     for got, want_grad in zip(grads[1], grads[0], strict=True):
         assert got is not None and np.array_equal(got, want_grad)
+
+
+@pytest.mark.parametrize("held,space", [(("main",), "branch"), (("branch",), "projected"),
+                                        (("projected",), "main")])
+def test_cache_refuses_a_space_it_neither_holds_nor_can_compute(held, space, small_dataset,
+                                                                 small_spec):
+    """A space the cache does not hold is computed only from its held SOURCE
+    space: without either there is nothing to embed from."""
+    params = add_projection(init_backbone(small_spec, seed=8))
+    rows = small_dataset.row_table(small_dataset.split.meta_train).rows[:4]
+    cache = RowEmbeddings(params, rows, held, slice_rows=4)
+    cache.fill(np.arange(4))
+    with pytest.raises(ProtonetError, match=f"{SOURCE[space]!r} was not requested"):
+        cache.embed(space, np.arange(4))
 
 
 @pytest.mark.parametrize("method,variant", METHODS)

@@ -163,8 +163,8 @@ def test_row_embeddings_do_not_depend_on_the_slice(small_dataset, params):
     for i in range(7):
         one_by_one.fill(np.array([i, i]))
     for space in spaces:
-        assert np.array_equal(together.take(space, np.arange(7)),
-                              one_by_one.take(space, np.arange(7))), space
+        assert np.array_equal(together.embed(space, np.arange(7)),
+                              one_by_one.embed(space, np.arange(7))), space
 
 
 def _chunks(params, dataset, cfg, spaces, count, own_caches=False):
@@ -190,8 +190,8 @@ def two_episode_chunks(monkeypatch, params):
 
 def test_chunks_of_one_cache_read_alternately_equal_chunks_of_their_own(
         small_dataset, params, two_episode_chunks):
-    """Chunks of one cache share its gather buffers; reading them in turns
-    gives what each chunk gives from a cache of its own, bit for bit."""
+    """Chunks of one cache share it; reading them in turns gives what each
+    chunk gives from a cache of its own, bit for bit."""
     cfg = two_episode_chunks
     for gate in _gates(params, _episode(small_dataset, 3)):
         spaces = ("main",) + gate.spaces
@@ -207,6 +207,25 @@ def test_chunks_of_one_cache_read_alternately_equal_chunks_of_their_own(
                     assert np.array_equal(got.prototypes(space), want.prototypes(space))
                 for a, b in zip(_gated(gate, got), _gated(gate, want), strict=True):
                     assert np.array_equal(a, b), gate.name
+
+
+def test_query_products_hands_fn_stacks_it_may_keep(small_dataset, params, two_episode_chunks):
+    """Each slice's query stack is an array of fn's own: a stack kept from an
+    earlier slice of the same shape still holds that slice's embeddings."""
+    spaces = ("main", "branch", "projected")
+    chunk = _chunks(params, small_dataset, two_episode_chunks, spaces, 2)[0]
+    slices = [slice(0, 1), slice(1, 2)]
+    for space in spaces:
+        kept = []
+
+        def keep(queries, protos):
+            kept.append(queries)
+            return np.zeros(queries.shape[:-1] + protos.shape[-2:-1])
+
+        chunk.query_products(space, keep)
+        assert len(kept) == len(slices), space
+        for s, stack in zip(slices, kept):
+            assert np.array_equal(stack, chunk.cache.embed(space, chunk.query_rows[s])), space
 
 
 def test_holding_every_chunk_of_a_call_gives_the_streamed_triples(
