@@ -29,6 +29,7 @@ from .episodes import (
     evaluate_oneclass,
     evaluate_openset,
     run_meta_training,
+    train_gates,
 )
 
 
@@ -442,6 +443,7 @@ def cmd_eval(settings):
 
 
 def cmd_ablate(settings):
+    """Ablation curves on one backbone; kshot and nway evaluate episodes.train_gates."""
     _require_two_way(settings["n"], "ocml_frozen" if settings["grid"] == "gtheta" else "mbce")
     _require_file(settings["dataset"], "dataset manifest")
     _require_file(settings["backbone"], "backbone checkpoint")
@@ -490,18 +492,9 @@ def cmd_ablate(settings):
             _write_csv(path, ["architecture", "k", "mean", "ci"], rows)
             written.append(path)
     elif grid in ("kshot", "nway"):
-        mbce_res = train("mbce")
-        ocml_res = train("ocml_frozen")
-        baseline = calibrate_threshold_baseline(
-            base_params, dataset,
-            EpisodeConfig(n=settings["n"], k=settings["k"], q=settings["q"]),
-            200, seed,
-        )
-        gates = [
-            ("mbce", MetaBceGate(mbce_res.head), mbce_res.params),
-            ("ocml", OcmlGate(ocml_res.head), base_params),
-            ("threshold", ThresholdGate(baseline), base_params),
-        ]
+        gates = train_gates(dataset, base_params,
+                            EpisodeConfig(n=settings["n"], k=settings["k"], q=settings["q"]),
+                            seed, settings["train_episodes"] or None)
         metric_names = ["accuracy", "na", "f1_open", "auroc"]
         curves = {m: [] for m in metric_names}
         if grid == "kshot":

@@ -708,6 +708,16 @@ def calibrate_threshold_baseline(params, dataset, cfg, episodes, seed, partition
     return protonet.calibrate_threshold(chunk for _, chunk in chunks)
 
 
+def train_gates(dataset, backbone, cfg, seed, episodes=None):
+    """(name, gate, params) of the compared gates on one frozen backbone: mbce and
+    ocml_frozen trained on cfg with q = 10, the threshold calibrated on 200 episodes."""
+    mb, oc = (run_meta_training(m, dataset, replace(cfg, q=10), default_schedule(m, episodes),
+                                seed=seed, base_params=backbone) for m in ("mbce", "ocml_frozen"))
+    baseline = calibrate_threshold_baseline(backbone, dataset, cfg, 200, seed)
+    return [("mbce", MetaBceGate(mb.head), mb.params), ("ocml", OcmlGate(oc.head), oc.params),
+            ("threshold", ThresholdGate(baseline), backbone)]
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

@@ -147,11 +147,11 @@ class RowEmbeddings:
         backbone.embed_from, on the tape when one is active."""
         if space in self._values:
             return self._values[space][indices]
-        return embed_from(self.params, space, self._space(SOURCE[space])[indices])
+        return embed_from(self.params, space, self._space(SOURCE.get(space), space)[indices])
 
-    def _space(self, space):
+    def _space(self, space, asked=None):
         if space not in self._values:
-            raise ProtonetError(f"embedding space {space!r} was not requested ({self.spaces})")
+            raise ProtonetError(f"embedding {asked or space!r} was not requested ({self.spaces})")
         return self._values[space]
 
 

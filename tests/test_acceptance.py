@@ -21,13 +21,9 @@ from fsos.cli import main as cli_main
 from fsos.data import SyntheticSpec, generate_synthetic
 from fsos.episodes import (
     EpisodeConfig,
-    MetaBceGate,
-    OcmlGate,
-    ThresholdGate,
     _closed_accuracy,
     _episode_rng,
     _scored_chunks,
-    calibrate_threshold_baseline,
     confidence_interval,
     default_schedule,
     evaluate_oneclass,
@@ -35,6 +31,7 @@ from fsos.episodes import (
     run_meta_training,
     draw_episode,
     sample_episode,
+    train_gates,
 )
 from fsos.metrics import UNKNOWN, aks, auroc, f1_open, normalized_accuracy
 
@@ -53,32 +50,12 @@ def report_line(criterion, ok, detail=""):
 
 class BenchRun:
     def __init__(self, seed):
-        self.seed = seed
         self.dataset = generate_synthetic(SyntheticSpec(seed=seed))
-        pn = run_meta_training(
+        self.backbone = run_meta_training(
             "protonet", self.dataset, EpisodeConfig(n=10, k=5, q=10),
             default_schedule("protonet"), seed=seed, spec=DEFAULT_VECTOR_SPEC,
-        )
-        self.backbone = pn.params
-        head_cfg = EpisodeConfig(n=5, k=5, q=10)
-        self.mbce = run_meta_training(
-            "mbce", self.dataset, head_cfg, default_schedule("mbce"),
-            seed=seed, base_params=self.backbone,
-        )
-        self.ocml = run_meta_training(
-            "ocml_frozen", self.dataset, head_cfg, default_schedule("ocml_frozen"),
-            seed=seed, base_params=self.backbone,
-        )
-        self.baseline = calibrate_threshold_baseline(
-            self.backbone, self.dataset, EpisodeConfig(n=5, k=5, q=15), 200, seed
-        )
-
-    def gates(self):
-        return [
-            ("mbce", MetaBceGate(self.mbce.head), self.mbce.params),
-            ("ocml", OcmlGate(self.ocml.head), self.backbone),
-            ("threshold", ThresholdGate(self.baseline), self.backbone),
-        ]
+        ).params
+        self.gates = train_gates(self.dataset, self.backbone, EpisodeConfig(n=5, k=5, q=15), seed)
 
 
 @pytest.fixture(scope="session")
@@ -291,8 +268,8 @@ def test_criterion_5_augmentation_no_degradation(bench):
         return logit_blobs, correct / total
 
     base_logits, base_acc = logits_and_accuracy(run.backbone)
-    mbce_logits, mbce_acc = logits_and_accuracy(run.mbce.params)
-    ocml_logits, ocml_acc = logits_and_accuracy(run.ocml.params)
+    mbce_logits, mbce_acc = logits_and_accuracy(run.gates[0][2])
+    ocml_logits, ocml_acc = logits_and_accuracy(run.gates[1][2])
     for b, m, o in zip(base_logits, mbce_logits, ocml_logits):
         assert np.array_equal(b, m)
         assert np.array_equal(b, o)
@@ -313,7 +290,7 @@ def bench_openset(bench):
                 params, gate, run.dataset, EpisodeConfig(n=5, k=5, q=15), M_BENCH,
                 EVAL_SEED,
             )
-            for name, gate, params in run.gates()
+            for name, gate, params in run.gates
         }
     return out
 
@@ -336,7 +313,7 @@ def test_criterion_6_protonet_closed_accuracy(bench):
 def test_criterion_6_oneclass_auroc_floors(bench):
     results = {}
     for seed, run in bench.items():
-        for name, gate, params in run.gates()[:2]:
+        for name, gate, params in run.gates[:2]:
             for k, floor in ((5, 0.90), (1, 0.80)):
                 rep = evaluate_oneclass(
                     params, gate, run.dataset, EpisodeConfig(n=1, k=k, q=15),
@@ -412,11 +389,10 @@ def _non_decreasing_within_ci(points):
 
 
 def test_criterion_7_mbce_trend(bench):
-    run = bench[1]
-    gate = MetaBceGate(run.mbce.head)
+    _, gate, params = bench[1].gates[0]
     ok = True
     for metric in ("na", "f1_open"):
-        points = _k_trend(run, gate, run.mbce.params, metric)
+        points = _k_trend(bench[1], gate, params, metric)
         ok = ok and _non_decreasing_within_ci(points)
     report_line(7, ok, "mbce NA/F1-open non-decreasing in k")
     assert ok
@@ -428,11 +404,10 @@ def test_criterion_7_mbce_trend(bench):
     "leaving its NA/F1-open flat in k with steps at the CI boundary",
 )
 def test_criterion_7_ocml_trend(bench):
-    run = bench[1]
-    gate = OcmlGate(run.ocml.head)
+    _, gate, params = bench[1].gates[1]
     ok = True
     for metric in ("na", "f1_open"):
-        points = _k_trend(run, gate, run.backbone, metric)
+        points = _k_trend(bench[1], gate, params, metric)
         ok = ok and _non_decreasing_within_ci(points)
     report_line(7, ok, "ocml NA/F1-open non-decreasing in k")
     assert ok

@@ -28,6 +28,7 @@ from fsos.episodes import (
     evaluate_openset,
     run_meta_training,
     sample_episode,
+    train_gates,
     _episode_rng,
 )
 from fsos.metabce import init_head
@@ -549,3 +550,22 @@ def test_threshold_calibration_clamps_to_partition(small_dataset, small_spec):
     cfg = EpisodeConfig(n=5, k=2, q=4, n_unknown=5)
     baseline = calibrate_threshold_baseline(params, small_dataset, cfg, 6, seed=17)
     assert baseline.tau >= 0.0
+
+
+def test_train_gates_equal_the_gates_built_by_hand(small_dataset, small_spec):
+    backbone, cfg = init_backbone(small_spec, seed=18), EpisodeConfig(n=2, k=2, q=4)
+    gates = train_gates(small_dataset, backbone, cfg, seed=19, episodes=12)
+    assert [name for name, _, _ in gates] == ["mbce", "ocml", "threshold"]
+    assert gates[0][2] is not backbone and gates[1][2] is not backbone
+    mb, oc = (run_meta_training(m, small_dataset, EpisodeConfig(2, 2, 10), default_schedule(m, 12),
+                                seed=19, base_params=backbone) for m in ("mbce", "ocml_frozen"))
+    baseline = calibrate_threshold_baseline(backbone, small_dataset, cfg, 200, 19)
+    assert gates[2][1].baseline.tau == baseline.tau
+    by_hand = [("mbce", MetaBceGate(mb.head), mb.params), ("ocml", OcmlGate(oc.head), oc.params),
+               ("threshold", ThresholdGate(baseline), backbone)]
+    for evaluate, n in ((evaluate_openset, 2), (evaluate_oneclass, 1)):
+        eval_cfg = EpisodeConfig(n=n, k=2, q=4, n_unknown=1)
+        for (_, gate, params), (_, want_gate, want_params) in zip(gates, by_hand):
+            got = evaluate(params, gate, small_dataset, eval_cfg, 30, seed=20).per_episode
+            want = evaluate(want_params, want_gate, small_dataset, eval_cfg, 30, seed=20).per_episode
+            assert got.keys() == want.keys() and all(np.array_equal(got[k], want[k]) for k in want)

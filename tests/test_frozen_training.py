@@ -143,16 +143,16 @@ def test_cache_spaces_equal_the_uncached_embedding(space, kind, small_dataset, s
 
 
 @pytest.mark.parametrize("held,space", [(("main",), "branch"), (("branch",), "projected"),
-                                        (("projected",), "main")])
+                                        (("projected",), "main"), (("main",), "trunk")])
 def test_cache_refuses_a_space_it_neither_holds_nor_can_compute(held, space, small_dataset,
                                                                  small_spec):
     """A space the cache does not hold is computed only from its held SOURCE
-    space: without either there is nothing to embed from."""
+    space (trunk has none); without either, the error names the space asked for."""
     params = add_projection(init_backbone(small_spec, seed=8))
     rows = small_dataset.row_table(small_dataset.split.meta_train).rows[:4]
     cache = RowEmbeddings(params, rows, held, slice_rows=4)
     cache.fill(np.arange(4))
-    with pytest.raises(ProtonetError, match=f"{SOURCE[space]!r} was not requested"):
+    with pytest.raises(ProtonetError, match=f"{space!r} was not requested"):
         cache.embed(space, np.arange(4))
 
 
