@@ -417,6 +417,14 @@ def conv3x3_pool(x, kernel, bias):
     bias: [oc]. Returns [n, oc, h/2, w/2]. A pool tie goes to the first
     window position in row-major order, as argmax does.
 
+    The pool runs before the ReLU, and without a tape before the bias too,
+    so both touch only the pooled [n*h/2*w/2, oc] block. The bits are those
+    of bias, ReLU, then pool: rounding x + b and the ReLU are monotone, so
+    they commute with max. With a tape the bias is added first, because the
+    winner is read on post-bias values; a window whose maximum is <= 0 gets
+    no gradient, so its winner does not matter. One corner differs: a bias
+    entry of exactly -0.0 can change the sign of a zero output.
+
     The conv is one channels-last im2col GEMM; the backward pass is one
     GEMM for the kernel gradient and, when x needs a gradient, one more
     im2col GEMM that correlates the output gradient with the flipped
@@ -441,19 +449,23 @@ def conv3x3_pool(x, kernel, bias):
     m = nb * h2 * w2
     xp = np.pad(xd.transpose(0, 2, 3, 1), _PAD_HW)
     act = _im2col(xp, h2, w2) @ kd.transpose(2, 3, 1, 0).reshape(9 * c, oc)
-    act += bd
-    np.maximum(act, 0.0, out=act)
     act = act.reshape(4, m, oc)  # one [m, oc] block per pool window position
-    pooled = act[0].copy()
     # the winner index is read only by the backward pass, so it is kept only
-    # while a tape records
-    arg = np.zeros((m, oc), dtype=np.int8) if active_tape() is not None else None
+    # while a tape records, and it is read on post-bias values
+    taped = active_tape() is not None
+    if taped:
+        act += bd
+    arg = np.zeros((m, oc), dtype=np.int8) if taped else None
+    pooled = act[0].copy()
     for i in range(1, 4):
-        if arg is not None:
+        if taped:
             # strict >: a tie keeps the earlier position; i exceeds every
             # earlier position, so max() records the latest strict winner
             np.maximum(arg, (act[i] > pooled) * np.int8(i), out=arg)
         np.maximum(pooled, act[i], out=pooled)
+    if not taped:
+        pooled += bd
+    np.maximum(pooled, 0.0, out=pooled)
 
     def backward_fn(g):
         # only each window's winner gets gradient, through the ReLU mask of

@@ -2,9 +2,11 @@
 
 A step makes one update over the flat concatenation of every parameter's
 gradient, in parameter order, and subtracts each parameter's slice of it in
-place. Adam holds its moments flat in the same layout. Every elementwise
-operation keeps the operands and order of the per-tensor textbook rule, so a
-flat step gives the same bits as one update per tensor, 0-d tensors included.
+place; a group of one tensor updates in a flat view of its own gradient,
+which the step overwrites. Adam holds its moments flat in the same layout.
+Every elementwise operation keeps the operands and order of the per-tensor
+textbook rule, so a flat step gives the same bits as one update per tensor,
+0-d tensors included.
 """
 
 import numpy as np
@@ -44,8 +46,16 @@ class OptimizerState:
         self.step_count += 1
         if not grads:
             return
-        self._update(np.concatenate(grads, axis=None, out=self._flat))
-        for p, piece in zip(self.params, self._pieces):
+        if len(grads) == 1:
+            # one tensor: its own gradient, a buffer backward made for it,
+            # is the flat update, and nothing is copied
+            flat = grads[0].reshape(-1)
+            self._update(flat)
+            pieces = [flat.reshape(self.params[0].data.shape)]
+        else:
+            self._update(np.concatenate(grads, axis=None, out=self._flat))
+            pieces = self._pieces
+        for p, piece in zip(self.params, pieces):
             p.data -= piece
             p.grad = None
 

@@ -82,6 +82,22 @@ def predict_closed(distances, class_ids):
     return np.take_along_axis(np.take_along_axis(ids, order, axis=-1), nearest, axis=-1)
 
 
+# Image rows are filled in slices whose largest conv buffer holds at most
+# this many values: 24 rows of DEFAULT_IMAGE_SPEC (a block-2 im2col of 18 432
+# values a row), where the cost per row measured lowest (CHANGES.md).
+IMAGE_SLICE_VALUES = 24 * 18432
+
+
+def _conv_values_per_row(spec):
+    """Values of the largest conv buffer one input row makes: per block, the
+    [h*w, 9*c] im2col or the [h*w, oc] pre-pool activation."""
+    (c, h, w), most = spec.input_shape, 0
+    for _, oc in spec.blocks:
+        most = max(most, h * w * max(9 * c, oc))
+        c, h, w = oc, h // 2, w // 2
+    return most
+
+
 class RowEmbeddings:
     """Embeddings of a row table's rows in the given spaces, each row
     embedded at most once: a cache for one evaluation or calibration call
@@ -92,14 +108,18 @@ class RowEmbeddings:
 
     The "trunk" space holds trunk features in their own shape, the others
     embed_dim values per row. Missing rows are embedded in slices of at
-    most slice_rows rows. fill and refresh write the cache; embed is its
-    one reader.
+    most slice_rows rows; for an image extractor, also of at most as many
+    rows as keep each conv buffer within IMAGE_SLICE_VALUES values. fill and
+    refresh write the cache; embed is its one reader.
     """
 
     def __init__(self, params, rows, spaces, slice_rows):
         self.params = params
         self.rows = rows
         self.spaces = tuple(s for s in SPACES if s in spaces)
+        if params.spec.input_kind == "image":
+            slice_rows = min(slice_rows,
+                             max(1, IMAGE_SLICE_VALUES // _conv_values_per_row(params.spec)))
         self.slice_rows = slice_rows
         shape = {"trunk": params.spec.trunk_shape}
         self._values = {s: np.empty((rows.shape[0],) + shape.get(s, (params.embed_dim,)))

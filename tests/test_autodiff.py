@@ -568,6 +568,74 @@ def test_conv3x3_pool_output_same_with_and_without_tape(bias_offset):
     assert np.array_equal(untaped.data, taped.data)
 
 
+def _relu_then_pool(x, kernel, bias, g):
+    """conv3x3_pool's im2col GEMM with the bias and ReLU applied to every
+    pre-pool value and the pool after them, its winner read on post-ReLU
+    values: the output, and the (x, kernel, bias) gradients for upstream
+    gradient g, routed as that order routes them."""
+    nb, c, h, w = x.shape
+    oc, h2, w2 = kernel.shape[0], h // 2, w // 2
+    m = nb * h2 * w2
+    xp = np.pad(x.transpose(0, 2, 3, 1), ad._PAD_HW)
+    act = ad._im2col(xp, h2, w2) @ kernel.transpose(2, 3, 1, 0).reshape(9 * c, oc)
+    act += bias
+    np.maximum(act, 0.0, out=act)
+    act = act.reshape(4, m, oc)
+    pooled, arg = act[0].copy(), np.zeros((m, oc), dtype=np.int8)
+    for i in range(1, 4):
+        np.maximum(arg, (act[i] > pooled) * np.int8(i), out=arg)
+        np.maximum(pooled, act[i], out=pooled)
+    gpool = g.transpose(0, 2, 3, 1).reshape(m, oc) * (pooled > 0.0)
+    gconv = (gpool * (arg == np.arange(4, dtype=np.int8)[:, None, None])).reshape(4 * m, oc)
+    gk = (ad._im2col(xp, h2, w2).T @ gconv).reshape(3, 3, c, oc).transpose(3, 2, 0, 1)
+    gimg = np.pad(ad._unwindow(gconv, nb, h2, w2), ad._PAD_HW)
+    kflip = kernel[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * oc, c)
+    gx = ad._unwindow(ad._im2col(gimg, h2, w2) @ kflip, nb, h2, w2).transpose(0, 3, 1, 2)
+    out = pooled.reshape(nb, h2, w2, oc).transpose(0, 3, 1, 2)
+    return out, (gx, gk, gpool.sum(axis=0))
+
+
+@st.composite
+def _conv_cases(draw):
+    """Small conv blocks whose inputs are exact zeros or scaled O(1) values,
+    some all zero (every window ties), with biases of either sign up to 100
+    times the activations and more (whole windows below zero, rounding
+    ties), and upstream gradients of either sign with zeros."""
+    nb, c, oc = (draw(st.integers(1, 3)) for _ in range(3))
+    h, w = (2 * draw(st.integers(1, 3)) for _ in range(2))
+    values = st.one_of(st.just(0.0), st.floats(-2.0, 2.0, allow_subnormal=False))
+    # at the smaller scales, a bias rounds distinct pre-pool values to ties
+    scale = draw(st.sampled_from([1.0, 1e-15, 1e-18]))
+    x = draw(st.one_of(st.just(np.zeros((nb, c, h, w))),
+                       hnp.arrays(np.float64, (nb, c, h, w), elements=values))) * scale
+    kernel = draw(hnp.arrays(np.float64, (oc, c, 3, 3), elements=values))
+    # a -0.0 bias entry is the documented corner where a zero's sign may differ
+    bias = draw(hnp.arrays(np.float64, oc, elements=st.floats(-100.0, 100.0))) + 0.0
+    g = draw(hnp.arrays(np.float64, (nb, oc, h // 2, w // 2), elements=values))
+    return x, kernel, bias, g
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@given(_conv_cases())
+@settings(max_examples=200, deadline=None)
+def test_conv3x3_pool_equals_relu_then_pool_bit_for_bit(case):
+    # pooling before the bias and ReLU must keep the output's and the
+    # gradients' bits, taped or not
+    x, kernel, bias, g = case
+    want, want_grads = _relu_then_pool(x, kernel, bias, g)
+    untaped = ad.conv3x3_pool(x, kernel, bias)
+    leaves = [Tensor(a, requires_grad=True) for a in (x, kernel, bias)]
+    with Tape() as tape:
+        taped = ad.conv3x3_pool(*leaves)
+    assert np.array_equal(_bits(untaped.data), _bits(want))
+    assert np.array_equal(_bits(taped.data), _bits(want))
+    for got, ref in zip(tape.entries[0].backward_fn(g), want_grads):
+        assert np.array_equal(_bits(got), _bits(ref))
+
+
 def test_conv3x3_pool_rejects_bad_shapes():
     kernel, bias = np.zeros((2, 1, 3, 3)), np.zeros(2)
     for x, k, b in [

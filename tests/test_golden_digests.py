@@ -110,7 +110,8 @@ def _run_digest(result):
 def run_image_pipeline(stage_seconds=None):
     """Run the image pipeline; {stage: sha256 of its output}. stage_seconds,
     when given, receives each stage's wall time."""
-    seed, train_cfg, eval_cfg = 3, ep.EpisodeConfig(n=5, k=5, q=10), ep.EpisodeConfig(n=5, k=5, q=15)
+    seed = 3
+    train_cfg, eval_cfg = ep.EpisodeConfig(n=5, k=5, q=10), ep.EpisodeConfig(n=5, k=5, q=15)
     digests = {}
 
     def stage(name, fn, digest):

@@ -98,3 +98,19 @@ def test_mbce_offset_group_then_the_rest(kind, variant, small_backbone):
     for group, data, g, rate in zip(([head.t], rest), start, grads, (0.05, 1e-4)):
         for t, w in zip(group, REFERENCES[kind](data, g, rate)):
             assert np.array_equal(t.data.view(np.uint64), w.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("shape", SHAPES, ids=["0d", "1d", "2d"])
+def test_one_tensor_group_equals_the_textbook_rule(kind, shape):
+    """A group of one tensor updates in its own gradient, not the flat buffer."""
+    rng = np.random.default_rng(43)
+    start = np.zeros(shape)
+    tensor = Tensor(start.copy(), requires_grad=True)
+    grads = _gradients(rng, [shape], steps=6)
+    opt, = _run([(kind, [tensor], 3e-3)], [grads])
+    want, = REFERENCES[kind]([start], grads, 3e-3)
+    assert tensor.data.shape == want.shape
+    assert np.array_equal(tensor.data.view(np.uint64), want.view(np.uint64))
+    assert tensor.grad is None
+    assert opt.step_count == 6

@@ -11,7 +11,7 @@ import pytest
 
 from fsos import episodes, metabce, ocml, protonet
 from fsos.autodiff import Tensor, row_block_mean
-from fsos.backbone import add_projection, embed, init_backbone
+from fsos.backbone import DEFAULT_IMAGE_SPEC, add_projection, embed, init_backbone
 from fsos.episodes import (
     Episode,
     EpisodeConfig,
@@ -30,15 +30,19 @@ from fsos.protonet import RowEmbeddings, ThresholdBaseline
 from conftest import scored_episode
 
 
-@pytest.fixture(scope="module")
-def params(small_spec):
+def _moved_params(spec):
     """Branch and projection moved off their initial copies of the head."""
-    p = add_projection(init_backbone(small_spec, seed=21))
+    p = add_projection(init_backbone(spec, seed=21))
     rng = np.random.default_rng(21)
     for block in (p.branch, p.projection):
         for name, t in block.items():
             block[name] = Tensor(t.data + 0.1 * rng.normal(size=t.data.shape))
     return p
+
+
+@pytest.fixture(scope="module")
+def params(small_spec):
+    return _moved_params(small_spec)
 
 
 def _episode(dataset, n):
@@ -165,6 +169,34 @@ def test_row_embeddings_do_not_depend_on_the_slice(small_dataset, params):
     for space in spaces:
         assert np.array_equal(together.embed(space, np.arange(7)),
                               one_by_one.embed(space, np.arange(7))), space
+
+
+def test_image_row_embeddings_do_not_depend_on_the_slice(monkeypatch):
+    """On an image extractor, a row gets the same bits in slices capped by
+    IMAGE_SLICE_VALUES, partial tail included, and alone, as in one slice
+    of all rows.
+
+    Not checked: a lone row's projected space. The BLAS multiplies a product
+    as small as its two copies by the 512-wide projection with a small-matrix
+    kernel that rounds differently (CHANGES.md, FOUND)."""
+    p = _moved_params(DEFAULT_IMAGE_SPEC)
+    rows = np.random.default_rng(23).normal(size=(53, 256))
+    n, spaces = rows.shape[0], ("main", "branch", "projected")
+    sliced = RowEmbeddings(p, rows, spaces, slice_rows=n)
+    assert 1 < sliced.slice_rows < n and n % sliced.slice_rows
+    sliced.fill(np.arange(n))
+    one_by_one = RowEmbeddings(p, rows, spaces, slice_rows=n)
+    for i in range(n):
+        one_by_one.fill(np.array([i, i]))
+    monkeypatch.setattr(protonet, "IMAGE_SLICE_VALUES", 2**62)
+    together = RowEmbeddings(p, rows, spaces, slice_rows=n)
+    assert together.slice_rows == n
+    together.fill(np.arange(n))
+    for space in spaces:
+        want = together.embed(space, np.arange(n))
+        assert np.array_equal(sliced.embed(space, np.arange(n)), want), space
+        if space != "projected":
+            assert np.array_equal(one_by_one.embed(space, np.arange(n)), want), space
 
 
 def _chunks(params, dataset, cfg, spaces, count, own_caches=False):
