@@ -30,11 +30,12 @@ chunks (protonet.ScoredChunk) from a per-call cache, so each drawn row is
 embedded once per call, and the gates read the same embeddings as the
 closed-set classifier. A chunk holds about CHUNK_QUERIES queries: its draw,
 truth, gate decisions, closed predictions and metrics run once, on [B, m]
-arrays. Only the work that grows with the embedding width e (embedding,
-gathers, prototypes, distances, the gates' query products) runs in slices
+arrays. The cache embeds a chunk's rows in one fill, in slices it sizes
+itself; the rest of the work that grows with the embedding width e
+(gathers, prototypes, distances, the gates' query products) runs in slices
 of at most CHUNK_VALUES embedding values. Every slice computes what a
 chunk of its own episodes would, and the rest works row by row, so results
-do not depend on either size.
+do not depend on either size (but see protonet.RowEmbeddings._slices).
 
 Validation scores the same episodes at every point of a run, so a run draws
 them once (_ValidationSet). On a frozen extractor it also keeps their cache
@@ -424,20 +425,13 @@ METHODS = ("protonet", "mbce", "ocml_joint", "ocml_frozen")
 # Scored chunks hold about this many queries (6000: 40 episodes of the
 # 5-way, 150-query shape, 200 of the one-class 30-query one), from a
 # measured sweep (CHANGES.md): doubling it again gained little and doubled
-# the chunk's [B, m, n] arrays. Within a chunk, the work on embeddings runs
-# in slices of episodes whose [b, m, e] query stack holds at most
-# CHUNK_VALUES values (750 KiB): 10 episodes of the 5-way shape at e = 64,
-# which measured fastest. The distance kernel's [b, m, n] result is e / n
-# times smaller than the query stack.
+# the chunk's [B, m, n] arrays. Within a chunk, gathers and products run in
+# slices of episodes whose [b, m, e] query stack holds at most CHUNK_VALUES
+# values (750 KiB): 10 episodes of the 5-way shape at e = 64, which
+# measured fastest. The distance kernel's [b, m, n] result is e / n times
+# smaller than the query stack.
 CHUNK_QUERIES = 6000
 CHUNK_VALUES = 10 * 150 * 64
-
-
-def _row_cache(params, table, cfg, spaces):
-    """A RowEmbeddings cache of table's rows for episodes of cfg's shape,
-    filled in slices of one episode's queries."""
-    m = (cfg.n + cfg.n_unknown) * cfg.q
-    return protonet.RowEmbeddings(params, table.rows, spaces, slice_rows=m)
 
 
 def _drawn_blocks(table, cfg, episodes, seed, stream, embed_dim):
@@ -457,7 +451,7 @@ def _scored_chunks(params, table, cfg, episodes, seed, stream, spaces):
     """Episodes 0 .. episodes - 1 of (seed, stream), drawn from table and
     scored in chunks; yields (index of the chunk's first episode, chunk).
     Every row is embedded at most once per call, in the given spaces."""
-    cache = _row_cache(params, table, cfg, spaces)
+    cache = protonet.RowEmbeddings(params, table.rows, spaces)
     for start, block in _drawn_blocks(table, cfg, episodes, seed, stream, params.embed_dim):
         yield start, protonet.ScoredChunk(cache, *block)
 
@@ -482,7 +476,7 @@ class _ValidationSet:
     def __init__(self, params, table, cfg, episodes, seed, spaces, trained):
         drawn = _drawn_blocks(table, cfg, episodes, seed, _VAL_STREAM, params.embed_dim)
         self.blocks = [block for _, block in drawn]
-        self.new_cache = partial(_row_cache, params, table, cfg, spaces)
+        self.new_cache = partial(protonet.RowEmbeddings, params, table.rows, spaces)
         self.trained = trained
         self.kept = None
 
@@ -587,6 +581,8 @@ def run_meta_training(
         raise EpisodeError(
             f"{method} training augments a pretrained backbone: base_params required"
         )
+    if base_params is None and spec is None:
+        raise EpisodeError(f"{method} training needs base_params or spec, got neither")
     params = base_params.copy() if base_params is not None else init_backbone(spec, seed)
     # no background categories: training and closed-set validation episodes
     # draw known classes only, negatives come from within the episode
@@ -619,10 +615,7 @@ def run_meta_training(
         cache = None
         embed_fn = lambda rows: embed(params, table.rows[rows])
     else:
-        # a block's fill embeds its new rows in slices of one episode's
-        # support and known-query rows
-        cache = protonet.RowEmbeddings(params, table.rows, (frozen,),
-                                       slice_rows=episode_cfg.n * (episode_cfg.k + episode_cfg.q))
+        cache = protonet.RowEmbeddings(params, table.rows, (frozen,))
         embed_fn = partial(cache.embed, gate.spaces[0])
 
     groups = [(trainable, schedule.learning_rate)]

@@ -9,21 +9,21 @@ taped step embed_episode: the embed function runs the extractor on the rows
 when it trains, or reads cached rows when it is frozen.
 
 RowEmbeddings embeds each row of a row table at most once per cache, untaped,
-in the spaces asked for: the trunk runs once per row, and each space is
-computed from its backbone.SOURCE space on the way. A cache lives for one
-evaluation or calibration call, one validation point of a run that trains
+in the spaces asked for, in slices it sizes itself: the trunk runs once per
+row, and each space is computed from its backbone.SOURCE space on the way.
+A cache lives for one evaluation or calibration call, one validation point of a run that trains
 its extractor, one training run of a head on a frozen extractor, which
 embeds its trained space from the cached source on the tape (embed), or the
 whole validation of such a run, where refresh re-embeds the trained branch
-or projected space from its cached source. A ScoredChunk
-stacks B episodes of one shape from a cache and derives their prototypes
-[B, n, e], main-space distances [B, m, n], nearest distances, closed
-predictions and true labels as batched arrays. Work on embeddings, whose
-size grows with e, runs in slices of a few episodes: each slice embeds the
-rows it lacks, gathers its support rows for its prototypes and its query
-rows (RowEmbeddings.embed, the cache's one reader), and writes its
-prototypes, distances and gate products into the chunk's arrays, so a
-chunk can hold many slices' worth of episodes.
+or projected space from its cached source. A ScoredChunk stacks B
+episodes of one shape from a cache, fills it with their rows in one call,
+and derives their prototypes [B, n, e], main-space distances [B, m, n],
+nearest distances, closed predictions and true labels as batched arrays.
+The rest of the work on embeddings, whose size grows with e, runs in slices
+of a few episodes: each slice gathers its support rows for its prototypes
+and its query rows (RowEmbeddings.embed, the cache's one reader), and
+writes its prototypes, distances and gate products into the chunk's
+arrays, so a chunk can hold many slices' worth of episodes.
 Closed-set logits are negative squared Euclidean distances to per-class
 prototypes, from autodiff's Gram-form kernel, which clamps at 0; argmin
 ties, exact zeros included, break toward the lowest class id. The threshold
@@ -82,15 +82,18 @@ def predict_closed(distances, class_ids):
     return np.take_along_axis(np.take_along_axis(ids, order, axis=-1), nearest, axis=-1)
 
 
-# Image rows are filled in slices whose largest conv buffer holds at most
-# this many values: 24 rows of DEFAULT_IMAGE_SPEC (a block-2 im2col of 18 432
-# values a row), where the cost per row measured lowest (CHANGES.md).
-IMAGE_SLICE_VALUES = 24 * 18432
+# fill and refresh embed rows in slices whose largest per-row buffer holds
+# at most this many values in all: 24 rows of DEFAULT_IMAGE_SPEC (a block-2
+# im2col of 18 432 values a row), where the cost per row measured lowest.
+SLICE_VALUES = 24 * 18432
 
 
-def _conv_values_per_row(spec):
-    """Values of the largest conv buffer one input row makes: per block, the
-    [h*w, 9*c] im2col or the [h*w, oc] pre-pool activation."""
+def _values_per_row(spec):
+    """Values of the largest buffer one input row makes: for a dense spec
+    the widest of the input and block widths, for a conv spec, per block,
+    the [h*w, 9*c] im2col or the [h*w, oc] pre-pool activation."""
+    if spec.input_kind == "vector":
+        return max(spec.input_shape + tuple(d for _, d in spec.blocks))
     (c, h, w), most = spec.input_shape, 0
     for _, oc in spec.blocks:
         most = max(most, h * w * max(9 * c, oc))
@@ -101,26 +104,23 @@ def _conv_values_per_row(spec):
 class RowEmbeddings:
     """Embeddings of a row table's rows in the given spaces, each row
     embedded at most once: a cache for one evaluation or calibration call
-    or one validation point, filled once per scored slice, or for one
+    or one validation point, filled once per scored chunk, or for one
     training run of a head on a frozen extractor, filled once per block of
     drawn episodes, which draw the same rows again and again, or for that
     run's validation, refreshed at each point in the space the run trains.
 
     The "trunk" space holds trunk features in their own shape, the others
-    embed_dim values per row. Missing rows are embedded in slices of at
-    most slice_rows rows; for an image extractor, also of at most as many
-    rows as keep each conv buffer within IMAGE_SLICE_VALUES values. fill and
-    refresh write the cache; embed is its one reader.
+    embed_dim values per row. fill and refresh embed rows in slices of
+    slice_rows rows, as many as keep the largest per-row buffer within
+    SLICE_VALUES values (_values_per_row); they write the cache, and embed
+    is its one reader.
     """
 
-    def __init__(self, params, rows, spaces, slice_rows):
+    def __init__(self, params, rows, spaces):
         self.params = params
         self.rows = rows
         self.spaces = tuple(s for s in SPACES if s in spaces)
-        if params.spec.input_kind == "image":
-            slice_rows = min(slice_rows,
-                             max(1, IMAGE_SLICE_VALUES // _conv_values_per_row(params.spec)))
-        self.slice_rows = slice_rows
+        self.slice_rows = max(1, SLICE_VALUES // _values_per_row(params.spec))
         shape = {"trunk": params.spec.trunk_shape}
         self._values = {s: np.empty((rows.shape[0],) + shape.get(s, (params.embed_dim,)))
                         for s in self.spaces}
@@ -135,8 +135,12 @@ class RowEmbeddings:
     def _slices(self, indices):
         """(slice, the row indices to embed it from) per slice_rows of
         indices. numpy multiplies a single row by gemv, which rounds
-        differently from gemm: a slice of one row is embedded as two copies
-        of it, so that a row's embedding never depends on its slice."""
+        differently from gemm, so a slice of one row is embedded as two
+        copies of it. A row's embedding is then independent of its slice
+        wherever the BLAS runs every slice's products on one kernel: with
+        scipy-openblas 0.3.31, every slice of 2 to 600 rows through 32- and
+        64-wide weights, but not of 2 or 3 rows through a 512 x 512
+        projection, whose small products take another kernel (CHANGES.md)."""
         for start in range(0, indices.size, self.slice_rows):
             part = indices[start : start + self.slice_rows]
             yield part, np.repeat(part, 2) if part.size == 1 else part
@@ -184,19 +188,18 @@ class ScoredChunk:
     RowEmbeddings. Every derived quantity is computed on first use and
     shared by the closed-set classifier and the gates.
 
-    Work on embeddings runs in slices of at most step episodes: embedding
-    the rows the cache lacks (fill), the support gather and prototype mean
-    (prototypes), and the query gather with the products over it
-    (query_products, distances), both through cache.embed. Each slice is
-    computed as a chunk of its own episodes would compute it and written
-    into the [B, ...] result; the slices' query embeddings are dropped
-    after the call that gathers them, so the chunk keeps none.
+    One cache.fill embeds the rows the cache lacks; the rest of the work
+    on embeddings runs in slices of at most step episodes: the support
+    gather and prototype mean (prototypes), and the query gather with the
+    products over it (query_products, distances), both through cache.embed.
+    Each slice is computed as a chunk of its own episodes would compute it
+    and written into the [B, ...] result; the slices' query embeddings are
+    dropped after the call that gathers them, so the chunk keeps none.
     """
 
     def __init__(self, cache, class_ids, support_rows, query_rows, q, step):
+        cache.fill(np.concatenate([support_rows.ravel(), query_rows.ravel()]))
         self._slices = [slice(s, s + step) for s in range(0, class_ids.shape[0], step)]
-        for s in self._slices:
-            cache.fill(np.concatenate([support_rows[s].ravel(), query_rows[s].ravel()]))
         self.cache = cache
         self.class_ids = class_ids
         self.support_rows = support_rows

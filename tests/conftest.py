@@ -31,7 +31,7 @@ def scored_episode(params, ep, spaces=("main",)):
     a cache of the episode's own rows: its support, then its queries."""
     rows = np.concatenate([ep.support, ep.queries])
     s = len(ep.support)
-    cache = RowEmbeddings(params, rows, spaces, slice_rows=len(ep.queries))
+    cache = RowEmbeddings(params, rows, spaces)
     return ScoredChunk(cache, np.array([ep.class_ids]), np.arange(s)[None],
                        np.arange(s, len(rows))[None], ep.q, step=1)
 

@@ -332,6 +332,15 @@ def test_run_meta_training_unknown_method(small_dataset):
                           TrainSchedule(episodes=2), seed=0)
 
 
+@pytest.mark.parametrize("method", ["protonet", "ocml_joint"])
+def test_run_meta_training_needs_base_params_or_spec(small_dataset, monkeypatch, method):
+    """With neither, the run names both arguments before it builds anything."""
+    monkeypatch.setattr(fsos.episodes, "init_backbone", lambda *a: pytest.fail("built"))
+    with pytest.raises(EpisodeError, match="needs base_params or spec, got neither"):
+        run_meta_training(method, small_dataset, EpisodeConfig(n=2, k=2, q=2),
+                          TrainSchedule(episodes=2), seed=0)
+
+
 def test_loss_curve_length_matches_schedule(small_dataset, small_spec):
     result = run_meta_training(
         "protonet", small_dataset, EpisodeConfig(n=2, k=2, q=3),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fsos.episodes
-from fsos import metabce, ocml
+from fsos import metabce, ocml, protonet
 from fsos.autodiff import Tape, Tensor, backward, bce
 from fsos.backbone import SOURCE, BackboneParams, BackboneSpec, add_projection, embed
 from fsos.backbone import init_backbone
@@ -76,7 +76,7 @@ def test_cached_step_equals_gathered_taped_step(method, variant, kind, fill, sma
     want_loss, want_grads = _step(loss_fn, taped_fn, gathered, trainable)
 
     rows = np.concatenate([draw.support, draw.queries])
-    cache = RowEmbeddings(params, table.rows, (space,), slice_rows=rows.size)
+    cache = RowEmbeddings(params, table.rows, (space,))
     if fill == "single_row":
         # an episode's rows are distinct, so the fill below embeds rows[0] alone
         cache.fill(rows[1:])
@@ -96,7 +96,7 @@ def _block(params, space):
 @pytest.mark.parametrize("kind", ["vector", "image"])
 @pytest.mark.parametrize("space", list(SOURCE))
 def test_cache_spaces_equal_the_uncached_embedding(space, kind, small_dataset, small_spec,
-                                                   image_dataset):
+                                                   image_dataset, monkeypatch):
     dataset, spec = (small_dataset, small_spec) if kind == "vector" else (image_dataset,
                                                                           IMAGE_SPEC)
     params = add_projection(init_backbone(spec, seed=8))
@@ -111,9 +111,11 @@ def test_cache_spaces_equal_the_uncached_embedding(space, kind, small_dataset, s
     rows = dataset.row_table(dataset.split.meta_train).rows[:9]
     indices = np.array([4, 0, 7, 4, 8])
     want = embed(params, rows[indices], space).data
-    held = RowEmbeddings(params, rows, (space, SOURCE[space]), slice_rows=4)
+    # slices of 4 rows and a 1-row tail
+    monkeypatch.setattr(protonet, "SLICE_VALUES", 4 * protonet._values_per_row(spec))
+    held = RowEmbeddings(params, rows, (space, SOURCE[space]))
     held.fill(np.arange(9))
-    source = RowEmbeddings(params, rows, (SOURCE[space],), slice_rows=4)
+    source = RowEmbeddings(params, rows, (SOURCE[space],))
     source.fill(np.arange(9))
     assert np.array_equal(held.embed(space, indices), want)
     assert np.array_equal(source.embed(space, indices).data, want)
@@ -150,7 +152,7 @@ def test_cache_refuses_a_space_it_neither_holds_nor_can_compute(held, space, sma
     space (trunk has none); without either, the error names the space asked for."""
     params = add_projection(init_backbone(small_spec, seed=8))
     rows = small_dataset.row_table(small_dataset.split.meta_train).rows[:4]
-    cache = RowEmbeddings(params, rows, held, slice_rows=4)
+    cache = RowEmbeddings(params, rows, held)
     cache.fill(np.arange(4))
     with pytest.raises(ProtonetError, match=f"{space!r} was not requested"):
         cache.embed(space, np.arange(4))

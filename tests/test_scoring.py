@@ -5,6 +5,7 @@ Every output must match bit for bit."""
 
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from fsos.episodes import (
     MetaBceGate,
     OcmlGate,
     ThresholdGate,
+    TrainSchedule,
     _episode_rng,
     _gated,
     calibrate_threshold_baseline,
     evaluate_oneclass,
     evaluate_openset,
+    run_meta_training,
     sample_episode,
 )
 from fsos.protonet import RowEmbeddings, ThresholdBaseline
@@ -161,9 +164,9 @@ def test_row_embeddings_do_not_depend_on_the_slice(small_dataset, params):
     (numpy would multiply a lone row by gemv)."""
     rows = small_dataset.row_table(small_dataset.split.meta_test).rows[:7]
     spaces = ("main", "branch", "projected")
-    together = RowEmbeddings(params, rows, spaces, slice_rows=7)
+    together = RowEmbeddings(params, rows, spaces)
     together.fill(np.arange(7))
-    one_by_one = RowEmbeddings(params, rows, spaces, slice_rows=7)
+    one_by_one = RowEmbeddings(params, rows, spaces)
     for i in range(7):
         one_by_one.fill(np.array([i, i]))
     for space in spaces:
@@ -173,8 +176,8 @@ def test_row_embeddings_do_not_depend_on_the_slice(small_dataset, params):
 
 def test_image_row_embeddings_do_not_depend_on_the_slice(monkeypatch):
     """On an image extractor, a row gets the same bits in slices capped by
-    IMAGE_SLICE_VALUES, partial tail included, and alone, as in one slice
-    of all rows.
+    SLICE_VALUES, partial tail included, and alone, as in one slice of all
+    rows.
 
     Not checked: a lone row's projected space. The BLAS multiplies a product
     as small as its two copies by the 512-wide projection with a small-matrix
@@ -182,14 +185,14 @@ def test_image_row_embeddings_do_not_depend_on_the_slice(monkeypatch):
     p = _moved_params(DEFAULT_IMAGE_SPEC)
     rows = np.random.default_rng(23).normal(size=(53, 256))
     n, spaces = rows.shape[0], ("main", "branch", "projected")
-    sliced = RowEmbeddings(p, rows, spaces, slice_rows=n)
+    sliced = RowEmbeddings(p, rows, spaces)
     assert 1 < sliced.slice_rows < n and n % sliced.slice_rows
     sliced.fill(np.arange(n))
-    one_by_one = RowEmbeddings(p, rows, spaces, slice_rows=n)
+    one_by_one = RowEmbeddings(p, rows, spaces)
     for i in range(n):
         one_by_one.fill(np.array([i, i]))
-    monkeypatch.setattr(protonet, "IMAGE_SLICE_VALUES", 2**62)
-    together = RowEmbeddings(p, rows, spaces, slice_rows=n)
+    monkeypatch.setattr(protonet, "SLICE_VALUES", n * protonet._values_per_row(p.spec))
+    together = RowEmbeddings(p, rows, spaces)
     assert together.slice_rows == n
     together.fill(np.arange(n))
     for space in spaces:
@@ -199,6 +202,52 @@ def test_image_row_embeddings_do_not_depend_on_the_slice(monkeypatch):
             assert np.array_equal(one_by_one.embed(space, np.arange(n)), want), space
 
 
+def test_slice_budget_never_moves_a_dense_artifact(small_dataset, small_spec, monkeypatch):
+    """Training runs (protonet, then mbce validating three times, so refresh
+    runs, and ocml_frozen), tau, and the open-set and one-class reports of
+    all three gates are the same bits in slices of 2 or 3 rows as in the
+    default slices, which hold whole tables of the small dense dataset."""
+    cfg = EpisodeConfig(n=3, k=2, q=3)
+
+    def run():
+        def train(method, episodes, base=None):
+            schedule = TrainSchedule(episodes=episodes, val_interval=3, val_episodes=4)
+            return run_meta_training(method, small_dataset, cfg, schedule, seed=6,
+                                     base_params=base, spec=small_spec)
+
+        pn = train("protonet", 6)
+        mb, oc = train("mbce", 9, pn.params), train("ocml_frozen", 6, pn.params)
+        assert len(mb.val_history) == 3
+        baseline = calibrate_threshold_baseline(pn.params, small_dataset,
+                                                replace(cfg, n_unknown=2), 6, seed=6)
+        out = [baseline.tau]
+        for r in (pn, mb, oc):
+            out += [r.loss_curve, r.val_history]
+            out += [t.data for _, group in r.params.named_groups() for _, t in group]
+        out += [mb.head.t.data] + [t.data for t in oc.head.tensors()]
+        gates = ((MetaBceGate(mb.head), mb.params), (OcmlGate(oc.head), oc.params),
+                 (ThresholdGate(baseline), pn.params))
+        for evaluate, n in ((evaluate_openset, 2), (evaluate_oneclass, 1)):
+            for gate, params in gates:
+                rep = evaluate(params, gate, small_dataset, EpisodeConfig(n=n, k=2, q=3,
+                               n_unknown=3 - n), 7, seed=6, collect_records=True)
+                out += [rep.as_dict()] + [rep.per_episode[k] for k in sorted(rep.per_episode)]
+                out += list(rep.records)
+        return out
+
+    per_row = protonet._values_per_row(small_spec)
+    largest = small_dataset.row_table(small_dataset.split.meta_train).rows.shape[0]
+    assert protonet.SLICE_VALUES // per_row >= largest
+    default = run()
+    for slice_rows in (2, 3):
+        monkeypatch.setattr(protonet, "SLICE_VALUES", slice_rows * per_row)
+        for got, want in zip(run(), default, strict=True):
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and np.array_equal(got, want), slice_rows
+            else:
+                assert got == want, slice_rows
+
+
 def _chunks(params, dataset, cfg, spaces, count, own_caches=False):
     """The scored chunks of count evaluation episodes, all from one cache as
     an evaluation call scores them, or each from a cache of its own."""
@@ -206,7 +255,7 @@ def _chunks(params, dataset, cfg, spaces, count, own_caches=False):
     if not own_caches:
         return [chunk for _, chunk in episodes._scored_chunks(
             params, table, cfg, count, 5, episodes._EVAL_STREAM, spaces)]
-    return [protonet.ScoredChunk(episodes._row_cache(params, table, cfg, spaces), *block)
+    return [protonet.ScoredChunk(RowEmbeddings(params, table.rows, spaces), *block)
             for _, block in episodes._drawn_blocks(table, cfg, count, 5, episodes._EVAL_STREAM,
                                                    params.embed_dim)]
 
