@@ -11,6 +11,10 @@ when it trains, or reads cached rows when it is frozen.
 RowEmbeddings embeds each row of a row table at most once per cache, untaped,
 in the spaces asked for, in slices it sizes itself: the trunk runs once per
 row, and each space is computed from its backbone.SOURCE space on the way.
+It holds only the rows it has embedded, in fill order, in slots that grow
+by doubling up to the table's row count, so its memory follows the rows
+drawn, not the table. A slice of fewer than 4 rows is padded to 4, so the
+BLAS multiplies every slice on one kernel (_slices).
 A cache lives for one evaluation or calibration call, one validation point of a run that trains
 its extractor, one training run of a head on a frozen extractor, which
 embeds its trained space from the cached source on the tape (embed), or the
@@ -110,10 +114,13 @@ class RowEmbeddings:
     run's validation, refreshed at each point in the space the run trains.
 
     The "trunk" space holds trunk features in their own shape, the others
-    embed_dim values per row. fill and refresh embed rows in slices of
-    slice_rows rows, as many as keep the largest per-row buffer within
-    SLICE_VALUES values (_values_per_row); they write the cache, and embed
-    is its one reader.
+    embed_dim values per row. Only embedded rows are held, size of them in
+    fill order in capacity slots per space (_slot maps a table row to its
+    slot, -1 until embedded); a fill that needs more slots grows them to
+    min(table rows, max(needed, 2 x capacity)). fill and refresh embed rows
+    in slices of slice_rows rows, as many as keep the largest per-row
+    buffer within SLICE_VALUES values (_values_per_row); they write the
+    cache, and embed is its one reader.
     """
 
     def __init__(self, params, rows, spaces):
@@ -122,7 +129,7 @@ class RowEmbeddings:
         self.spaces = tuple(s for s in SPACES if s in spaces)
         self.slice_rows = max(1, SLICE_VALUES // _values_per_row(params.spec))
         shape = {"trunk": params.spec.trunk_shape}
-        self._values = {s: np.empty((rows.shape[0],) + shape.get(s, (params.embed_dim,)))
+        self._values = {s: np.empty((0,) + shape.get(s, (params.embed_dim,)))
                         for s in self.spaces}
         # the spaces a fill computes after the trunk: those asked for and their sources
         needed = set(self.spaces)
@@ -130,48 +137,60 @@ class RowEmbeddings:
             if s in needed:
                 needed.add(SOURCE[s])
         self._walk = [s for s in SPACES[1:] if s in needed]
-        self._done = np.zeros(rows.shape[0], dtype=bool)
+        self._slot = np.full(rows.shape[0], -1)
+        self.size = self.capacity = 0
 
     def _slices(self, indices):
         """(slice, the row indices to embed it from) per slice_rows of
-        indices. numpy multiplies a single row by gemv, which rounds
-        differently from gemm, so a slice of one row is embedded as two
-        copies of it. A row's embedding is then independent of its slice
-        wherever the BLAS runs every slice's products on one kernel: with
-        scipy-openblas 0.3.31, every slice of 2 to 600 rows through 32- and
-        64-wide weights, but not of 2 or 3 rows through a 512 x 512
-        projection, whose small products take another kernel (CHANGES.md)."""
+        indices. numpy multiplies a single row by gemv, and scipy-openblas
+        0.3.31 multiplies 2 or 3 rows by a 512 x 512 projection with a
+        small-matrix kernel; both round differently from the blocked gemm, so
+        a slice of fewer than 4 rows is embedded from 4, its rows repeated.
+        A row's embedding is then independent of its slice
+        wherever the BLAS runs every product of 4 or more rows on one kernel,
+        as that build does for the dense specs' 32- and 64-wide weights and
+        for DEFAULT_IMAGE_SPEC (tests/test_scoring.py)."""
         for start in range(0, indices.size, self.slice_rows):
             part = indices[start : start + self.slice_rows]
-            yield part, np.repeat(part, 2) if part.size == 1 else part
+            yield part, np.resize(part, 4) if part.size < 4 else part
 
     def fill(self, indices):
-        """Embed the rows among indices that are not embedded yet."""
-        todo = np.unique(indices[~self._done[indices]])
+        """Embed the rows among indices that are not embedded yet into the
+        next slots, growing every space first if they lack room."""
+        todo = np.unique(indices[self._slot[indices] < 0])
+        if self.size + todo.size > self.capacity:
+            self.capacity = min(self._slot.size, max(self.size + todo.size, 2 * self.capacity))
+            for space, values in self._values.items():
+                self._values[space] = np.empty((self.capacity,) + values.shape[1:])
+                self._values[space][: self.size] = values[: self.size]
         for part, rows in self._slices(todo):
             fresh = {"trunk": trunk_features(self.params, self.rows[rows])}
             for space in self._walk:
                 fresh[space] = embed_from(self.params, space, fresh[SOURCE[space]])
+            slots = np.arange(self.size, self.size + part.size)
             for space, values in self._values.items():
-                values[part] = fresh[space].data[: part.size]
-        self._done[todo] = True
+                values[slots] = fresh[space].data[: part.size]
+            self._slot[part] = slots
+            self.size += part.size
 
     def refresh(self, space):
         """Re-embed every embedded row in space (the trained "branch" or
-        "projected" one) from its cached SOURCE space; the cache must hold
-        both."""
+        "projected" one) from its cached SOURCE space, in slices of the
+        embedded rows in row order; the cache must hold both spaces."""
         values, source = self._space(space), self._space(SOURCE[space])
-        for part, rows in self._slices(np.flatnonzero(self._done)):
-            values[part] = embed_from(self.params, space, source[rows]).data[: part.size]
+        for part, rows in self._slices(np.flatnonzero(self._slot >= 0)):
+            fresh = embed_from(self.params, space, source[self._slot[rows]])
+            values[self._slot[part]] = fresh.data[: part.size]
 
     def embed(self, space, indices):
         """Embeddings [*indices.shape, e] of embedded rows in space, which
         the caller owns: a copy of the cached rows when the cache holds
         space, else computed from the cached SOURCE space by
         backbone.embed_from, on the tape when one is active."""
+        slots = self._slot[indices]
         if space in self._values:
-            return self._values[space][indices]
-        return embed_from(self.params, space, self._space(SOURCE.get(space), space)[indices])
+            return self._values[space][slots]
+        return embed_from(self.params, space, self._space(SOURCE.get(space), space)[slots])
 
     def _space(self, space, asked=None):
         if space not in self._values:

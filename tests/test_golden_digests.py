@@ -24,7 +24,7 @@ To record the digests of the current tree for this machine's key:
     PYTHONPATH=src python tests/test_golden_digests.py
 
 To run the image pipeline once and print each stage's wall time and the
-process's peak RSS, recording nothing:
+process's peak RSS after it, recording nothing:
 
     PYTHONPATH=src python tests/test_golden_digests.py --image-stages
 
@@ -107,9 +107,14 @@ def _run_digest(result):
     return _sha(*(t.data.tobytes() for t in tensors), np.asarray(result.loss_curve).tobytes())
 
 
-def run_image_pipeline(stage_seconds=None):
-    """Run the image pipeline; {stage: sha256 of its output}. stage_seconds,
-    when given, receives each stage's wall time."""
+def _peak_rss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def run_image_pipeline(stage_stats=None):
+    """Run the image pipeline; {stage: sha256 of its output}. stage_stats,
+    when given, receives each stage's (wall time in s, process peak RSS in
+    MB after the stage)."""
     seed = 3
     train_cfg, eval_cfg = ep.EpisodeConfig(n=5, k=5, q=10), ep.EpisodeConfig(n=5, k=5, q=15)
     digests = {}
@@ -117,8 +122,8 @@ def run_image_pipeline(stage_seconds=None):
     def stage(name, fn, digest):
         start = time.perf_counter()
         out = fn()
-        if stage_seconds is not None:
-            stage_seconds[name] = time.perf_counter() - start
+        if stage_stats is not None:
+            stage_stats[name] = (time.perf_counter() - start, _peak_rss_mb())
         digests[name] = digest(out)
         return out
 
@@ -173,12 +178,11 @@ def test_image_pipeline_matches_golden_digests():
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--image-stages"]:
-        seconds = {}
-        run_image_pipeline(seconds)
-        for name, s in seconds.items():
-            print(f"{name}: {s:.3f} s")
-        # ru_maxrss is in KiB on Linux
-        print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
+        stats = {}
+        run_image_pipeline(stats)
+        for name, (s, rss) in stats.items():
+            print(f"{name}: {s:.3f} s, peak RSS {rss:.1f} MB")
+        print(f"peak RSS: {_peak_rss_mb():.1f} MB")
         sys.exit(0)
     doc = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"digests": {}}
     doc["regenerate"] = "PYTHONPATH=src python tests/test_golden_digests.py"

@@ -4,6 +4,7 @@ and closed predictions come from per-class prototypes in class-id order.
 Every output must match bit for bit."""
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -177,11 +178,8 @@ def test_row_embeddings_do_not_depend_on_the_slice(small_dataset, params):
 def test_image_row_embeddings_do_not_depend_on_the_slice(monkeypatch):
     """On an image extractor, a row gets the same bits in slices capped by
     SLICE_VALUES, partial tail included, and alone, as in one slice of all
-    rows.
-
-    Not checked: a lone row's projected space. The BLAS multiplies a product
-    as small as its two copies by the 512-wide projection with a small-matrix
-    kernel that rounds differently (CHANGES.md, FOUND)."""
+    rows, in every space: a slice of fewer than 4 rows is embedded from 4,
+    so the 512-wide projection never takes the BLAS's small-matrix kernel."""
     p = _moved_params(DEFAULT_IMAGE_SPEC)
     rows = np.random.default_rng(23).normal(size=(53, 256))
     n, spaces = rows.shape[0], ("main", "branch", "projected")
@@ -198,8 +196,71 @@ def test_image_row_embeddings_do_not_depend_on_the_slice(monkeypatch):
     for space in spaces:
         want = together.embed(space, np.arange(n))
         assert np.array_equal(sliced.embed(space, np.arange(n)), want), space
-        if space != "projected":
-            assert np.array_equal(one_by_one.embed(space, np.arange(n)), want), space
+        assert np.array_equal(one_by_one.embed(space, np.arange(n)), want), space
+
+
+@pytest.mark.parametrize("kind", ["dense", "image"])
+def test_fill_order_and_growth_never_move_a_bit(kind, small_dataset, small_spec):
+    """A cache filled by many calls (out-of-order blocks, repeated rows, a
+    fill that crosses a capacity doubling and, on the image extractor, fills
+    past one slice) holds the same bits in every space as a cache filled
+    with the whole table at once, and so it does after both refresh the
+    trained spaces."""
+    if kind == "dense":
+        p = _moved_params(small_spec)
+        rows = small_dataset.row_table(small_dataset.split.meta_train).rows[:53]
+    else:
+        p = _moved_params(DEFAULT_IMAGE_SPEC)
+        rows = np.random.default_rng(24).normal(size=(53, 256))
+    n, spaces = rows.shape[0], protonet.SPACES
+    whole = RowEmbeddings(p, rows, spaces)
+    whole.fill(np.arange(n))
+    assert (whole.size, whole.capacity) == (n, n)
+    many = RowEmbeddings(p, rows, spaces)
+    fills = ([9, 7, 8], [1, 1, 1], [8, 2, 2, 9, 3], [14, 13, 12, 11, 10],
+             np.arange(40, 15, -1), np.arange(n)[::-1])
+    capacities = []
+    for indices in fills:
+        many.fill(np.asarray(indices))
+        capacities.append(many.capacity)
+    # doubled from 6 to 12, grown to the 36 rows needed, capped at the table's 53
+    assert capacities == [3, 6, 6, 12, 36, 53] and many.size == n
+
+    def assert_same():
+        for space in spaces:
+            want = whole.embed(space, np.arange(n))
+            assert np.array_equal(many.embed(space, np.arange(n)), want), space
+
+    assert_same()
+    before = whole.embed("branch", np.arange(n))
+    for block in (p.branch, p.projection):
+        for name, t in block.items():
+            block[name] = Tensor(t.data + 0.05)
+    for space in ("branch", "projected"):
+        whole.refresh(space)
+        many.refresh(space)
+    assert not np.array_equal(whole.embed("branch", np.arange(n)), before)
+    assert_same()
+
+
+def test_row_cache_holds_only_the_rows_it_embeds():
+    """A cache over a 2000-row image table that embeds 10 of them holds
+    memory for about those 10 rows, not the table's 2000 (tracemalloc counts
+    numpy's buffers)."""
+    p = init_backbone(DEFAULT_IMAGE_SPEC, seed=24)
+    rows = np.random.default_rng(24).normal(size=(2000, 256))
+    table_bytes = rows.shape[0] * (np.prod(DEFAULT_IMAGE_SPEC.trunk_shape) + p.embed_dim) * 8
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cache = RowEmbeddings(p, rows, ("trunk", "main"))
+        cache.fill(np.arange(0, rows.shape[0], 200))
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (cache.size, cache.capacity) == (10, 10)
+    assert held < table_bytes / 10, (held, table_bytes)
 
 
 def test_slice_budget_never_moves_a_dense_artifact(small_dataset, small_spec, monkeypatch):
