@@ -2,12 +2,12 @@
 
 Episodes draw n support classes and n_U unknown classes (disjoint, without
 replacement) from one meta-split partition; examples are drawn without
-replacement within each class. Training episode i draws with its own
-generator from (seed, stream, i); evaluation, threshold calibration and
-validation draw with one generator from (seed, stream) per call or per
-training run, in blocks (draw_block) whose episodes each take a fixed
-number of uniforms, so a call's first M episodes do not depend on its
-length or chunking. Training runs, evaluations, and reports are
+replacement within each class. Training episode i draws from the state a
+generator seeded with (seed, stream, i) starts in; evaluation, threshold
+calibration and validation draw with one generator from (seed, stream) per
+call or per training run, in blocks (draw_block) whose episodes each take a
+fixed number of uniforms, so a call's first M episodes do not depend on
+its length or chunking. Training runs, evaluations, and reports are
 reproducible bit for bit.
 
 Every stream shares one episode layout: an Episode is one row of a
@@ -17,13 +17,15 @@ draw_block block, its n known class ids, class-ordered support rows
 Training draws row indices for every method: draw_episode picks classes
 and returns an Episode of row indices into the partition's RowTable, and
 each method's loss reads them through its embed function. Training draws
-its episodes DRAW_AHEAD at a time, each still from its own generator, so the
-stream does not depend on the block size. The methods that train the
-extractor (protonet, ocml_joint) embed an episode's rows on the tape. The
-heads trained on a frozen extractor (mbce, ocml_frozen) read them from a
-per-run RowEmbeddings cache of the meta_train table, filled once per drawn
-block with the rows its episodes hold. Only sample_episode gathers an
-episode's rows.
+its episodes DRAW_AHEAD at a time with one reused generator: a block
+derives its episodes' seeded states at once (_training_states), the
+generator takes each one before that episode's draw, and the block's rows
+are laid out in one pass, so the stream does not depend on the block size.
+The methods that train the extractor (protonet, ocml_joint) embed an
+episode's rows on the tape. The heads trained on a frozen extractor (mbce,
+ocml_frozen) read them from a per-run RowEmbeddings cache of the
+meta_train table, filled once per drawn block with the rows its episodes
+hold. Only sample_episode gathers an episode's rows.
 
 Evaluation, threshold calibration and validation score their episodes in
 chunks (protonet.ScoredChunk) from a per-call cache, so each drawn row is
@@ -151,20 +153,27 @@ def _stacked(blocks, dim):
 @dataclass(frozen=True)
 class RowTable:
     """The examples of a set of classes as one row array [N, dim]: classes
-    in id order, each a contiguous block of rows; spans maps a class id to
-    (first row, row count)."""
+    in id order, each a contiguous block of rows; class_ids[j]'s block
+    starts at row starts[j] and holds counts[j] rows."""
 
     class_ids: np.ndarray
-    spans: dict
+    starts: np.ndarray
+    counts: np.ndarray
     rows: np.ndarray
 
     @staticmethod
     def stack(class_ids, blocks, dim):
         """Table of the given classes (id order) and their [count, dim]
         example blocks."""
-        starts = np.cumsum([0] + [b.shape[0] for b in blocks])
-        spans = {c: (int(s), b.shape[0]) for c, s, b in zip(class_ids, starts, blocks)}
-        return RowTable(np.array(class_ids, dtype=np.int64), spans, _stacked(blocks, dim))
+        counts = np.array([b.shape[0] for b in blocks], dtype=np.intp)
+        return RowTable(np.array(class_ids, dtype=np.int64), np.cumsum(counts) - counts, counts,
+                        _stacked(blocks, dim))
+
+    @property
+    def spans(self):
+        """Class id -> (first row, row count)."""
+        extents = zip(self.starts.tolist(), self.counts.tolist())
+        return dict(zip(self.class_ids.tolist(), extents))
 
 
 def _shortfall(class_id, count, needed, what):
@@ -182,29 +191,67 @@ def _class_count(table, cfg):
     return needed
 
 
+def _aranges(table, cfg, count):
+    """The grids count episodes permute in place (_draw_permutations):
+    [count, n + n_U, W] row offsets, arange(W) in every row, W the table's
+    largest class."""
+    grids = np.empty((count, _class_count(table, cfg), int(table.counts.max())), np.intp)
+    grids[...] = np.arange(grids.shape[2])
+    return grids
+
+
+def _draw_permutations(table, cfg, rng, grid):
+    """Draw one episode: choose n + n_U class positions in table without
+    replacement, then permute each chosen class's row offsets once, in
+    place: class j's permutation lands in grid[j, :count_j], where grid
+    [n + n_U, W] (one of _aranges' grids) holds arange(W) in every row.
+    Returns the positions.
+
+    Each run of successive classes with equal row counts is permuted by one
+    rng.permuted call, which takes the stream as one rng.permutation(count)
+    per class does."""
+    needed = len(grid)
+    chosen = rng.choice(len(table.class_ids), size=needed, replace=False)
+    counts = table.counts[chosen].tolist()
+    for j, count in enumerate(counts):
+        want, what = (cfg.k + cfg.q, "k+q") if j < cfg.n else (cfg.q, "q")
+        if count < want:
+            raise _shortfall(int(table.class_ids[chosen[j]]), count, want, what)
+    lo = 0
+    for hi in range(1, needed + 1):
+        if hi == needed or counts[hi] != counts[lo]:
+            run = grid[lo:hi, : counts[lo]]
+            rng.permuted(run, axis=1, out=run)
+            lo = hi
+    return chosen
+
+
+def _episode_rows(table, cfg, chosen, offsets):
+    """class_ids [B, n], support rows [B, n * k] (class-ordered) and query
+    rows [B, m] (known, then unknown) of B episodes, from the class
+    positions chosen [B, n + n_U] and the row offsets [B, n + n_U, >= k + q]
+    each class drew: a known class's first k offsets are support, its next
+    q queries; an unknown class's first q are queries."""
+    count, (n, k, q) = len(chosen), (cfg.n, cfg.k, cfg.q)
+    rows = table.starts[chosen][..., None] + offsets[..., : k + q]
+    known, unknown = rows[:, :n], rows[:, n:, :q].reshape(count, -1)
+    queries = np.concatenate([known[..., k:].reshape(count, -1), unknown], axis=1)
+    return table.class_ids[chosen[:, :n]], known[..., :k].reshape(count, -1), queries
+
+
 def draw_episode(table, cfg, rng):
     """Draw one episode's classes and row indices from a RowTable,
     deterministically for a given rng.
 
-    n + n_U classes are chosen without replacement, then each known class
-    permutes its rows once for k support and q query rows, and each unknown
-    class once for q query rows. The indices fill one array: the support,
-    then the queries, class by class.
+    n + n_U classes are chosen without replacement (rng.choice), then each
+    known class permutes its rows once for k support and q query rows, and
+    each unknown class once for q query rows, in draw order (as
+    rng.permutation would). The first short class raises.
     """
-    needed = _class_count(table, cfg)
-    ids = rng.choice(table.class_ids, size=needed, replace=False).tolist()
-    n, k, q = cfg.n, cfg.k, cfg.q
-    rows = np.empty(n * k + needed * q, dtype=np.intp)
-    for j, cid in enumerate(ids):
-        want, what = (k + q, "k+q") if j < n else (q, "q")
-        start, count = table.spans[cid]
-        if count < want:
-            raise _shortfall(cid, count, want, what)
-        drawn = rng.permutation(count)[:want] + start
-        if j < n:
-            rows[j * k : (j + 1) * k] = drawn[:k]
-        rows[n * k + j * q : n * k + (j + 1) * q] = drawn[-q:]
-    return Episode(tuple(ids[:n]), rows[: n * k], rows[n * k :], q)
+    grids = _aranges(table, cfg, 1)
+    chosen = _draw_permutations(table, cfg, rng, grids[0])
+    ids, support, queries = _episode_rows(table, cfg, chosen[None], grids)
+    return Episode(tuple(ids[0].tolist()), support[0], queries[0], cfg.q)
 
 
 def draw_block(table, cfg, rng, count):
@@ -217,7 +264,7 @@ def draw_block(table, cfg, rng, count):
     row count last. So a block of B equals B blocks of 1 from the same rng.
     """
     needed = _class_count(table, cfg)
-    starts, counts = np.array([table.spans[int(c)] for c in table.class_ids]).T
+    counts = table.counts
     width = int(counts.max())
     keys = rng.random((count, len(counts) + needed * width))
     chosen = np.argsort(keys[:, : len(counts)], axis=1)[:, :needed]
@@ -229,10 +276,7 @@ def draw_block(table, cfg, rng, count):
         raise _shortfall(table.class_ids[c], counts[c], wanted[j], "k+q" if j < cfg.n else "q")
     keys = keys[:, len(counts) :].reshape(count, needed, width)
     keys[np.arange(width) >= counts[chosen][..., None]] = 2.0
-    rows = starts[chosen][..., None] + np.argsort(keys, axis=2)[..., : cfg.k + cfg.q]
-    known, unknown = rows[:, : cfg.n], rows[:, cfg.n :, : cfg.q].reshape(count, -1)
-    queries = np.concatenate([known[..., cfg.k :].reshape(count, -1), unknown], axis=1)
-    return table.class_ids[chosen[:, : cfg.n]], known[..., : cfg.k].reshape(count, -1), queries
+    return _episode_rows(table, cfg, chosen, np.argsort(keys, axis=2))
 
 
 def sample_episode(dataset, classes, cfg, rng):
@@ -247,26 +291,101 @@ def _episode_rng(seed, stream, index):
     return np.random.default_rng([int(seed), int(stream), int(index)])
 
 
+# numpy's SeedSequence pool hash (bit_generator.pyx) and PCG64 seeding
+# (pcg64.h), which _training_states replays
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# a training run's episode indices each fill one uint32 entropy word
+MAX_TRAIN_EPISODES = 2**32
+
+
+def _hashmix(const, mult):
+    """SeedSequence's hashmix over uint32 arrays, its running constant
+    starting at const and stepping by mult at each call."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _training_states(seed, start, stop):
+    """bit_generator.state of _episode_rng(seed, _TRAIN_STREAM, i) for each
+    i in start .. stop - 1 (stop <= MAX_TRAIN_EPISODES), derived at once:
+    SeedSequence's pool hash on uint32 columns, one row per episode, then
+    PCG64's 128-bit seeding in Python ints."""
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    # SeedSequence's uint32 words of an int, low first
+    words = [seed >> 32 * j & _MASK32 for j in range(max(1, -(-seed.bit_length() // 32)))]
+    count = stop - start
+    entropy = [np.full(count, w, np.uint32) for w in words + [_TRAIN_STREAM]]
+    entropy.append(np.arange(start, stop).astype(np.uint32))
+    entropy += [np.zeros(count, np.uint32)] * (4 - len(entropy))  # a 4-word pool
+
+    def mix(x, y):
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ value >> 16
+
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    hashmix = _hashmix(_INIT_B, _MULT_B)  # generate_state(4, np.uint64)
+    words = np.stack([hashmix(pool[i % 4]) for i in range(8)], axis=1)
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in words.astype("<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 # Training episodes drawn ahead per block: the smallest block size on the
-# plateau of a measured sweep (CHANGES.md). Training episodes are
-# independent draws, so the stream does not depend on it.
+# plateau of a measured sweep (CHANGES.md). Each episode's generator state
+# is derived from its own index, so the stream does not depend on it.
 DRAW_AHEAD = 64
 
 
 def _training_episodes(table, cfg, episodes, seed, cache):
     """Training episodes 0 .. episodes - 1 of seed, in order, as row
-    indices into table, drawn DRAW_AHEAD at a time, each from its own
-    _episode_rng(seed, _TRAIN_STREAM, i). With a RowEmbeddings cache, one
-    fill embeds a block's rows before its first episode is yielded."""
+    indices into table: episode i is draw_episode(table, cfg,
+    _episode_rng(seed, _TRAIN_STREAM, i)). One generator draws them all,
+    DRAW_AHEAD at a time: it takes each episode's derived state
+    (_training_states) before drawing it, and a block's rows are laid out
+    at once. With a RowEmbeddings cache, one fill embeds a block's rows
+    before its first episode is yielded."""
+    if episodes > MAX_TRAIN_EPISODES:
+        raise EpisodeError(
+            f"a training run takes at most {MAX_TRAIN_EPISODES} episodes, got {episodes}"
+        )
+    rng = np.random.Generator(np.random.PCG64(0))
     for start in range(0, episodes, DRAW_AHEAD):
-        block = [
-            draw_episode(table, cfg, _episode_rng(seed, _TRAIN_STREAM, i))
-            for i in range(start, min(start + DRAW_AHEAD, episodes))
-        ]
+        states = _training_states(seed, start, min(start + DRAW_AHEAD, episodes))
+        grids = _aranges(table, cfg, len(states))
+        chosen = np.empty(grids.shape[:2], np.intp)
+        for b, state in enumerate(states):
+            rng.bit_generator.state = state
+            chosen[b] = _draw_permutations(table, cfg, rng, grids[b])
+        ids, support, queries = _episode_rows(table, cfg, chosen, grids)
         if cache is not None:
             # outside the tape: the frozen extractor is never differentiated
-            cache.fill(np.concatenate([r for ep in block for r in (ep.support, ep.queries)]))
-        yield from block
+            cache.fill(np.concatenate([support, queries], axis=1).ravel())
+        for b, class_ids in enumerate(ids.tolist()):
+            yield Episode(tuple(class_ids), support[b], queries[b], cfg.q)
 
 
 def _eval_classes(dataset, partition):

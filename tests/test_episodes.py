@@ -10,6 +10,8 @@ from fsos import protonet
 from fsos.backbone import init_backbone
 from fsos.episodes import (
     DIVERGENCE_FACTOR,
+    DRAW_AHEAD,
+    MAX_TRAIN_EPISODES,
     EpisodeConfig,
     EpisodeError,
     MetaBceGate,
@@ -30,6 +32,7 @@ from fsos.episodes import (
     sample_episode,
     train_gates,
     _episode_rng,
+    _training_states,
 )
 from fsos.metabce import init_head
 from fsos.ocml import make_transfer_module
@@ -258,6 +261,77 @@ def test_draw_block_uneven_shortfall_is_the_first_short_episodes(sizes, n, k, q,
         cid, have, what, needed = found.groups()
         assert table.spans[int(cid)][1] == int(have) < int(needed)
         assert int(needed) == (k + q if what == "k+q" else q)
+
+
+def _oracle_draw_episode(table, cfg, rng):
+    """draw_episode as one rng.permutation per class, in a loop: the
+    stream draw_episode keeps."""
+    ids = rng.choice(table.class_ids, size=cfg.n + cfg.n_unknown, replace=False).tolist()
+    n, k, q = cfg.n, cfg.k, cfg.q
+    rows = np.empty(n * k + len(ids) * q, dtype=np.intp)
+    for j, cid in enumerate(ids):
+        want, what = (k + q, "k+q") if j < n else (q, "q")
+        start, count = table.spans[cid]
+        if count < want:
+            raise EpisodeError(f"class {cid} has {count} examples, needs {what}={want}")
+        drawn = rng.permutation(count)[:want] + start
+        if j < n:
+            rows[j * k : (j + 1) * k] = drawn[:k]
+        rows[n * k + j * q : n * k + (j + 1) * q] = drawn[-q:]
+    return tuple(ids[:n]), rows[: n * k], rows[n * k :]
+
+
+@given(sizes=st.lists(st.integers(1, 7), min_size=1, max_size=8), equal=st.booleans(),
+       n=st.integers(1, 3), k=st.integers(1, 3), q=st.integers(1, 3),
+       n_unknown=st.integers(0, 3), seed=st.integers(0, 2**32), buffered=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_draw_episode_equals_one_permutation_per_class(sizes, equal, n, k, q, n_unknown, seed,
+                                                       buffered):
+    """On tables of equal and of unequal class sizes, draw_episode draws the
+    oracle's class ids, support and queries, leaves its generator in the
+    oracle's state, so later draws do not move, and raises its shortfall
+    error. buffered starts both generators with half a 64-bit draw held."""
+    table = _table([sizes[0]] * len(sizes) if equal else sizes)
+    cfg = EpisodeConfig(n=n, k=k, q=q, n_unknown=n_unknown)
+    if len(sizes) < n + n_unknown:
+        with pytest.raises(EpisodeError, match="classes, episode needs"):
+            draw_episode(table, cfg, np.random.default_rng(seed))
+        return
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    if buffered:
+        for rng in rngs:
+            rng.random(dtype=np.float32)
+    try:
+        want = _oracle_draw_episode(table, cfg, rngs[0])
+    except EpisodeError as exc:
+        assert _error(lambda: draw_episode(table, cfg, rngs[1])) == str(exc)
+        return
+    got = draw_episode(table, cfg, rngs[1])
+    assert got.class_ids == want[0] and got.q == q
+    assert np.array_equal(got.support, want[1]) and np.array_equal(got.queries, want[2])
+    assert rngs[1].bit_generator.state == rngs[0].bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 + 3, 2**64 + 5])
+def test_training_states_are_the_seeded_generators_states(seed):
+    """The derived states of two blocks, across a DRAW_AHEAD boundary, and
+    of the last block a run may draw, are those default_rng([seed, 0, i])
+    starts in."""
+    for start in (0, DRAW_AHEAD, MAX_TRAIN_EPISODES - 5):
+        stop = min(start + DRAW_AHEAD, MAX_TRAIN_EPISODES)
+        got = _training_states(seed, start, stop)
+        assert len(got) == stop - start
+        for i, state in zip(range(start, stop), got):
+            assert state == np.random.default_rng([seed, 0, i]).bit_generator.state, i
+
+
+def test_training_refuses_more_episodes_than_it_can_seed(small_dataset, small_spec):
+    """An episode index of 2**32 or more would take a second entropy word:
+    such a budget is refused before its first episode is drawn."""
+    schedule = TrainSchedule(episodes=MAX_TRAIN_EPISODES + 1)
+    with pytest.raises(EpisodeError, match=f"at most {MAX_TRAIN_EPISODES} episodes"):
+        run_meta_training("protonet", small_dataset, EpisodeConfig(n=2, k=2, q=3, n_unknown=0),
+                          schedule, seed=3, spec=small_spec)
 
 
 def test_draw_block_samples_classes_and_rows_uniformly():

@@ -1,8 +1,9 @@
-"""Meta-training draws its episodes DRAW_AHEAD at a time. Across block
-boundaries the stream stays what it is episode by episode: loss i receives
-draw_episode(table, cfg, _episode_rng(seed, 0, i)), a shorter run's loss
-curve is a prefix of a longer run's, and a head on a frozen extractor fills
-its training cache once per block."""
+"""Meta-training draws its episodes DRAW_AHEAD at a time, with one generator
+set to each episode's derived state. Across block boundaries, and on
+classes of unequal sizes, the stream stays what it is episode by episode:
+loss i receives draw_episode(table, cfg, _episode_rng(seed, 0, i)), a
+shorter run's loss curve is a prefix of a longer run's, and a head on a
+frozen extractor fills its training cache once per block."""
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ import pytest
 import fsos.episodes
 from fsos import metabce, ocml, protonet
 from fsos.backbone import init_backbone
+from fsos.data import Dataset
 from fsos.episodes import (
     DRAW_AHEAD,
     EpisodeConfig,
     EpisodeError,
+    MetaSplit,
     TrainSchedule,
     draw_episode,
     run_meta_training,
@@ -58,6 +61,28 @@ def test_shorter_loss_curve_is_a_prefix(method, small_dataset, small_spec):
         assert _train(method, small_dataset, small_spec, episodes).loss_curve == full[:episodes]
 
 
+@pytest.mark.parametrize("method", ["protonet", "ocml_frozen"])
+def test_each_loss_receives_its_own_episode_on_unequal_classes(method, small_spec, monkeypatch):
+    """meta_train classes of 5 to 24 rows, in runs of equal and of unequal
+    sizes: every loss still receives draw_episode of its own generator."""
+    sizes = [5, 24, 24, 9, 5, 5, 17, 12, 14, 12, 10, 16]
+    rng = np.random.default_rng(3)
+    dataset = Dataset("uneven", {c: rng.normal(size=(size, 16)) for c, size in enumerate(sizes)},
+                      MetaSplit(tuple(range(7)), (7, 8), (9, 10, 11)))
+    module = LOSS_MODULE[method]
+    received = []
+    loss = module.episode_loss
+    monkeypatch.setattr(module, "episode_loss", lambda *a: received.append(a[-1]) or loss(*a))
+    _train(method, dataset, small_spec, EPISODES)
+    table = dataset.row_table(dataset.split.meta_train)
+    assert len(received) == EPISODES
+    for i, got in enumerate(received):
+        want = draw_episode(table, CFG, _episode_rng(SEED, 0, i))
+        assert (got.class_ids, got.q) == (want.class_ids, want.q), i
+        for name in ("support", "queries"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (i, name)
+
+
 @pytest.mark.parametrize("method", ["mbce", "ocml_frozen"])
 def test_frozen_run_fills_its_training_cache_once_per_block(method, small_dataset, small_spec,
                                                             monkeypatch):
@@ -87,6 +112,7 @@ def test_one_way_training_raises_before_drawing(method, small_dataset, small_spe
         raise AssertionError("an episode was drawn")
 
     monkeypatch.setattr(fsos.episodes, "draw_episode", refuse)
+    monkeypatch.setattr(fsos.episodes, "_draw_permutations", refuse)
     with pytest.raises(EpisodeError, match=f"{method} training needs n >= 2"):
         run_meta_training(method, small_dataset, EpisodeConfig(n=1, k=2, q=3),
                           TrainSchedule(episodes=3), seed=SEED,
