@@ -28,6 +28,12 @@ writes into an array a backward_fn returned. A produced tensor keeps its
 first gradient as returned and adds each further one out of place
 (acc + g); a leaf's first gradient is copied into a fresh grad buffer of
 the leaf's shape, and later ones are added into that buffer in place.
+
+Operand layouts: OpenBLAS packs a blocked GEMM's operands into the same
+panels from either memory layout, so its bits do not follow the layout; a
+GEMV (a product one column wide) and the small-matrix kernels sum in an
+order that does. conv3x3_pool picks a layout for speed only where the bits
+were measured equal.
 """
 
 from functools import lru_cache
@@ -339,11 +345,15 @@ def row_block_mean(values, groups=1):
     _network_mean sorts the rows with a comparator network, two whole-array
     numpy passes per comparator, and sums them in sorted order from +0.0, as
     numpy's mean does for d > 1; numpy sums a single column pairwise, so
-    d == 1 keeps np.sort.
+    d == 1 keeps np.sort. A comparator costs microseconds of numpy calls at
+    any size, so np.sort won on small blocks of many rows: at k = 6 to 20,
+    below about 20 values of g * d per comparator. Up to k = 5 (9
+    comparators) the network stays, at most about 15 us slower.
     """
     n, d = values.shape
-    blocks = values.reshape(groups, n // groups, d)
-    if d == 1:
+    k = n // groups
+    blocks = values.reshape(groups, k, d)
+    if d == 1 or (k > 5 and groups * d < 20 * len(_sorting_network(k))):
         return np.sort(blocks, axis=1).mean(axis=1)
     return _network_mean(blocks)
 
@@ -387,19 +397,35 @@ def mean_rows(x, groups=1):
     return _finish("mean_rows", (x,), out, backward_fn)
 
 
-# zero padding of the two spatial axes of a channels-last [n, h, w, c] image
-_PAD_HW = ((0, 0), (1, 1), (1, 1), (0, 0))
+def _padded(img):
+    """A channels-last [n, h, w, c] image zero padded by one pixel on both
+    sides of its two spatial axes: [n, h+2, w+2, c]. One np.empty takes the
+    interior and only the four border strips are zeroed. np.pad costs more,
+    and np.zeros would hand back fresh calloc'd pages on every call at this
+    size."""
+    nb, h, w, c = img.shape
+    xp = np.empty((nb, h + 2, w + 2, c))
+    xp[:, 1:-1, 1:-1] = img
+    xp[:, :: h + 1] = 0.0  # the top and bottom rows
+    xp[:, 1:-1, :: w + 1] = 0.0  # the left and right columns
+    return xp
 
 
-def _im2col(xp, h2, w2):
+def _im2col(xp, h2, w2, column_major=False):
     """3x3 patch rows of a zero-padded channels-last [n, 2*h2+2, 2*w2+2, c]
     image: [4*n*h2*w2, 9*c], columns in (ki, kj, c) order. Rows run in
     (di, dj, n, y, x) order for output pixel (2y+di, 2x+dj), so each
-    position of the 2x2 pool window is one contiguous block of rows."""
+    position of the 2x2 pool window is one contiguous block of rows.
+
+    column_major gives the same matrix as the transpose of a C-contiguous
+    [9*c, 4*n*h2*w2] array: for one channel, a copy along rows of x where
+    the row-major one moves one value at a time."""
     nb, c = xp.shape[0], xp.shape[3]
     taps = sliding_window_view(xp, (3, 3), axis=(1, 2))  # [n, h, w, c, 3, 3]
-    taps = taps.reshape(nb, h2, 2, w2, 2, c, 3, 3).transpose(2, 4, 0, 1, 3, 6, 7, 5)
-    return taps.reshape(4 * nb * h2 * w2, 9 * c)
+    taps = taps.reshape(nb, h2, 2, w2, 2, c, 3, 3)
+    if column_major:
+        return taps.transpose(6, 7, 5, 2, 4, 0, 1, 3).reshape(9 * c, 4 * nb * h2 * w2).T
+    return taps.transpose(2, 4, 0, 1, 3, 6, 7, 5).reshape(4 * nb * h2 * w2, 9 * c)
 
 
 def _unwindow(rows, nb, h2, w2):
@@ -429,7 +455,17 @@ def conv3x3_pool(x, kernel, bias):
     GEMM for the kernel gradient and, when x needs a gradient, one more
     im2col GEMM that correlates the output gradient with the flipped
     kernel. The tape keeps the padded input, not the im2col matrix: the
-    backward pass rebuilds it.
+    backward pass rebuilds it, and no name holds one past its GEMM. Copies
+    and operand layouts are picked for speed, with the bits of row-major
+    im2col products (module docstring): a one-channel input's forward
+    im2col is column-major, unless one output channel makes its GEMM a
+    GEMV. The kernel gradient is (gconv.T @ cols).T for a multi-channel
+    input, which OpenBLAS runs faster than cols.T @ gconv; a one-channel
+    input keeps cols.T @ gconv on the row-major im2col, which ran faster
+    there and which the small-matrix kernels round differently from the
+    column-major one at a few output widths. The transposed form's bits
+    were equal at every shape measured but c = 33, which no extractor here
+    uses. Without a tape the pool is one max reduction.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     xd, kd, bd = x.data, kernel.data, bias.data
@@ -447,24 +483,24 @@ def conv3x3_pool(x, kernel, bias):
     oc = kd.shape[0]
     h2, w2 = h // 2, w // 2
     m = nb * h2 * w2
-    xp = np.pad(xd.transpose(0, 2, 3, 1), _PAD_HW)
-    act = _im2col(xp, h2, w2) @ kd.transpose(2, 3, 1, 0).reshape(9 * c, oc)
+    xp = _padded(xd.transpose(0, 2, 3, 1))
+    act = _im2col(xp, h2, w2, c == 1 and oc > 1) @ kd.transpose(2, 3, 1, 0).reshape(9 * c, oc)
     act = act.reshape(4, m, oc)  # one [m, oc] block per pool window position
     # the winner index is read only by the backward pass, so it is kept only
     # while a tape records, and it is read on post-bias values
-    taped = active_tape() is not None
-    if taped:
+    if active_tape() is None:
+        arg = None
+        pooled = act.max(axis=0)
+        pooled += bd
+    else:
         act += bd
-    arg = np.zeros((m, oc), dtype=np.int8) if taped else None
-    pooled = act[0].copy()
-    for i in range(1, 4):
-        if taped:
+        arg = np.zeros((m, oc), dtype=np.int8)
+        pooled = act[0].copy()
+        for i in range(1, 4):
             # strict >: a tie keeps the earlier position; i exceeds every
             # earlier position, so max() records the latest strict winner
             np.maximum(arg, (act[i] > pooled) * np.int8(i), out=arg)
-        np.maximum(pooled, act[i], out=pooled)
-    if not taped:
-        pooled += bd
+            np.maximum(pooled, act[i], out=pooled)
     np.maximum(pooled, 0.0, out=pooled)
 
     def backward_fn(g):
@@ -474,10 +510,14 @@ def conv3x3_pool(x, kernel, bias):
         gbias = gpool.sum(axis=0)
         winner = arg == np.arange(4, dtype=np.int8)[:, None, None]
         gconv = (gpool * winner).reshape(4 * m, oc)
-        gk = (_im2col(xp, h2, w2).T @ gconv).reshape(3, 3, c, oc).transpose(3, 2, 0, 1)
+        if c == 1:
+            gk = _im2col(xp, h2, w2).T @ gconv
+        else:
+            gk = (gconv.T @ _im2col(xp, h2, w2)).T
+        gk = gk.reshape(3, 3, c, oc).transpose(3, 2, 0, 1)
         if not x.requires_grad:
             return (None, gk, gbias)
-        gimg = np.pad(_unwindow(gconv, nb, h2, w2), _PAD_HW)
+        gimg = _padded(_unwindow(gconv, nb, h2, w2))
         kflip = kd[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * oc, c)
         gx = _unwindow(_im2col(gimg, h2, w2) @ kflip, nb, h2, w2)
         return (gx.transpose(0, 3, 1, 2), gk, gbias)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.stride_tricks import sliding_window_view
 
 import fsos.autodiff as ad
 from fsos.autodiff import (
@@ -568,16 +569,39 @@ def test_conv3x3_pool_output_same_with_and_without_tape(bias_offset):
     assert np.array_equal(untaped.data, taped.data)
 
 
+# zero padding of the two spatial axes of a channels-last [n, h, w, c] image
+_REF_PAD_HW = ((0, 0), (1, 1), (1, 1), (0, 0))
+
+
+def _ref_im2col(xp, h2, w2):
+    """Row-major 3x3 patch rows of a zero-padded channels-last
+    [n, 2*h2+2, 2*w2+2, c] image, [4*n*h2*w2, 9*c]: columns in (ki, kj, c)
+    order, rows in (di, dj, n, y, x) order for output pixel (2y+di, 2x+dj)."""
+    nb, c = xp.shape[0], xp.shape[3]
+    taps = sliding_window_view(xp, (3, 3), axis=(1, 2))  # [n, h, w, c, 3, 3]
+    taps = taps.reshape(nb, h2, 2, w2, 2, c, 3, 3).transpose(2, 4, 0, 1, 3, 6, 7, 5)
+    return np.ascontiguousarray(taps.reshape(4 * nb * h2 * w2, 9 * c))
+
+
+def _ref_unwindow(rows, nb, h2, w2):
+    """Rows in _ref_im2col order, [4*n*h2*w2, k], as a channels-last
+    [n, 2*h2, 2*w2, k] image."""
+    k = rows.shape[1]
+    rows = rows.reshape(2, 2, nb, h2, w2, k).transpose(2, 3, 0, 4, 1, 5)
+    return rows.reshape(nb, 2 * h2, 2 * w2, k)
+
+
 def _relu_then_pool(x, kernel, bias, g):
-    """conv3x3_pool's im2col GEMM with the bias and ReLU applied to every
+    """The im2col GEMM conv3x3_pool is built on, from np.pad and a
+    row-major im2col of its own, with the bias and ReLU applied to every
     pre-pool value and the pool after them, its winner read on post-ReLU
     values: the output, and the (x, kernel, bias) gradients for upstream
     gradient g, routed as that order routes them."""
     nb, c, h, w = x.shape
     oc, h2, w2 = kernel.shape[0], h // 2, w // 2
     m = nb * h2 * w2
-    xp = np.pad(x.transpose(0, 2, 3, 1), ad._PAD_HW)
-    act = ad._im2col(xp, h2, w2) @ kernel.transpose(2, 3, 1, 0).reshape(9 * c, oc)
+    xp = np.pad(x.transpose(0, 2, 3, 1), _REF_PAD_HW)
+    act = _ref_im2col(xp, h2, w2) @ kernel.transpose(2, 3, 1, 0).reshape(9 * c, oc)
     act += bias
     np.maximum(act, 0.0, out=act)
     act = act.reshape(4, m, oc)
@@ -587,10 +611,10 @@ def _relu_then_pool(x, kernel, bias, g):
         np.maximum(pooled, act[i], out=pooled)
     gpool = g.transpose(0, 2, 3, 1).reshape(m, oc) * (pooled > 0.0)
     gconv = (gpool * (arg == np.arange(4, dtype=np.int8)[:, None, None])).reshape(4 * m, oc)
-    gk = (ad._im2col(xp, h2, w2).T @ gconv).reshape(3, 3, c, oc).transpose(3, 2, 0, 1)
-    gimg = np.pad(ad._unwindow(gconv, nb, h2, w2), ad._PAD_HW)
+    gk = (_ref_im2col(xp, h2, w2).T @ gconv).reshape(3, 3, c, oc).transpose(3, 2, 0, 1)
+    gimg = np.pad(_ref_unwindow(gconv, nb, h2, w2), _REF_PAD_HW)
     kflip = kernel[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(9 * oc, c)
-    gx = ad._unwindow(ad._im2col(gimg, h2, w2) @ kflip, nb, h2, w2).transpose(0, 3, 1, 2)
+    gx = _ref_unwindow(_ref_im2col(gimg, h2, w2) @ kflip, nb, h2, w2).transpose(0, 3, 1, 2)
     out = pooled.reshape(nb, h2, w2, oc).transpose(0, 3, 1, 2)
     return out, (gx, gk, gpool.sum(axis=0))
 
@@ -633,6 +657,51 @@ def test_conv3x3_pool_equals_relu_then_pool_bit_for_bit(case):
     assert np.array_equal(_bits(untaped.data), _bits(want))
     assert np.array_equal(_bits(taped.data), _bits(want))
     for got, ref in zip(tape.entries[0].backward_fn(g), want_grads):
+        assert np.array_equal(_bits(got), _bits(ref))
+
+
+@st.composite
+def _extractor_conv_cases(draw):
+    """Conv blocks at the image extractor's shapes: 1 to 75 images of
+    1, 2, 3 or 32 channels, 16x16 or 8x8, into 32 channels, or into one,
+    whose products one column wide run as GEMVs. These reach OpenBLAS's
+    blocked GEMM kernels as well as its small-matrix ones. Inputs and
+    upstream gradients hold exact zeros of either sign, and the bias scale
+    decides how many windows fall below zero."""
+    c, oc = draw(st.sampled_from([1, 2, 3, 32])), draw(st.sampled_from([32, 1]))
+    nb, side = draw(st.integers(1, 75)), draw(st.sampled_from([8, 16]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.3, 1.0]))  # share of exact zero inputs
+    x = rng.normal(size=(nb, c, side, side))
+    x *= rng.random(x.shape) >= zeros
+    kernel = rng.normal(size=(oc, c, 3, 3)) * 0.3
+    bias = rng.normal(size=oc) * draw(st.sampled_from([0.1, 1.0, 10.0])) + 0.0
+    g = rng.normal(size=(nb, oc, side // 2, side // 2))
+    g *= rng.random(g.shape) >= 0.25
+    return x, kernel, bias, g, draw(st.booleans())
+
+
+@given(_extractor_conv_cases())
+@settings(max_examples=100, deadline=None)
+def test_conv3x3_pool_equals_relu_then_pool_at_extractor_shapes(case):
+    # conv3x3_pool picks its copies and GEMM operand layouts for speed: the
+    # bits must hold at the sizes the extractor multiplies, on whichever
+    # kernels OpenBLAS picks for them
+    x, kernel, bias, g, x_grad = case
+    want, (want_gx, *want_grads) = _relu_then_pool(x, kernel, bias, g)
+    untaped = ad.conv3x3_pool(x, kernel, bias)
+    leaves = [Tensor(x, requires_grad=x_grad), Tensor(kernel, requires_grad=True),
+              Tensor(bias, requires_grad=True)]
+    with Tape() as tape:
+        taped = ad.conv3x3_pool(*leaves)
+    assert np.array_equal(_bits(untaped.data), _bits(want))
+    assert np.array_equal(_bits(taped.data), _bits(want))
+    gx, *grads = tape.entries[0].backward_fn(g)
+    if x_grad:
+        assert np.array_equal(_bits(gx), _bits(want_gx))
+    else:
+        assert gx is None
+    for got, ref in zip(grads, want_grads):
         assert np.array_equal(_bits(got), _bits(ref))
 
 

@@ -23,8 +23,9 @@ To record the digests of the current tree for this machine's key:
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
-To run the image pipeline once and print each stage's wall time and the
-process's peak RSS after it, recording nothing:
+To run the image pipeline once and print each stage's wall time, minor
+page faults and system time, and the process's peak RSS after it,
+recording nothing:
 
     PYTHONPATH=src python tests/test_golden_digests.py --image-stages
 
@@ -113,17 +114,19 @@ def _peak_rss_mb():
 
 def run_image_pipeline(stage_stats=None):
     """Run the image pipeline; {stage: sha256 of its output}. stage_stats,
-    when given, receives each stage's (wall time in s, process peak RSS in
-    MB after the stage)."""
+    when given, receives each stage's (wall time in s, minor page faults,
+    system time in s, process peak RSS in MB after the stage)."""
     seed = 3
     train_cfg, eval_cfg = ep.EpisodeConfig(n=5, k=5, q=10), ep.EpisodeConfig(n=5, k=5, q=15)
     digests = {}
 
     def stage(name, fn, digest):
-        start = time.perf_counter()
+        start, usage = time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF)
         out = fn()
         if stage_stats is not None:
-            stage_stats[name] = (time.perf_counter() - start, _peak_rss_mb())
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            stage_stats[name] = (time.perf_counter() - start, after.ru_minflt - usage.ru_minflt,
+                                 after.ru_stime - usage.ru_stime, _peak_rss_mb())
         digests[name] = digest(out)
         return out
 
@@ -180,8 +183,9 @@ if __name__ == "__main__":
     if sys.argv[1:] == ["--image-stages"]:
         stats = {}
         run_image_pipeline(stats)
-        for name, (s, rss) in stats.items():
-            print(f"{name}: {s:.3f} s, peak RSS {rss:.1f} MB")
+        for name, (s, faults, sys_s, rss) in stats.items():
+            print(f"{name}: {s:.3f} s, {faults} minor faults, {sys_s:.3f} s sys, "
+                  f"peak RSS {rss:.1f} MB")
         print(f"peak RSS: {_peak_rss_mb():.1f} MB")
         sys.exit(0)
     doc = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"digests": {}}
