@@ -29,11 +29,15 @@ first gradient as returned and adds each further one out of place
 (acc + g); a leaf's first gradient is copied into a fresh grad buffer of
 the leaf's shape, and later ones are added into that buffer in place.
 
-Operand layouts: OpenBLAS packs a blocked GEMM's operands into the same
-panels from either memory layout, so its bits do not follow the layout; a
-GEMV (a product one column wide) and the small-matrix kernels sum in an
-order that does. conv3x3_pool picks a layout for speed only where the bits
-were measured equal.
+Operand layouts: the bits of a GEMM can follow its operands' memory
+layout. A GEMV (a product one column wide) sums in a layout-dependent
+order, and so does OpenBLAS at an output width that leaves an edge tile:
+with 1 BLAS thread at a width of 1 mod 8, with 2 or 4 threads at most
+widths that are not a multiple of 8. conv3x3_pool picks a layout for speed
+only where the bits were measured equal to the row-major product's, and
+only on numpy 2.4.6 with OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH)
+on a 2-core Xeon, at 1, 2 and 4 BLAS threads. The conv3x3_pool tests
+check those choices against a row-major oracle on the build they run on.
 """
 
 from functools import lru_cache
@@ -345,15 +349,11 @@ def row_block_mean(values, groups=1):
     _network_mean sorts the rows with a comparator network, two whole-array
     numpy passes per comparator, and sums them in sorted order from +0.0, as
     numpy's mean does for d > 1; numpy sums a single column pairwise, so
-    d == 1 keeps np.sort. A comparator costs microseconds of numpy calls at
-    any size, so np.sort won on small blocks of many rows: at k = 6 to 20,
-    below about 20 values of g * d per comparator. Up to k = 5 (9
-    comparators) the network stays, at most about 15 us slower.
+    d == 1 keeps np.sort.
     """
     n, d = values.shape
-    k = n // groups
-    blocks = values.reshape(groups, k, d)
-    if d == 1 or (k > 5 and groups * d < 20 * len(_sorting_network(k))):
+    blocks = values.reshape(groups, n // groups, d)
+    if d == 1:
         return np.sort(blocks, axis=1).mean(axis=1)
     return _network_mean(blocks)
 
@@ -459,13 +459,13 @@ def conv3x3_pool(x, kernel, bias):
     and operand layouts are picked for speed, with the bits of row-major
     im2col products (module docstring): a one-channel input's forward
     im2col is column-major, unless one output channel makes its GEMM a
-    GEMV. The kernel gradient is (gconv.T @ cols).T for a multi-channel
-    input, which OpenBLAS runs faster than cols.T @ gconv; a one-channel
-    input keeps cols.T @ gconv on the row-major im2col, which ran faster
-    there and which the small-matrix kernels round differently from the
-    column-major one at a few output widths. The transposed form's bits
-    were equal at every shape measured but c = 33, which no extractor here
-    uses. Without a tape the pool is one max reduction.
+    GEMV. The kernel gradient is (gconv.T @ cols).T when the channel count
+    is a multiple of 8, so the 9 * c wide product has no edge tile; OpenBLAS
+    runs it faster than cols.T @ gconv (about 3.5 against 6.3 ms for 32
+    channels at 75 8x8 images). Other channel counts keep cols.T @ gconv on
+    the row-major im2col: at c = 33, for one, the transposed form moved the
+    last bit of edge rows even with 1 BLAS thread. Without a tape the pool
+    is one max reduction.
     """
     x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
     xd, kd, bd = x.data, kernel.data, bias.data
@@ -510,7 +510,7 @@ def conv3x3_pool(x, kernel, bias):
         gbias = gpool.sum(axis=0)
         winner = arg == np.arange(4, dtype=np.int8)[:, None, None]
         gconv = (gpool * winner).reshape(4 * m, oc)
-        if c == 1:
+        if c % 8:
             gk = _im2col(xp, h2, w2).T @ gconv
         else:
             gk = (gconv.T @ _im2col(xp, h2, w2)).T

@@ -663,12 +663,17 @@ def test_conv3x3_pool_equals_relu_then_pool_bit_for_bit(case):
 @st.composite
 def _extractor_conv_cases(draw):
     """Conv blocks at the image extractor's shapes: 1 to 75 images of
-    1, 2, 3 or 32 channels, 16x16 or 8x8, into 32 channels, or into one,
-    whose products one column wide run as GEMVs. These reach OpenBLAS's
-    blocked GEMM kernels as well as its small-matrix ones. Inputs and
+    1, 2, 3 or 32 channels, 16x16 or 8x8, into 32 channels, 64 (the
+    paper's Conv-4 width), or one, whose products one column wide run as
+    GEMVs. These reach OpenBLAS's blocked GEMM kernels as well as its
+    small-matrix ones. 20 and 33 channels are widths whose transposed
+    kernel-gradient product moved the last bit of edge rows (33 with one
+    BLAS thread, both into 64 channels with several), so they pin the
+    channel counts that keep cols.T @ gconv. Inputs and
     upstream gradients hold exact zeros of either sign, and the bias scale
     decides how many windows fall below zero."""
-    c, oc = draw(st.sampled_from([1, 2, 3, 32])), draw(st.sampled_from([32, 1]))
+    c = draw(st.sampled_from([1, 2, 3, 20, 32, 33]))
+    oc = draw(st.sampled_from([32, 64, 1]))
     nb, side = draw(st.integers(1, 75)), draw(st.sampled_from([8, 16]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zeros = draw(st.sampled_from([0.0, 0.3, 1.0]))  # share of exact zero inputs
