@@ -167,9 +167,12 @@ def save_dataset(dataset, manifest_path):
     header = struct.pack(
         "<4sIII", PAYLOAD_MAGIC, PAYLOAD_VERSION, dataset.dim, rows.shape[0]
     )
-    payload = header + np.ascontiguousarray(rows).astype("<f8", copy=False).tobytes()
-    payload_path.write_bytes(payload)
-    checksum = hashlib.sha256(payload).hexdigest()
+    values = rows.astype("<f8", copy=False)  # vstack made it C-contiguous
+    with open(payload_path, "wb") as fh:
+        fh.writelines((header, values))
+    digest = hashlib.sha256(header)
+    digest.update(values)
+    checksum = digest.hexdigest()
     manifest = {
         "format_version": 1,
         "name": dataset.name,
@@ -233,7 +236,9 @@ def load_dataset(manifest_path):
     _check_manifest(manifest)
     payload_path = manifest_path.parent / manifest["payload"]
     try:
-        payload = payload_path.read_bytes()
+        payload = bytearray(payload_path.stat().st_size)  # the rows view it in place
+        with open(payload_path, "rb") as fh:
+            del payload[fh.readinto(payload):]
     except FileNotFoundError:
         raise DatasetError(f"payload not found: {payload_path}")
     checksum = hashlib.sha256(payload).hexdigest()
@@ -254,7 +259,8 @@ def load_dataset(manifest_path):
     expected = 16 + count * dim * 8
     if len(payload) != expected:
         raise DatasetError(f"payload length {len(payload)} != expected {expected}")
-    rows = np.frombuffer(payload, dtype="<f8", offset=16).astype(np.float64).reshape(count, dim)
+    # a view on little-endian machines, a native copy on big-endian ones
+    rows = np.frombuffer(payload, "<f8", offset=16).astype(float, copy=False).reshape(count, dim)
     class_examples = {}
     offset = 0
     for entry in manifest["classes"]:

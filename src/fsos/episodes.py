@@ -405,8 +405,9 @@ def _eval_classes(dataset, partition):
 def max_prob_decision(probs):
     """Decision rule of both one-class heads over [..., m, n] per-class known
     probabilities: score = max_c p_c, and a query is known when score >= 0.5
-    (p_unknown = 1 - score, so a tie at 0.5 resolves to known)."""
-    score = probs.max(axis=-1)
+    (p_unknown = 1 - score, so a tie at 0.5 resolves to known). The score is
+    a protonet.fold_columns, exact on sigmoid outputs clipped into (0, 1)."""
+    score = protonet.fold_columns(np.maximum, probs)
     return score, score >= 0.5
 
 

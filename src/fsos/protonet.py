@@ -29,10 +29,10 @@ and its query rows (RowEmbeddings.embed, the cache's one reader), and
 writes its prototypes, distances and gate products into the chunk's
 arrays, so a chunk can hold many slices' worth of episodes.
 Closed-set logits are negative squared Euclidean distances to per-class
-prototypes, from autodiff's Gram-form kernel, which clamps at 0; argmin
-ties, exact zeros included, break toward the lowest class id. The threshold
-baseline scores a query by its distance to the nearest prototype and
-accepts it as known when that distance is at most tau.
+prototypes, from autodiff's Gram-form kernel, which clamps at +0.0; ties
+for the nearest prototype, exact zeros included, go to the lowest class id.
+The threshold baseline scores a query by its distance to the nearest
+prototype and accepts it as known when that distance is at most tau.
 """
 
 from dataclasses import dataclass
@@ -76,14 +76,27 @@ def pairwise_sq_distances(queries, protos_matrix):
     return sq_distances(q, p)
 
 
+def fold_columns(ufunc, values):
+    """np.minimum or np.maximum folded over the n columns of [..., n] values:
+    values.min/max(axis=-1), exactly, on inputs without -0.0 and NaN (there
+    the two may pick another sign or payload), in about 20 against 300 us at
+    [40, 150, 5], where numpy 2.4.6 reduces the short last axis row by row."""
+    out = values[..., 0].copy()
+    for j in range(1, values.shape[-1]):
+        ufunc(out, values[..., j], out=out)
+    return out
+
+
 def predict_closed(distances, class_ids):
     """Class id of the nearest prototype per query row; the columns of the
-    [..., m, n] distances follow the [..., n] class_ids, and ties go to the
-    lowest class id."""
+    [..., m, n] distances (never NaN) follow the [..., n] integer class_ids;
+    ties go to the lowest class id, the least one of the columns equal to the
+    nearest distance: about 160 us at [40, 150, 5] with the nearest fold,
+    against 590 us for an argmin over columns sorted into id order."""
     ids = np.asarray(class_ids)
-    order = np.argsort(ids, axis=-1, kind="stable")
-    nearest = np.argmin(np.take_along_axis(distances, order[..., None, :], axis=-1), axis=-1)
-    return np.take_along_axis(np.take_along_axis(ids, order, axis=-1), nearest, axis=-1)
+    nearest = fold_columns(np.minimum, distances)[..., None]
+    none = np.iinfo(ids.dtype).max
+    return fold_columns(np.minimum, np.where(distances == nearest, ids[..., None, :], none))
 
 
 # fill and refresh embed rows in slices whose largest per-row buffer holds
@@ -266,8 +279,8 @@ class ScoredChunk:
     @cached_property
     def nearest_distance(self):
         """Threshold-baseline score per query [B, m]: distance to the nearest
-        prototype."""
-        return self.distances.min(axis=-1)
+        prototype, by fold_columns: distances are never -0.0."""
+        return fold_columns(np.minimum, self.distances)
 
     @cached_property
     def closed_predictions(self):

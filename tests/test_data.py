@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ def test_round_trip_bit_exact(tmp_path):
     checksum2 = save_dataset(back, manifest2)
     assert checksum1 == checksum2
     assert (tmp_path / "ds.bin").read_bytes() == (tmp_path / "ds2.bin").read_bytes()
+
+
+def test_save_and_load_hold_the_payload_once(tmp_path):
+    # the payload is read into one buffer that the rows view, and written
+    # and hashed as header and rows, with no joined copy
+    ds = generate_synthetic(SyntheticSpec(num_classes=10, examples_per_class=50, dim=256, seed=3))
+    payload = 10 * 50 * 256 * 8
+    for step in (lambda: save_dataset(ds, tmp_path / "ds.json"),
+                 lambda: load_dataset(tmp_path / "ds.json")):
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload
 
 
 def test_checksum_detects_corruption(tmp_path):
