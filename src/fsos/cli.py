@@ -237,10 +237,11 @@ def _write_csv(path, header, rows):
 # checkpoint assembly
 
 
-# checkpoint group name -> (head -> (group, metadata), (group, metadata) -> head)
+# checkpoint group name, which is also its gate's name and --head value ->
+# (head -> (group, metadata), (group, metadata) -> head, the gate over a head)
 HEAD_GROUPS = {
-    "mbce": (metabce.head_to_group, metabce.head_from_group),
-    "ocml": (ocml.transfer_to_group, ocml.transfer_from_group),
+    "mbce": (metabce.head_to_group, metabce.head_from_group, MetaBceGate),
+    "ocml": (ocml.transfer_to_group, ocml.transfer_from_group, OcmlGate),
 }
 
 
@@ -248,7 +249,7 @@ def save_pipeline_checkpoint(path, params, heads, meta):
     """Backbone groups plus optional named head groups in one checkpoint."""
     groups = to_param_groups(params)
     head_meta = {}
-    for name, (to_group, _) in HEAD_GROUPS.items():
+    for name, (to_group, _, _) in HEAD_GROUPS.items():
         if name in heads:
             group, head_meta[name] = to_group(heads[name])
             groups.append(group)
@@ -273,7 +274,7 @@ def load_pipeline_checkpoint(path):
     head_meta = header.get("heads", {})
     if not isinstance(head_meta, dict) or not all(isinstance(m, dict) for m in head_meta.values()):
         raise CheckpointError(f"checkpoint {path} header 'heads' must map head names to objects")
-    for name, (_, from_group) in HEAD_GROUPS.items():
+    for name, (_, from_group, _) in HEAD_GROUPS.items():
         if name in by_name:
             heads[name] = from_group(by_name[name], head_meta.get(name, {}))
     return params, heads, header
@@ -357,11 +358,7 @@ def cmd_train(settings):
         transfer_middle=settings["ocml_arch"],
     )
 
-    heads = {}
-    if train_method == "mbce":
-        heads["mbce"] = result.head
-    elif result.head is not None:
-        heads["ocml"] = result.head
+    heads = {} if result.gate is None else {result.gate.name: result.head}
     meta = {
         "method": method,
         "seed": settings["seed"],
@@ -381,18 +378,14 @@ def cmd_train(settings):
 
 def _build_gate(settings, cfg, params, heads, dataset):
     head = settings["head"]
-    if head == "mbce":
-        if "mbce" not in heads:
-            raise UsageError("checkpoint holds no mbce head group")
-        return MetaBceGate(heads["mbce"]), {}
-    if head == "ocml":
-        if "ocml" not in heads:
-            raise UsageError("checkpoint holds no ocml head group")
-        return OcmlGate(heads["ocml"]), {}
-    baseline = calibrate_threshold_baseline(
-        params, dataset, cfg, settings["calib_episodes"], settings["seed"]
-    )
-    return ThresholdGate(baseline), {"tau": baseline.tau}
+    if head == "threshold":
+        baseline = calibrate_threshold_baseline(
+            params, dataset, cfg, settings["calib_episodes"], settings["seed"]
+        )
+        return ThresholdGate(baseline), {"tau": baseline.tau}
+    if head not in heads:
+        raise UsageError(f"checkpoint holds no {head} head group")
+    return HEAD_GROUPS[head][2](heads[head]), {}
 
 
 def cmd_eval(settings):
@@ -442,9 +435,23 @@ def cmd_eval(settings):
     return 0
 
 
+_OPENSET_METRICS = ("accuracy", "na", "f1_open", "auroc")
+# ablate grid -> (label column, axis column, the metrics written)
+_ABLATION_COLUMNS = {
+    "gtheta": ("architecture", "k", ("accuracy", "f1", "auroc")),
+    "kshot": ("method", "k", _OPENSET_METRICS),
+    "nway": ("method", "n", _OPENSET_METRICS),
+    "mbce_variant": ("variant", "metric", _OPENSET_METRICS),
+}
+
+
 def cmd_ablate(settings):
-    """Ablation curves on one backbone; kshot and nway evaluate episodes.train_gates."""
-    _require_two_way(settings["n"], "ocml_frozen" if settings["grid"] == "gtheta" else "mbce")
+    """Ablation curves on one backbone: each grid point's episode shape is
+    checked before any training, then every trained gate is evaluated at
+    every point. A CSV per metric holds (label, axis value) rows, except
+    mbce_variant's one CSV of (variant, metric) rows."""
+    grid = settings["grid"]
+    _require_two_way(settings["n"], "ocml_frozen" if grid == "gtheta" else "mbce")
     _require_file(settings["dataset"], "dataset manifest")
     _require_file(settings["backbone"], "backbone checkpoint")
     out_dir = Path(settings["out_dir"])
@@ -453,10 +460,7 @@ def cmd_ablate(settings):
 
     dataset = load_dataset(settings["dataset"])
     base_params, _, _ = load_pipeline_checkpoint(settings["backbone"])
-    seed = settings["seed"]
-    train_cfg = EpisodeConfig(n=settings["n"], k=settings["k"], q=10, n_unknown=0)
-    grid = settings["grid"]
-    m_eval = settings["eval_episodes"]
+    seed, n, k = settings["seed"], settings["n"], settings["k"]
     test_size = len(dataset.split.meta_test)
 
     def openset_cfg(n_way, k):
@@ -467,68 +471,49 @@ def cmd_ablate(settings):
             )
         return EpisodeConfig(n=n_way, k=k, q=settings["q"], n_unknown=n_unknown)
 
-    def train(method, variant="branch", middle=None):
-        schedule = default_schedule(method, settings["train_episodes"] or None)
-        return run_meta_training(
-            method, dataset, train_cfg, schedule, seed=seed,
-            base_params=base_params, variant=variant, transfer_middle=middle,
-        )
+    if grid == "nway":
+        points = [(n_way, openset_cfg(n_way, k)) for n_way in settings["n_values"]]
+    elif grid == "mbce_variant":
+        points = [(None, openset_cfg(n, k))]
+    else:  # gtheta's one-class episodes have one known class
+        n_way = 1 if grid == "gtheta" else n
+        points = [(shots, openset_cfg(n_way, shots)) for shots in settings["k_values"]]
 
-    written = []
+    # heads train on gate_cfg with q = 10, as episodes.train_gates trains its own
+    budget, gate_cfg = settings["train_episodes"] or None, EpisodeConfig(n, k, settings["q"])
+
+    def trained(label, method, **options):
+        result = run_meta_training(method, dataset, replace(gate_cfg, q=10),
+                                   default_schedule(method, budget), seed=seed,
+                                   base_params=base_params, **options)
+        return label, result.gate, result.params
+
     if grid == "gtheta":
-        menu = ocml.architecture_menu(base_params.embed_dim)
-        curves = {"accuracy": [], "f1": [], "auroc": []}
-        for arch_name, middle in menu:
-            result = train("ocml_frozen", middle=middle)
-            gate = OcmlGate(result.head)
-            for k in settings["k_values"]:
-                cfg = EpisodeConfig(n=1, k=k, q=settings["q"], n_unknown=1)
-                rep = evaluate_oneclass(base_params, gate, dataset, cfg, m_eval, seed)
-                for metric in curves:
-                    s = rep.metrics[metric]
-                    curves[metric].append([arch_name, k, repr(s.mean), repr(s.ci)])
-        for metric, rows in curves.items():
-            path = out_dir / f"gtheta_{metric}.csv"
-            _write_csv(path, ["architecture", "k", "mean", "ci"], rows)
-            written.append(path)
-    elif grid in ("kshot", "nway"):
-        gates = train_gates(dataset, base_params,
-                            EpisodeConfig(n=settings["n"], k=settings["k"], q=settings["q"]),
-                            seed, settings["train_episodes"] or None)
-        metric_names = ["accuracy", "na", "f1_open", "auroc"]
-        curves = {m: [] for m in metric_names}
-        if grid == "kshot":
-            points = [("k", k, settings["n"]) for k in settings["k_values"]]
-        else:
-            points = [("n", n, n) for n in settings["n_values"]]
-        for axis, value, n_way in points:
-            k = value if axis == "k" else settings["k"]
-            cfg = openset_cfg(n_way, k)
-            for name, gate, params in gates:
-                rep = evaluate_openset(params, gate, dataset, cfg, m_eval, seed)
-                for metric in metric_names:
-                    s = rep.metrics[metric]
-                    curves[metric].append([name, value, repr(s.mean), repr(s.ci)])
-        axis = "k" if grid == "kshot" else "n"
-        for metric, rows in curves.items():
-            path = out_dir / f"{grid}_{metric}.csv"
-            _write_csv(path, ["method", axis, "mean", "ci"], rows)
-            written.append(path)
-    else:  # mbce_variant
-        rows = []
-        for variant in metabce.VARIANTS:
-            result = train("mbce", variant=variant)
-            gate = MetaBceGate(result.head)
-            cfg = openset_cfg(settings["n"], settings["k"])
-            rep = evaluate_openset(result.params, gate, dataset, cfg, m_eval, seed)
-            for metric in ("accuracy", "na", "f1_open", "auroc"):
-                s = rep.metrics[metric]
-                rows.append([variant, metric, repr(s.mean), repr(s.ci)])
-        path = out_dir / "mbce_variant_openset.csv"
-        _write_csv(path, ["variant", "metric", "mean", "ci"], rows)
-        written.append(path)
+        gates = [trained(arch_name, "ocml_frozen", transfer_middle=middle)
+                 for arch_name, middle in ocml.architecture_menu(base_params.embed_dim)]
+    elif grid == "mbce_variant":
+        gates = [trained(variant, "mbce", variant=variant) for variant in metabce.VARIANTS]
+    else:
+        gates = train_gates(dataset, base_params, gate_cfg, seed, budget)
 
-    for path in written:
+    if grid == "gtheta":  # rows by architecture, then k; the others' by point, then gate
+        pairs, evaluate = [(p, g) for g in gates for p in points], evaluate_oneclass
+    else:
+        pairs, evaluate = [(p, g) for p in points for g in gates], evaluate_openset
+    rows = [(label, value, evaluate(params, gate, dataset, cfg, settings["eval_episodes"], seed))
+            for (value, cfg), (label, gate, params) in pairs]
+
+    label_column, axis, metric_names = _ABLATION_COLUMNS[grid]
+    if grid == "mbce_variant":
+        tables = {"openset": [(label, m, rep.metrics[m]) for label, _, rep in rows
+                              for m in metric_names]}
+    else:
+        tables = {m: [(label, value, rep.metrics[m]) for label, value, rep in rows]
+                  for m in metric_names}
+    for name, table in tables.items():
+        path = out_dir / f"{grid}_{name}.csv"
+        _write_csv(path, [label_column, axis, "mean", "ci"],
+                   [[label, x, repr(s.mean), repr(s.ci)] for label, x, s in table])
         print(f"curve={path}")
     return 0
 

@@ -537,6 +537,7 @@ class TrainResult:
     loss_curve: list
     val_history: list  # (episode_index, metric value)
     best_val: float
+    gate: object = None  # MetaBceGate | OcmlGate over head | None
 
 
 METHODS = ("protonet", "mbce", "ocml_joint", "ocml_frozen")
@@ -676,7 +677,8 @@ def run_meta_training(
     variant="branch",
     transfer_middle=None,
 ):
-    """Episodic training of one method; returns best-on-validation parameters.
+    """Episodic training of one method; returns best-on-validation parameters,
+    with the head's gate over them (none for protonet).
 
     Every method trains on drawn episodes of row indices, one step
     loss_fn(embed_fn, episode) each; methods differ in their loss, embed
@@ -797,21 +799,22 @@ def run_meta_training(
                     best_val, best, stale = metric, snapshot(), 0
                 elif stale == schedule.patience:
                     break
-    return TrainResult(method, best[0], best[1], loss_curve, val_history, float(best_val))
+    best_gate = None if gate is None else type(gate)(best[1])
+    return TrainResult(method, *best, loss_curve, val_history, float(best_val), best_gate)
 
 
-def calibrate_threshold_baseline(params, dataset, cfg, episodes, seed, partition="meta_val"):
-    """Calibrate the distance threshold on validation episodes.
+def calibrate_threshold_baseline(params, dataset, cfg, episodes, seed):
+    """Calibrate the distance threshold on meta_val episodes.
 
     The unknown-class count is clamped so the episode shape fits the
     validation partition (it is usually smaller than meta-test).
     """
-    classes = dataset.split.partition(partition)
+    classes = dataset.split.meta_val
     if cfg.n_unknown < 1:
         raise EpisodeError("threshold calibration needs episodes with unknown queries")
     if len(classes) < 2:
         raise EpisodeError(
-            f"partition {partition} has {len(classes)} classes, calibration needs >= 2"
+            f"partition meta_val has {len(classes)} classes, calibration needs >= 2"
         )
     n = min(cfg.n, len(classes) - 1)
     n_unknown = min(cfg.n_unknown, len(classes) - n)
@@ -827,7 +830,7 @@ def train_gates(dataset, backbone, cfg, seed, episodes=None):
     mb, oc = (run_meta_training(m, dataset, replace(cfg, q=10), default_schedule(m, episodes),
                                 seed=seed, base_params=backbone) for m in ("mbce", "ocml_frozen"))
     baseline = calibrate_threshold_baseline(backbone, dataset, cfg, 200, seed)
-    return [("mbce", MetaBceGate(mb.head), mb.params), ("ocml", OcmlGate(oc.head), oc.params),
+    return [("mbce", mb.gate, mb.params), ("ocml", oc.gate, oc.params),
             ("threshold", ThresholdGate(baseline), backbone)]
 
 

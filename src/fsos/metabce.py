@@ -84,6 +84,9 @@ def head_from_group(group_params, meta):
     params = dict(group_params)
     if "t" not in params:
         raise MetaBceError("mbce checkpoint group is missing parameter t")
+    t = np.array(params["t"], dtype=np.float64)
+    if t.ndim != 0:
+        raise MetaBceError(f"mbce parameter t must be a scalar, got shape {t.shape}")
     head = init_head(meta.get("variant", "branch"))
-    head.t = Tensor(np.array(params["t"], dtype=np.float64), requires_grad=True)
+    head.t = Tensor(t, requires_grad=True)
     return head

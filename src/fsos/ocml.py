@@ -48,27 +48,29 @@ class TransferModule:
         return TransferModule(layers, self.architecture)
 
 
-def make_transfer_module(embed_dim, middle_dim=None, seed=0, init_scale=0.01):
-    """Single dense layer embed_dim -> embed_dim, or two layers through
-    middle_dim with a ReLU between them.
+# shrinks the fan-in uniform init so freshly generated weights give
+# probabilities near 0.5; large random weights saturate the sigmoid on the
+# first episodes and wreck early training
+INIT_SCALE = 0.01
 
-    init_scale shrinks the fan-in uniform init so freshly generated weights
-    give probabilities near 0.5; large random weights saturate the sigmoid
-    on the first episodes and wreck early training.
-    """
+
+def make_transfer_module(embed_dim, middle_dim=None, seed=0):
+    """Single dense layer embed_dim -> embed_dim, or two layers through
+    middle_dim with a ReLU between them, initialized uniform within
+    INIT_SCALE / sqrt(fan-in)."""
     rng = np.random.default_rng(seed)
     if embed_dim < 1:
         raise OcmlError(f"bad embedding dim {embed_dim}")
     if middle_dim is None:
-        bound = init_scale / np.sqrt(embed_dim)
+        bound = INIT_SCALE / np.sqrt(embed_dim)
         w = Tensor(rng.uniform(-bound, bound, (embed_dim, embed_dim)), requires_grad=True)
         return TransferModule([(w, None)], "1layer")
     if middle_dim < 1:
         raise OcmlError(f"bad middle dim {middle_dim}")
-    b1 = init_scale / np.sqrt(embed_dim)
+    b1 = INIT_SCALE / np.sqrt(embed_dim)
     w1 = Tensor(rng.uniform(-b1, b1, (embed_dim, middle_dim)), requires_grad=True)
     bias1 = Tensor(rng.uniform(-b1, b1, (middle_dim,)), requires_grad=True)
-    b2 = init_scale / np.sqrt(middle_dim)
+    b2 = INIT_SCALE / np.sqrt(middle_dim)
     w2 = Tensor(rng.uniform(-b2, b2, (middle_dim, embed_dim)), requires_grad=True)
     return TransferModule([(w1, bias1), (w2, None)], f"2layers_mid{middle_dim}")
 

@@ -22,8 +22,6 @@ class OptimizerState:
     _update turns the flat gradient buffer into the flat update, in place.
     """
 
-    kind = None
-
     def __init__(self, params, learning_rate):
         if learning_rate < 0:
             raise ValueError(f"learning rate must be >= 0, got {learning_rate}")
@@ -64,18 +62,15 @@ class OptimizerState:
 
 
 class Sgd(OptimizerState):
-    kind = "sgd"
-
     def _update(self, grad):
         grad *= self.learning_rate
 
 
 class Adam(OptimizerState):
-    kind = "adam"
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, learning_rate):
         super().__init__(params, learning_rate)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = np.zeros_like(self._flat)
         self.v = np.zeros_like(self._flat)
         self._tmp = np.empty_like(self._flat)

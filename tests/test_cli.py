@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fsos import metrics
+from fsos import cli, metrics
 from fsos.checkpoint import load_checkpoint, save_checkpoint
 from fsos.cli import SCHEMAS, _resolve_schedule, main, parse_command
 from fsos.episodes import TrainSchedule, default_schedule
@@ -431,11 +431,15 @@ def _set_header(keys, value):
     return alter
 
 
-def _set_param(group, name, value):
-    """An alteration that sets every value of parameter group.name to value."""
+def _set_param(group, name, value, shape=None):
+    """An alteration that sets every value of parameter group.name to value,
+    and its shape to shape when given."""
+    def filled(a):
+        return np.full(a.shape if shape is None else shape, value)
+
     def alter(header, groups):
         return header, [
-            (g, [(p, np.full_like(a, value) if (g, p) == (group, name) else a) for p, a in items])
+            (g, [(p, filled(a) if (g, p) == (group, name) else a) for p, a in items])
             for g, items in groups
         ]
 
@@ -457,8 +461,13 @@ def _set_param(group, name, value):
      "blocks must be a list of [kind, integer dim]"),
     ("threshold", _set_param("head", "b", np.inf), "parameter head.b holds NaN or inf"),
     ("mbce", _set_param("mbce", "t", np.nan), "parameter mbce.t holds NaN or inf"),
+    ("mbce", _set_param("mbce", "t", 0.5, (3,)), "parameter t must be a scalar, got shape (3,)"),
+    ("mbce", _set_param("mbce", "t", 0.5, (1,)), "parameter t must be a scalar, got shape (1,)"),
+    ("mbce", _set_param("mbce", "t", 0.5, (2, 2)),
+     "parameter t must be a scalar, got shape (2, 2)"),
 ], ids=["truncated_trunk_weight", "unknown_group", "heads_list", "heads_entry_list",
-        "input_shape_int", "blocks_int", "block_dim_list", "inf_head_bias", "nan_mbce_offset"])
+        "input_shape_int", "blocks_int", "block_dim_list", "inf_head_bias", "nan_mbce_offset",
+        "mbce_offset_vector", "mbce_offset_one_vector", "mbce_offset_matrix"])
 def test_eval_checkpoint_with_bad_parameters_is_runtime_error(
     workdir, tmp_path, capsys, head, alter, reason
 ):
@@ -585,6 +594,26 @@ def test_ablate_openset_grids(workdir, tmp_path, grid, axis, values):
         assert {r[0] for r in table} == {"mbce", "ocml", "threshold"}, metric
         assert sorted(int(r[1]) for r in table) == sorted(values * 3), metric
         assert all(0.0 <= float(r[2]) <= 1.0 for r in table), metric
+
+
+@pytest.mark.parametrize("grid,option", [("nway", "--n_values=2,3"), ("mbce_variant", "--n=3")])
+def test_ablate_unfittable_point_is_usage_error_before_training(
+    workdir, tmp_path, capsys, monkeypatch, grid, option
+):
+    # meta_test holds 3 classes: a 3-way episode leaves none unknown
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before every grid point was checked")
+
+    monkeypatch.setattr(cli, "run_meta_training", refuse)
+    monkeypatch.setattr(cli, "train_gates", refuse)
+    code = run(["ablate", f"--grid={grid}", f"--dataset={workdir}/ds.json",
+                f"--backbone={workdir}/pn.ckpt", f"--out_dir={tmp_path}", option,
+                "--train_episodes=20", "--eval_episodes=4"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "meta_test has 3 classes, cannot fit 3-way plus unknowns" in lines[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ablate_empty_grid_rejected(workdir, tmp_path, capsys):

@@ -423,6 +423,7 @@ def test_loss_curve_length_matches_schedule(small_dataset, small_spec):
     )
     assert len(result.loss_curve) == 17
     assert result.val_history[-1][0] == 17
+    assert result.gate is None  # protonet trains no head
 
 
 def test_schedule_patience_defaults_and_bounds():
@@ -470,6 +471,8 @@ def test_patience_keeps_the_unstopped_best_when_the_peak_comes_early(small_datas
     assert stopped.loss_curve == full.loss_curve[:10]
     assert stopped.best_val == full.best_val == 0.8
     assert np.array_equal(stopped.head.t.data, full.head.t.data)
+    # the returned gate reads the best snapshot's head
+    assert isinstance(stopped.gate, MetaBceGate) and stopped.gate.head is stopped.head
     for (group, items), (_, want) in zip(stopped.params.named_groups(),
                                          full.params.named_groups()):
         for (name, tensor), (_, other) in zip(items, want):

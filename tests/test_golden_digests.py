@@ -3,8 +3,8 @@ and so does a small image pipeline run through the library.
 
 The CLI pipeline runs in process through fsos.cli.main: generate; protonet;
 the four head methods with their loss curves; an open-set and a one-class
-eval of each of the five gate/checkpoint pairs with both CSVs; and the
-k-shot ablation, which builds its gates with episodes.train_gates. Every
+eval of each of the five gate/checkpoint pairs with both CSVs; and each
+ablation grid (kshot, gtheta, nway, mbce_variant) at a small budget. Every
 artifact's sha256 must equal the one recorded in golden_digests.json.
 
 The CLI cannot reach a conv extractor, so the image pipeline calls the
@@ -84,9 +84,10 @@ def run_pipeline(root):
                 data, f"--n={n}", "--episodes=100", f"--out={stem}.json",
                 f"--episode_csv={stem}.csv", f"--records_csv={stem}-records.csv")
     (root / "ablate").mkdir()
-    run("ablate", "--grid=kshot", data, f"--backbone={root}/protonet.ckpt",
-        f"--out_dir={root}/ablate", "--train_episodes=100", "--eval_episodes=20",
-        "--k_values=1,5,20")
+    for grid, values in (("kshot", "--k_values=1,5,20"), ("gtheta", "--k_values=1,5"),
+                         ("nway", "--n_values=2,5"), ("mbce_variant", "--n=3")):
+        run("ablate", f"--grid={grid}", data, f"--backbone={root}/protonet.ckpt",
+            f"--out_dir={root}/ablate", "--train_episodes=100", "--eval_episodes=20", values)
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.rglob("*")) if path.is_file()

@@ -98,7 +98,8 @@ def _gates(params, ep):
     branch, projected = metabce.init_head("branch"), metabce.init_head("projected")
     branch.t.data = np.asarray(-1.5)
     projected.t.data = np.asarray(-1.5)
-    transfer = ocml.make_transfer_module(params.embed_dim, seed=2, init_scale=1.0)
+    transfer = ocml.make_transfer_module(params.embed_dim, seed=2)
+    transfer.layers[0][0].data *= 100.0  # full-scale weights spread probabilities from 0.5
     protos = _recipe_protos(embed(params, ep.support).data, ep)
     tau = float(np.median(_sq_distances(embed(params, ep.queries).data, protos).min(axis=1)))
     return [MetaBceGate(branch), MetaBceGate(projected), OcmlGate(transfer),
