@@ -6,8 +6,9 @@ one-class feature space, and an optional dense projection maps main
 embeddings into a one-class space without a branch. SOURCE names the space
 embed_from computes each embedding space from: main and branch from the
 trunk (all blocks before the last, shared by every space), projected from
-main. Inputs are rows [n, prod(input_shape)], as datasets store them;
-embeddings are [n, embed_dim].
+main; embed_main_and_branch computes main and branch as one wide block, bit
+for bit, where fits_wide_block allows. Inputs are rows [n, prod(input_shape)],
+as datasets store them; embeddings are [n, embed_dim].
 """
 
 import math
@@ -287,6 +288,33 @@ def embed_from(params, space, source):
     h = _run_block(params.spec.blocks[-1][0], params.head if space == "main" else params.branch,
                    source)
     return reshape(h, (-1, params.embed_dim)) if params.spec.input_kind == "image" else h
+
+
+def fits_wide_block(spec):
+    """Whether the last block is 8k wide, as embed_main_and_branch needs."""
+    return spec.blocks[-1][1] % 8 == 0
+
+
+def embed_main_and_branch(params, source):
+    """Main and branch embeddings [n, embed_dim] of trunk features, untaped,
+    from one block of doubled width: the head and branch parameters joined
+    along the output axis (conv K [2*oc, c, 3, 3], b, gamma and beta [2*oc];
+    dense W [d, 2*m], b [2*m]), its output split by channel or column.
+
+    Bias, ReLU, pool, scale_shift and flatten act per channel, so only the
+    GEMM could round differently from embed_from's two blocks. For a
+    multiple of 8 channels or columns (fits_wide_block) the bits were equal
+    at every shape scanned with numpy 2.4.6 and scipy-openblas 0.3.31 on a
+    SkylakeX core, at 1, 2 and 4 BLAS threads: dense widths 8 to 128 on 4 to
+    6912 rows, conv widths 8 to 64 on 3 or 32 input channels. Widths of 1 to
+    6 mod 8 moved the last bit of some values, so they run embed_from twice."""
+    kind, width = params.spec.blocks[-1]
+    # the output axis: W's last, the first of every other parameter
+    wide = {name: np.concatenate([params.head[name].data, params.branch[name].data],
+                                 axis=1 if name == "W" else 0) for name in params.head}
+    h = _run_block(kind, wide, source).data
+    n = h.shape[0]
+    return h[:, :width].reshape(n, -1), h[:, width:].reshape(n, -1)
 
 
 def embed(params, x, space="main"):

@@ -42,7 +42,8 @@ import numpy as np
 
 from .autodiff import Tensor, mean_rows, row_block_mean, scale_shift, softmax_xent
 from .autodiff import sq_distances, squared_distance
-from .backbone import SOURCE, embed_from, trunk_features
+from .backbone import SOURCE, embed_from, embed_main_and_branch, fits_wide_block
+from .backbone import trunk_features
 from .metrics import UNKNOWN
 
 SPACES = ("trunk",) + tuple(SOURCE)  # each after its source
@@ -105,14 +106,17 @@ def predict_closed(distances, class_ids):
 SLICE_VALUES = 24 * 18432
 
 
-def _values_per_row(spec):
+def _values_per_row(spec, wide=False):
     """Values of the largest buffer one input row makes: for a dense spec
     the widest of the input and block widths, for a conv spec, per block,
-    the [h*w, 9*c] im2col or the [h*w, oc] pre-pool activation."""
+    the [h*w, 9*c] im2col or the [h*w, oc] pre-pool activation; wide counts
+    the last block at double width, as embed_main_and_branch runs it."""
+    widths = [d for _, d in spec.blocks]
+    widths[-1] *= 2 if wide else 1
     if spec.input_kind == "vector":
-        return max(spec.input_shape + tuple(d for _, d in spec.blocks))
+        return max(spec.input_shape + tuple(widths))
     (c, h, w), most = spec.input_shape, 0
-    for _, oc in spec.blocks:
+    for oc in widths:
         most = max(most, h * w * max(9 * c, oc))
         c, h, w = oc, h // 2, w // 2
     return most
@@ -133,14 +137,16 @@ class RowEmbeddings:
     min(table rows, max(needed, 2 x capacity)). fill and refresh embed rows
     in slices of slice_rows rows, as many as keep the largest per-row
     buffer within SLICE_VALUES values (_values_per_row); they write the
-    cache, and embed is its one reader.
+    cache, and embed is its one reader. A fill that needs main and branch,
+    as the branch Meta-BCE gate's do, computes both as one block of doubled
+    width where the last block is 8k wide (backbone.embed_main_and_branch,
+    bit for bit), and its slices count that width; refresh runs one block.
     """
 
     def __init__(self, params, rows, spaces):
         self.params = params
         self.rows = rows
         self.spaces = tuple(s for s in SPACES if s in spaces)
-        self.slice_rows = max(1, SLICE_VALUES // _values_per_row(params.spec))
         shape = {"trunk": params.spec.trunk_shape}
         self._values = {s: np.empty((0,) + shape.get(s, (params.embed_dim,)))
                         for s in self.spaces}
@@ -150,6 +156,8 @@ class RowEmbeddings:
             if s in needed:
                 needed.add(SOURCE[s])
         self._walk = [s for s in SPACES[1:] if s in needed]
+        self._wide = {"main", "branch"} <= needed and fits_wide_block(params.spec)
+        self.slice_rows = max(1, SLICE_VALUES // _values_per_row(params.spec, self._wide))
         self._slot = np.full(rows.shape[0], -1)
         self.size = self.capacity = 0
 
@@ -177,12 +185,16 @@ class RowEmbeddings:
                 self._values[space] = np.empty((self.capacity,) + values.shape[1:])
                 self._values[space][: self.size] = values[: self.size]
         for part, rows in self._slices(todo):
-            fresh = {"trunk": trunk_features(self.params, self.rows[rows])}
+            fresh = {"trunk": trunk_features(self.params, self.rows[rows]).data}
+            if self._wide:
+                fresh["main"], fresh["branch"] = embed_main_and_branch(self.params,
+                                                                       fresh["trunk"])
             for space in self._walk:
-                fresh[space] = embed_from(self.params, space, fresh[SOURCE[space]])
+                if space not in fresh:
+                    fresh[space] = embed_from(self.params, space, fresh[SOURCE[space]]).data
             slots = np.arange(self.size, self.size + part.size)
             for space, values in self._values.items():
-                values[slots] = fresh[space].data[: part.size]
+                values[slots] = fresh[space][: part.size]
             self._slot[part] = slots
             self.size += part.size
 

@@ -22,6 +22,9 @@ from fsos.episodes import _VAL_STREAM, _episode_rng, _gate_val_config, _gated, _
 from fsos.protonet import ProtonetError, RowEmbeddings
 
 IMAGE_SPEC = BackboneSpec("image", (1, 8, 8), (("conv", 4), ("conv", 4)))
+# 8 channels: a fill of main and branch runs the head and branch blocks as
+# one wide block (backbone.embed_main_and_branch), refresh the branch alone
+WIDE_IMAGE_SPEC = BackboneSpec("image", (1, 8, 8), (("conv", 8), ("conv", 8)))
 METHODS = [("mbce", "branch"), ("mbce", "projected"), ("ocml_frozen", "branch")]
 
 
@@ -184,12 +187,12 @@ def test_frozen_tensors_never_reach_a_tape(method, variant, small_dataset, small
                     assert np.array_equal(tensor.data, dict(frozen[group])[name].data)
 
 
-@pytest.mark.parametrize("kind", ["vector", "image"])
+@pytest.mark.parametrize("kind", ["vector", "image", "image_wide"])
 @pytest.mark.parametrize("method,variant", METHODS)
 def test_cached_validation_equals_a_fresh_cache_at_every_point(
         method, variant, kind, small_dataset, small_spec, image_dataset, monkeypatch):
-    dataset, spec = (small_dataset, small_spec) if kind == "vector" else (image_dataset,
-                                                                          IMAGE_SPEC)
+    dataset, spec = {"vector": (small_dataset, small_spec), "image": (image_dataset, IMAGE_SPEC),
+                     "image_wide": (image_dataset, WIDE_IMAGE_SPEC)}[kind]
     base = init_backbone(spec, seed=5)
     val_classes = dataset.split.meta_val
     val_cfg = _gate_val_config(val_classes, k=2)

@@ -16,10 +16,17 @@ each report's JSON are digested per stage.
 
 Bits depend on the kernels numpy and its BLAS pick, so digests are kept per
 runtime key: the numpy version, the SIMD extensions np.show_runtime()
-reports as found, and the BLAS build. On a key with no record the test
-skips, naming the key.
+reports as found, the BLAS build, and the core OpenBLAS picked its kernels
+for at run time. On a key with no record the test skips, naming the key.
 
-To record the digests of the current tree for this machine's key:
+The draw streams use no BLAS, so their digests are checked on every
+machine: the row indices of the first DRAW_STREAM_EPISODES episodes of each
+stream (training per method, validation, threshold calibration, open-set
+and one-class evaluation) at the CLI defaults' episode shapes, on the CLI
+pipeline's dataset, at seeds DRAW_STREAM_SEEDS.
+
+To record the digests of the current tree for this machine's key, and the
+draw streams:
 
     PYTHONPATH=src python tests/test_golden_digests.py
 
@@ -33,6 +40,7 @@ Regenerate only in a change that means to move bits, and name every
 artifact that moved and why.
 """
 
+import ctypes
 import hashlib
 import json
 import resource
@@ -47,23 +55,44 @@ import pytest
 
 from fsos import episodes as ep
 from fsos.backbone import DEFAULT_IMAGE_SPEC
+from fsos.cli import SCHEMAS
 from fsos.cli import main as cli_main
-from fsos.data import SyntheticSpec, generate_synthetic
+from fsos.data import SyntheticSpec, generate_synthetic, load_dataset
 
 GOLDEN = Path(__file__).with_name("golden_digests.json")
 HEADS = (("mbce", "mbce"), ("mbce", "mbce_projected"), ("ocml", "ocml_frozen"),
          ("ocml", "ocml_joint"), ("threshold", "protonet"))
+DRAW_STREAM_EPISODES = 200
+DRAW_STREAM_SEEDS = (0, 1)
+
+
+def openblas_core():
+    """The core type OpenBLAS picked its kernels for at run time, as numpy's
+    bundled scipy-openblas reports it ("SkylakeX"), or "unknown" where that
+    library or its scipy_openblas_get_corename64_ is missing. The build
+    target np.show_config() names is only the build's baseline."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def runtime_key():
-    """numpy version, found SIMD extensions and BLAS build, as one line."""
+    """numpy version, found SIMD extensions, BLAS build and OpenBLAS core, as
+    one line."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     found = " ".join(f for f in __cpu_dispatch__ if __cpu_features__[f])
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}; simd {found}; blas {blas['name']} {blas.get('version')}"
+    return (f"numpy {np.__version__}; simd {found}; blas {blas['name']} {blas.get('version')}; "
+            f"core {openblas_core()}")
 
 
 def run_pipeline(root):
@@ -92,6 +121,61 @@ def run_pipeline(root):
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.rglob("*")) if path.is_file()
     }
+
+
+def _cli_dataset(root):
+    """The CLI pipeline's dataset, generated in root."""
+    assert cli_main(["generate", f"--out={root}/ds.json", "--seed=3"]) == 0
+    return load_dataset(f"{root}/ds.json")
+
+
+def _rows_digest(drawn):
+    """sha256 of the row indices of (support [..., n * k], queries [..., m])
+    pairs of episodes or blocks of them, as int64: each episode's support
+    rows, then its query rows."""
+    return _sha(*(np.concatenate([s, q], axis=-1).astype("<i8").tobytes() for s, q in drawn))
+
+
+def draw_streams(dataset):
+    """{seed: {stream: digest of the row indices of its first
+    DRAW_STREAM_EPISODES episodes}} at the CLI defaults' episode shapes:
+    training and validation per train method (validation draws the closed-set
+    shape for protonet, the gate one for a head; every method draws the same
+    training stream today), the threshold calibration of an open-set eval,
+    and open-set and one-class evaluation."""
+    count, split = DRAW_STREAM_EPISODES, dataset.split
+    train, evaluate = SCHEMAS["train"], SCHEMAS["eval"]
+    k = train["k"].default
+    train_cfg = ep.EpisodeConfig(n=train["n"].default, k=k, q=train["q"].default, n_unknown=0)
+    # eval's n of 0 means 5 for openset and 1 for oneclass; its n_unknown of -1 matches n
+    openset, oneclass = (ep.EpisodeConfig(n=n, k=evaluate["k"].default, q=evaluate["q"].default)
+                         for n in (5, 1))
+    # calibrate_threshold_baseline fits the open-set shape to meta_val
+    cal_n = min(openset.n, len(split.meta_val) - 1)
+    calibrate = replace(openset, n=cal_n, n_unknown=min(openset.n_unknown,
+                                                        len(split.meta_val) - cal_n))
+    closed_val = replace(train_cfg, n=min(train_cfg.n, len(split.meta_val)))
+    gate_val = ep._gate_val_config(split.meta_val, k)
+    tables = {name: dataset.row_table(split.partition(name))
+              for name in ("meta_train", "meta_val", "meta_test")}
+
+    def blocks(partition, cfg, seed, stream):
+        drawn = ep._drawn_blocks(tables[partition], cfg, count, seed, stream, 64)
+        return _rows_digest((b[1], b[2]) for _, b in drawn)
+
+    digests = {}
+    for seed in DRAW_STREAM_SEEDS:
+        streams = digests[f"seed {seed}"] = {}
+        episodes = ep._training_episodes(tables["meta_train"], train_cfg, count, seed, None)
+        training = _rows_digest((e.support, e.queries) for e in episodes)
+        for method in train["method"].choices:
+            streams[f"train.{method}"] = training
+            val_cfg = closed_val if method == "protonet" else gate_val
+            streams[f"val.{method}"] = blocks("meta_val", val_cfg, seed, ep._VAL_STREAM)
+        streams["calibrate"] = blocks("meta_val", calibrate, seed, ep._CALIB_STREAM)
+        streams["eval.openset"] = blocks("meta_test", openset, seed, ep._EVAL_STREAM)
+        streams["eval.oneclass"] = blocks("meta_test", oneclass, seed, ep._EVAL_STREAM)
+    return digests
 
 
 def _sha(*chunks):
@@ -180,6 +264,14 @@ def test_image_pipeline_matches_golden_digests():
     _assert_same(run_image_pipeline(), recorded)
 
 
+def test_draw_streams_match_golden_digests_on_every_runtime(tmp_path):
+    recorded = json.loads(GOLDEN.read_text())["draw_streams"]
+    got = draw_streams(_cli_dataset(tmp_path))
+    assert sorted(got) == sorted(recorded)
+    for seed, streams in recorded.items():
+        _assert_same(got[seed], streams)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--image-stages"]:
         stats = {}
@@ -194,5 +286,7 @@ if __name__ == "__main__":
     key = runtime_key()
     with tempfile.TemporaryDirectory() as tmp:
         doc["digests"][key] = run_pipeline(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["draw_streams"] = draw_streams(_cli_dataset(tmp))
     doc.setdefault("image_digests", {})[key] = run_image_pipeline()
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

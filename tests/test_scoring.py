@@ -268,7 +268,9 @@ def test_slice_budget_never_moves_a_dense_artifact(small_dataset, small_spec, mo
     """Training runs (protonet, then mbce validating three times, so refresh
     runs, and ocml_frozen), tau, and the open-set and one-class reports of
     all three gates are the same bits in slices of 2 or 3 rows as in the
-    default slices, which hold whole tables of the small dense dataset."""
+    default slices, which hold whole tables of the small dense dataset. A
+    cache that runs main and branch as one wide block counts twice the
+    values a row, so it takes 2 and 3 rows at the budgets of 4 and 6."""
     cfg = EpisodeConfig(n=3, k=2, q=3)
 
     def run():
@@ -301,7 +303,7 @@ def test_slice_budget_never_moves_a_dense_artifact(small_dataset, small_spec, mo
     largest = small_dataset.row_table(small_dataset.split.meta_train).rows.shape[0]
     assert protonet.SLICE_VALUES // per_row >= largest
     default = run()
-    for slice_rows in (2, 3):
+    for slice_rows in (2, 3, 4, 6):
         monkeypatch.setattr(protonet, "SLICE_VALUES", slice_rows * per_row)
         for got, want in zip(run(), default, strict=True):
             if isinstance(want, np.ndarray):
