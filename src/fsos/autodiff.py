@@ -36,7 +36,7 @@ with 1 BLAS thread at a width of 1 mod 8, with 2 or 4 threads at most
 widths that are not a multiple of 8. conv3x3_pool picks a layout for speed
 only where the bits were measured equal to the row-major product's, and
 only on numpy 2.4.6 with OpenBLAS 0.3.31 (scipy-openblas, DYNAMIC_ARCH)
-on a 2-core Xeon, at 1, 2 and 4 BLAS threads. The conv3x3_pool tests
+and its SkylakeX kernels, at 1, 2 and 4 BLAS threads. The conv3x3_pool tests
 check those choices against a row-major oracle on the build they run on.
 """
 

@@ -307,7 +307,8 @@ def embed_main_and_branch(params, source):
     at every shape scanned with numpy 2.4.6 and scipy-openblas 0.3.31 on a
     SkylakeX core, at 1, 2 and 4 BLAS threads: dense widths 8 to 128 on 4 to
     6912 rows, conv widths 8 to 64 on 3 or 32 input channels. Widths of 1 to
-    6 mod 8 moved the last bit of some values, so they run embed_from twice."""
+    6 mod 8 moved the last bit of some values, so they run embed_from twice.
+    On the Haswell kernels at 2+ threads it fails from 65 rows at width 64."""
     kind, width = params.spec.blocks[-1]
     # the output axis: W's last, the first of every other parameter
     wide = {name: np.concatenate([params.head[name].data, params.branch[name].data],

@@ -19,6 +19,7 @@ from .backbone import BackboneSpec, from_param_groups, to_param_groups
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .data import DatasetError, SyntheticSpec, generate_synthetic, load_dataset, save_dataset
 from .episodes import (
+    METHODS,
     EpisodeConfig,
     EpisodeError,
     MetaBceGate,
@@ -30,6 +31,7 @@ from .episodes import (
     evaluate_openset,
     run_meta_training,
     train_gates,
+    train_heads,
 )
 
 
@@ -90,15 +92,10 @@ SCHEMAS = {
         "separation": Option(8.0, float),
         "spread": Option(1.0, float),
         "seed": Option(0, int, minimum=0),
-        "split": Option(None, _parse_split, help="train/val/test counts, e.g. 24/6/10"),
+        "split": Option(None, _parse_split, help="train/val/test counts, e.g. 24/6/10, or auto"),
     },
     "train": {
-        "method": Option(
-            None,
-            str,
-            choices=("protonet", "mbce", "mbce_projected", "ocml_frozen", "ocml_joint"),
-            required=True,
-        ),
+        "method": Option(None, str, choices=tuple(METHODS), required=True),
         "dataset": Option(None, str, required=True, help="dataset manifest path"),
         "out": Option(None, str, required=True, help="checkpoint path to write"),
         "backbone": Option("", str, help="base checkpoint (required for augmentation methods)"),
@@ -116,7 +113,7 @@ SCHEMAS = {
         "val_episodes": Option(0, int, help="0 uses the method default", minimum=0),
         "seed": Option(0, int, minimum=0),
         "blocks": Option((64, 64), _parse_int_list, help="dense widths for a fresh backbone"),
-        "ocml_arch": Option(None, _parse_ocml_arch, help="1layer or mid<N> transfer module"),
+        "ocml_arch": Option(None, _parse_ocml_arch, help="gtheta arch: 1layer (default) or mid<N>"),
     },
     "eval": {
         "task": Option(None, str, choices=("oneclass", "openset"), required=True),
@@ -156,6 +153,19 @@ SCHEMAS = {
         "out_csv": Option("", str),
     },
 }
+
+
+def command_help(command):
+    """The usage of command: one line per key with its default, whether it
+    is required, its choices, lower bound and help text."""
+    lines = [f"usage: fsos {command} [--config=FILE] [--key=value ...]"]
+    for key, opt in SCHEMAS[command].items():
+        default = ",".join(map(str, opt.default)) if isinstance(opt.default, tuple) else opt.default
+        usage = f"--{key}" if default is None else f"--{key}={default}"
+        notes = [opt.required and "required", opt.choices and "one of " + ", ".join(opt.choices),
+                 opt.minimum is not None and f">= {opt.minimum}", opt.help]
+        lines.append(f"  {usage:<28} {'; '.join(n for n in notes if n)}".rstrip())
+    return "\n".join(lines)
 
 
 def _load_config_file(path, command):
@@ -304,10 +314,7 @@ def cmd_generate(settings):
 def _resolve_schedule(settings, method):
     """The method's default schedule with the overrides that are set: a
     non-zero value, or an optimizer other than auto."""
-    base = default_schedule(
-        "mbce" if method == "mbce_projected" else method,
-        settings["episodes"] or None,
-    )
+    base = default_schedule(method, settings["episodes"] or None)
     keys = ("learning_rate", "optimizer", "val_interval", "val_episodes", "offset_learning_rate")
     return replace(base, **{k: settings[k] for k in keys if settings[k] not in (0, "auto")})
 
@@ -325,38 +332,25 @@ def cmd_train(settings):
     if settings["loss_csv"]:
         _require_out_dir(settings["loss_csv"], "the loss CSV")
     method = settings["method"]
-    needs_base = method in ("mbce", "mbce_projected", "ocml_frozen")
-    if needs_base and not settings["backbone"]:
+    if METHODS[method] is not None and not settings["backbone"]:
         raise UsageError(f"method {method!r} augments a pretrained backbone: --backbone required")
     if settings["backbone"]:
         _require_file(settings["backbone"], "backbone checkpoint")
 
     dataset = load_dataset(settings["dataset"])
-    base_params = None
+    base_params = spec = None
     if settings["backbone"]:
         base_params, _, _ = load_pipeline_checkpoint(settings["backbone"])
-    spec = None
-    if base_params is None:
-        spec = BackboneSpec(
-            "vector", (dataset.dim,), tuple(("dense", w) for w in settings["blocks"])
-        )
+    else:
+        spec = BackboneSpec("vector", (dataset.dim,),
+                            tuple(("dense", w) for w in settings["blocks"]))
 
-    train_method = "mbce" if method == "mbce_projected" else method
-    variant = "projected" if method == "mbce_projected" else "branch"
     schedule = _resolve_schedule(settings, method)
     cfg = EpisodeConfig(n=settings["n"], k=settings["k"], q=settings["q"], n_unknown=0)
 
-    result = run_meta_training(
-        train_method,
-        dataset,
-        cfg,
-        schedule,
-        seed=settings["seed"],
-        base_params=base_params,
-        spec=spec,
-        variant=variant,
-        transfer_middle=settings["ocml_arch"],
-    )
+    result = run_meta_training(method, dataset, cfg, schedule, seed=settings["seed"],
+                               base_params=base_params, spec=spec,
+                               transfer_middle=settings["ocml_arch"])
 
     heads = {} if result.gate is None else {result.gate.name: result.head}
     meta = {
@@ -479,20 +473,14 @@ def cmd_ablate(settings):
         n_way = 1 if grid == "gtheta" else n
         points = [(shots, openset_cfg(n_way, shots)) for shots in settings["k_values"]]
 
-    # heads train on gate_cfg with q = 10, as episodes.train_gates trains its own
     budget, gate_cfg = settings["train_episodes"] or None, EpisodeConfig(n, k, settings["q"])
-
-    def trained(label, method, **options):
-        result = run_meta_training(method, dataset, replace(gate_cfg, q=10),
-                                   default_schedule(method, budget), seed=seed,
-                                   base_params=base_params, **options)
-        return label, result.gate, result.params
-
     if grid == "gtheta":
-        gates = [trained(arch_name, "ocml_frozen", transfer_middle=middle)
-                 for arch_name, middle in ocml.architecture_menu(base_params.embed_dim)]
-    elif grid == "mbce_variant":
-        gates = [trained(variant, "mbce", variant=variant) for variant in metabce.VARIANTS]
+        gates = train_heads(dataset, base_params, gate_cfg, seed, budget,
+                            [(arch_name, "ocml_frozen", middle) for arch_name, middle
+                             in ocml.architecture_menu(base_params.embed_dim)])
+    elif grid == "mbce_variant":  # labelled by the one-class space each reads
+        gates = train_heads(dataset, base_params, gate_cfg, seed, budget,
+                            [(METHODS[m], m, None) for m in ("mbce", "mbce_projected")])
     else:
         gates = train_gates(dataset, base_params, gate_cfg, seed, budget)
 
@@ -606,11 +594,14 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         if not argv or argv[0] in ("-h", "--help"):
-            print("usage: fsos {generate|train|eval|ablate|report} [--config=FILE] [--key=value ...]")
+            print(f"usage: fsos {{{'|'.join(COMMANDS)}}} [--help] [--config=FILE] [--key=value ...]")
             return 0
         command = argv[0]
         if command not in COMMANDS:
             raise UsageError(f"unknown command {command!r}")
+        if {"-h", "--help"} & set(argv[1:]):
+            print(command_help(command))
+            return 0
         settings = parse_command(command, argv[1:])
         return COMMANDS[command](settings)
     except UsageError as exc:

@@ -23,9 +23,9 @@ generator takes each one before that episode's draw, and the block's rows
 are laid out in one pass, so the stream does not depend on the block size.
 The methods that train the extractor (protonet, ocml_joint) embed an
 episode's rows on the tape. The heads trained on a frozen extractor (mbce,
-ocml_frozen) read them from a per-run RowEmbeddings cache of the
-meta_train table, filled once per drawn block with the rows its episodes
-hold. Only sample_episode gathers an episode's rows.
+mbce_projected, ocml_frozen; METHODS) read them from a per-run RowEmbeddings
+cache of the meta_train table, filled once per drawn block with the rows its
+episodes hold. Only sample_episode gathers an episode's rows.
 
 Evaluation, threshold calibration and validation score their episodes in
 chunks (protonet.ScoredChunk) from a per-call cache, so each drawn row is
@@ -506,6 +506,12 @@ class TrainSchedule:
         return {**asdict(self), "val_interval": self.effective_val_interval}
 
 
+# training method -> the embedding space its gate reads, for the heads on a
+# frozen extractor (which need base_params); None where the extractor trains
+METHODS = {"protonet": None, "mbce": "branch", "mbce_projected": "projected",
+           "ocml_frozen": "main", "ocml_joint": None}
+
+
 def default_schedule(method, episodes=None):
     """Training settings that reach the benchmark floors on the default
     synthetic benchmark; see the acceptance suite. Only mbce stops early: its
@@ -516,7 +522,7 @@ def default_schedule(method, episodes=None):
             episodes or 3000, learning_rate=2e-3, optimizer="adam",
             val_interval=100, val_episodes=40,
         )
-    if method == "mbce":
+    if method in ("mbce", "mbce_projected"):
         return TrainSchedule(
             episodes or 8000, learning_rate=1e-4, optimizer="sgd",
             val_interval=125, val_episodes=50, offset_learning_rate=0.05, patience=8,
@@ -526,7 +532,7 @@ def default_schedule(method, episodes=None):
             episodes or 8000, learning_rate=3e-3, optimizer="adam",
             val_interval=250, val_episodes=40,
         )
-    raise EpisodeError(f"unknown method {method!r}, expected one of {METHODS}")
+    raise EpisodeError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
 
 
 @dataclass
@@ -538,9 +544,6 @@ class TrainResult:
     val_history: list  # (episode_index, metric value)
     best_val: float
     gate: object = None  # MetaBceGate | OcmlGate over head | None
-
-
-METHODS = ("protonet", "mbce", "ocml_joint", "ocml_frozen")
 
 
 # Scored chunks hold about this many queries (6000: 40 episodes of the
@@ -666,40 +669,32 @@ def _gate_val_na(gate, chunks):
 DIVERGENCE_FACTOR = 1e6
 
 
-def run_meta_training(
-    method,
-    dataset,
-    episode_cfg,
-    schedule,
-    seed,
-    base_params=None,
-    spec=None,
-    variant="branch",
-    transfer_middle=None,
-):
+def run_meta_training(method, dataset, episode_cfg, schedule, seed, base_params=None, spec=None,
+                      transfer_middle=None):
     """Episodic training of one method; returns best-on-validation parameters,
     with the head's gate over them (none for protonet).
 
     Every method trains on drawn episodes of row indices, one step
     loss_fn(embed_fn, episode) each; methods differ in their loss, embed
     function and trained tensors. protonet trains the extractor (trunk +
-    head) from scratch or from base_params, embedding on the tape. mbce and
-    ocml_frozen require base_params (augmentation of a pretrained extractor)
-    and never touch trunk or head: they read the extractor's output for each
-    drawn row from a per-run cache, which embeds each row once, when the
-    first block of episodes that draws it is drawn. ocml_joint trains the
-    transfer module together with the extractor.
+    head) from scratch or from base_params, embedding on the tape. The heads
+    on a frozen extractor (mbce, mbce_projected, ocml_frozen) require
+    base_params and never touch trunk or head: they read the extractor's
+    output for each drawn row from a per-run cache, which embeds each row
+    once, when the first block of episodes that draws it is drawn.
+    ocml_joint trains the transfer module together with the extractor.
     Every method needs n >= 2: a one-way episode has no negatives to learn from.
     A run stops after schedule.patience validation points without a new
     best, and a diverged loss (DIVERGENCE_FACTOR) raises EpisodeError.
     """
     if method not in METHODS:
-        raise EpisodeError(f"unknown method {method!r}, expected one of {METHODS}")
+        raise EpisodeError(f"unknown method {method!r}, expected one of {tuple(METHODS)}")
     if episode_cfg.n < 2:
         raise EpisodeError(
             f"{method} training needs n >= 2 classes per episode, got {episode_cfg.n}"
         )
-    if method in ("mbce", "ocml_frozen") and base_params is None:
+    space = METHODS[method]  # the frozen-extractor head's space, if any
+    if space is not None and base_params is None:
         raise EpisodeError(
             f"{method} training augments a pretrained backbone: base_params required"
         )
@@ -711,16 +706,16 @@ def run_meta_training(
     episode_cfg = replace(episode_cfg, n_unknown=0)
     table = dataset.row_table(dataset.split.meta_train)
 
-    # frozen: the extractor output a head on a frozen extractor reads from its cache
-    head = gate = frozen = None
+    head = gate = None
+    meta_bce = space in metabce.VARIANTS  # the head trains the space it reads
     if method == "protonet":
         loss_fn = protonet.episode_loss
         trainable = params.trunk_tensors() + params.head_tensors()
-    elif method == "mbce":
-        if variant == "projected" and params.projection is None:
+    elif meta_bce:
+        if space == "projected" and params.projection is None:
             add_projection(params)
-        head = metabce.init_head(variant)
-        gate, frozen = MetaBceGate(head), SOURCE[variant]
+        head = metabce.init_head(space)
+        gate = MetaBceGate(head)
         loss_fn = partial(metabce.episode_loss, head)
         trainable = metabce.trainable_tensors(head, params)
     else:
@@ -728,20 +723,19 @@ def run_meta_training(
         gate = OcmlGate(head)
         loss_fn = partial(ocml.episode_loss, head)
         trainable = head.tensors()
-        if method == "ocml_frozen":
-            frozen = "main"
-        else:
+        if space is None:
             trainable = trainable + params.trunk_tensors() + params.head_tensors()
 
-    if frozen is None:  # the extractor trains: its rows are embedded on the tape
+    if space is None:  # the extractor trains: its rows are embedded on the tape
         cache = None
         embed_fn = lambda rows: embed(params, table.rows[rows])
     else:
-        cache = protonet.RowEmbeddings(params, table.rows, (frozen,))
-        embed_fn = partial(cache.embed, gate.spaces[0])
+        # the frozen space: main, or what mbce's trained branch or projection reads
+        cache = protonet.RowEmbeddings(params, table.rows, (SOURCE[space] if meta_bce else space,))
+        embed_fn = partial(cache.embed, space)
 
     groups = [(trainable, schedule.learning_rate)]
-    if method == "mbce" and schedule.offset_learning_rate is not None:
+    if meta_bce and schedule.offset_learning_rate is not None:
         rest = [p for p in trainable if p is not head.t]
         groups = [([head.t], schedule.offset_learning_rate), (rest, schedule.learning_rate)]
     optimizers = [make_optimizer(schedule.optimizer, tensors, rate) for tensors, rate in groups]
@@ -824,14 +818,26 @@ def calibrate_threshold_baseline(params, dataset, cfg, episodes, seed):
     return protonet.calibrate_threshold(chunk for _, chunk in chunks)
 
 
+def train_heads(dataset, backbone, cfg, seed, episodes, heads):
+    """(label, gate, params) per (label, method, transfer_middle) of heads, each
+    head trained on one frozen backbone on cfg with q = 10, under the method's
+    default schedule at episodes (None: its default budget)."""
+    gates = []
+    for label, method, middle in heads:
+        result = run_meta_training(method, dataset, replace(cfg, q=10),
+                                   default_schedule(method, episodes), seed=seed,
+                                   base_params=backbone, transfer_middle=middle)
+        gates.append((label, result.gate, result.params))
+    return gates
+
+
 def train_gates(dataset, backbone, cfg, seed, episodes=None):
     """(name, gate, params) of the compared gates on one frozen backbone: mbce and
-    ocml_frozen trained on cfg with q = 10, the threshold calibrated on 200 episodes."""
-    mb, oc = (run_meta_training(m, dataset, replace(cfg, q=10), default_schedule(m, episodes),
-                                seed=seed, base_params=backbone) for m in ("mbce", "ocml_frozen"))
+    ocml_frozen trained by train_heads, the threshold calibrated on 200 episodes."""
+    gates = train_heads(dataset, backbone, cfg, seed, episodes,
+                        [("mbce", "mbce", None), ("ocml", "ocml_frozen", None)])
     baseline = calibrate_threshold_baseline(backbone, dataset, cfg, 200, seed)
-    return [("mbce", mb.gate, mb.params), ("ocml", oc.gate, oc.params),
-            ("threshold", ThresholdGate(baseline), backbone)]
+    return gates + [("threshold", ThresholdGate(baseline), backbone)]
 
 
 # ---------------------------------------------------------------------------

@@ -167,10 +167,11 @@ class RowEmbeddings:
         0.3.31 multiplies 2 or 3 rows by a 512 x 512 projection with a
         small-matrix kernel; both round differently from the blocked gemm, so
         a slice of fewer than 4 rows is embedded from 4, its rows repeated.
-        A row's embedding is then independent of its slice
-        wherever the BLAS runs every product of 4 or more rows on one kernel,
-        as that build does for the dense specs' 32- and 64-wide weights and
-        for DEFAULT_IMAGE_SPEC (tests/test_scoring.py)."""
+        A row's embedding is then independent of its slice wherever the BLAS
+        runs every product of 4 or more rows on one kernel, as that build's
+        SkylakeX and SandyBridge kernels do for the dense specs' 32- and
+        64-wide weights and for DEFAULT_IMAGE_SPEC (tests/test_scoring.py);
+        on its Haswell kernels an odd row count moves a product's last row."""
         for start in range(0, indices.size, self.slice_rows):
             part = indices[start : start + self.slice_rows]
             yield part, np.resize(part, 4) if part.size < 4 else part

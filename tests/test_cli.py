@@ -9,7 +9,7 @@ import pytest
 from fsos import cli, metrics
 from fsos.checkpoint import load_checkpoint, save_checkpoint
 from fsos.cli import SCHEMAS, _resolve_schedule, main, parse_command
-from fsos.episodes import TrainSchedule, default_schedule
+from fsos.episodes import METHODS, TrainSchedule, default_schedule
 from fsos.metrics import UNKNOWN
 
 TRAIN_METHODS = SCHEMAS["train"]["method"].choices
@@ -106,6 +106,44 @@ def test_train_requires_backbone_for_augmentation(workdir, capsys):
     assert "backbone" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", list(SCHEMAS))
+def test_command_help_lists_every_key(capsys, command):
+    assert run([command, "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"usage: fsos {command} ")
+    by_key = {line.split()[0].split("=")[0]: line for line in lines[1:]}
+    assert list(by_key) == [f"--{key}" for key in SCHEMAS[command]]
+    for key, opt in SCHEMAS[command].items():
+        line = by_key[f"--{key}"]
+        assert opt.help in line and all(choice in line for choice in opt.choices or ()), line
+        if opt.required:
+            assert "required" in line, line
+        elif isinstance(opt.default, (int, float, str)):
+            assert line.split()[0] == f"--{key}={opt.default}", line
+
+
+@pytest.mark.parametrize("method", [m for m, space in METHODS.items() if space])
+def test_frozen_head_without_backbone_is_usage_error_before_loading(
+        tmp_path, capsys, monkeypatch, method):
+    (tmp_path / "ds.json").write_text("{}")
+    monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("loaded the dataset"))
+    code = run(["train", f"--method={method}", f"--dataset={tmp_path}/ds.json",
+                f"--out={tmp_path}/head.ckpt", f"--loss_csv={tmp_path}/loss.csv"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert f"'{method}'" in lines[0] and "--backbone required" in lines[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["ds.json"]
+
+
+@pytest.mark.parametrize("method", [m for m, space in METHODS.items() if not space])
+def test_extractor_methods_train_without_backbone(workdir, tmp_path, method):
+    assert run(["train", f"--method={method}", f"--dataset={workdir}/ds.json",
+                f"--out={tmp_path}/x.ckpt", "--episodes=4", "--n=3", "--k=2", "--q=2",
+                "--val_episodes=2"]) == 0
+    assert (tmp_path / "x.ckpt").is_file()
+
+
 def test_train_missing_dataset_is_usage_error(tmp_path, capsys):
     code = run([
         "train", "--method=protonet", f"--dataset={tmp_path}/nope.json",
@@ -144,7 +182,7 @@ def _train_settings(method, *overrides):
 @pytest.mark.parametrize("method", TRAIN_METHODS)
 def test_schedule_without_overrides_is_the_method_default(method):
     got = _resolve_schedule(_train_settings(method), method)
-    want = default_schedule("mbce" if method == "mbce_projected" else method)
+    want = default_schedule(method)
     for f in dataclasses.fields(TrainSchedule):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
@@ -156,7 +194,7 @@ def test_schedule_overrides_replace_only_their_fields(method):
     got = _resolve_schedule(
         _train_settings(method, "--episodes=11", *(f"--{k}={v}" for k, v in overrides.items())),
         method)
-    want = default_schedule("mbce" if method == "mbce_projected" else method, 11)
+    want = default_schedule(method, 11)
     for f in dataclasses.fields(TrainSchedule):
         assert getattr(got, f.name) == overrides.get(f.name, getattr(want, f.name)), f.name
 
@@ -604,7 +642,7 @@ def test_ablate_unfittable_point_is_usage_error_before_training(
     def refuse(*args, **kwargs):
         raise AssertionError("trained before every grid point was checked")
 
-    monkeypatch.setattr(cli, "run_meta_training", refuse)
+    monkeypatch.setattr(cli, "train_heads", refuse)
     monkeypatch.setattr(cli, "train_gates", refuse)
     code = run(["ablate", f"--grid={grid}", f"--dataset={workdir}/ds.json",
                 f"--backbone={workdir}/pn.ckpt", f"--out_dir={tmp_path}", option,

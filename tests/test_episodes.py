@@ -12,6 +12,7 @@ from fsos.episodes import (
     DIVERGENCE_FACTOR,
     DRAW_AHEAD,
     MAX_TRAIN_EPISODES,
+    METHODS,
     EpisodeConfig,
     EpisodeError,
     MetaBceGate,
@@ -413,6 +414,27 @@ def test_run_meta_training_needs_base_params_or_spec(small_dataset, monkeypatch,
     with pytest.raises(EpisodeError, match="needs base_params or spec, got neither"):
         run_meta_training(method, small_dataset, EpisodeConfig(n=2, k=2, q=2),
                           TrainSchedule(episodes=2), seed=0)
+
+
+def test_method_table_names_each_frozen_head_space():
+    assert METHODS == {"protonet": None, "mbce": "branch", "mbce_projected": "projected",
+                       "ocml_frozen": "main", "ocml_joint": None}
+    assert default_schedule("mbce_projected") == default_schedule("mbce")
+
+
+@pytest.mark.parametrize("method", [m for m, space in METHODS.items() if space])
+def test_frozen_head_training_needs_base_params(small_dataset, small_spec, method):
+    """A spec alone does not do: the head augments a pretrained extractor."""
+    with pytest.raises(EpisodeError, match=f"{method} training augments a pretrained backbone"):
+        run_meta_training(method, small_dataset, EpisodeConfig(n=2, k=2, q=2),
+                          TrainSchedule(episodes=2), seed=0, spec=small_spec)
+
+
+@pytest.mark.parametrize("method", [m for m, space in METHODS.items() if not space])
+def test_extractor_training_needs_no_base_params(small_dataset, small_spec, method):
+    result = run_meta_training(method, small_dataset, EpisodeConfig(n=2, k=2, q=2),
+                               TrainSchedule(episodes=2, val_episodes=1), seed=0, spec=small_spec)
+    assert len(result.loss_curve) == 2
 
 
 def test_loss_curve_length_matches_schedule(small_dataset, small_spec):

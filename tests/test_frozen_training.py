@@ -1,4 +1,4 @@
-"""Heads trained on a frozen extractor (mbce in both variants, ocml_frozen)
+"""Heads trained on a frozen extractor (mbce, mbce_projected, ocml_frozen)
 read the extractor's output from a per-run RowEmbeddings cache: one cached
 step equals one gathered, taped step bit for bit, and no frozen tensor ever
 reaches a tape. Their validation keeps its drawn episodes and frozen
@@ -25,7 +25,10 @@ IMAGE_SPEC = BackboneSpec("image", (1, 8, 8), (("conv", 4), ("conv", 4)))
 # 8 channels: a fill of main and branch runs the head and branch blocks as
 # one wide block (backbone.embed_main_and_branch), refresh the branch alone
 WIDE_IMAGE_SPEC = BackboneSpec("image", (1, 8, 8), (("conv", 8), ("conv", 8)))
-METHODS = [("mbce", "branch"), ("mbce", "projected"), ("ocml_frozen", "branch")]
+# (method, the one-class space of an mbce head)
+METHODS = [pytest.param("mbce", "branch", id="mbce-branch"),
+           pytest.param("mbce_projected", "projected", id="mbce-projected"),
+           pytest.param("ocml_frozen", "branch", id="ocml_frozen-branch")]
 
 
 @pytest.fixture(scope="module")
@@ -172,11 +175,9 @@ def test_frozen_tensors_never_reach_a_tape(method, variant, small_dataset, small
     result = run_meta_training(
         method, small_dataset, EpisodeConfig(n=3, k=2, q=3),
         TrainSchedule(episodes=6, val_interval=3, val_episodes=2), seed=4, base_params=base,
-        variant=variant,
     )
     live = copies[0]  # the run's own parameters; later copies are snapshots
-    trained = {("mbce", "branch"): "branch", ("mbce", "projected"): "projection"}.get(
-        (method, variant))
+    trained = {"mbce": "branch", "mbce_projected": "projection"}.get(method)
     frozen = dict(base.named_groups())
     for params in (live, result.params):
         for group, items in params.named_groups():
@@ -229,7 +230,7 @@ def test_cached_validation_equals_a_fresh_cache_at_every_point(
     result = run_meta_training(
         method, dataset, EpisodeConfig(n=3, k=2, q=3),
         TrainSchedule(episodes=12, learning_rate=0.05, val_interval=4, val_episodes=8),
-        seed=6, base_params=base, variant=variant,
+        seed=6, base_params=base,
     )
     assert len(result.val_history) == 3
     assert [na for _, na in result.val_history] == fresh_na
