@@ -231,6 +231,8 @@ def _require_file(path, what):
 
 
 def _require_out_dir(path, what):
+    if Path(path).is_dir():
+        raise UsageError(f"path for {what} is a directory: {path}")
     parent = Path(path).resolve().parent
     if not parent.is_dir():
         raise UsageError(f"directory for {what} does not exist: {parent}")

@@ -16,16 +16,16 @@ draw_block block, its n known class ids, class-ordered support rows
 
 Training draws row indices for every method: draw_episode picks classes
 and returns an Episode of row indices into the partition's RowTable, and
-each method's loss reads them through its embed function. Training draws
-its episodes DRAW_AHEAD at a time with one reused generator: a block
-derives its episodes' seeded states at once (_training_states), the
-generator takes each one before that episode's draw, and the block's rows
-are laid out in one pass, so the stream does not depend on the block size.
-The methods that train the extractor (protonet, ocml_joint) embed an
-episode's rows on the tape. The heads trained on a frozen extractor (mbce,
-mbce_projected, ocml_frozen; METHODS) read them from a per-run RowEmbeddings
-cache of the meta_train table, filled once per drawn block with the rows its
-episodes hold. Only sample_episode gathers an episode's rows.
+each step embeds them into its loss's inputs. Training draws its episodes
+DRAW_AHEAD at a time with one reused generator: a block derives its
+episodes' seeded states at once (_training_states), the generator takes
+each one before that episode's draw, and the block's rows are laid out in
+one pass, so the stream does not depend on the block size. The methods
+that train the extractor (protonet, ocml_joint) embed an episode's rows on
+the tape. The heads trained on a frozen extractor (mbce, mbce_projected,
+ocml_frozen; METHODS) read them from a per-run RowEmbeddings cache of the
+meta_train table, filled once per drawn block with the rows its episodes
+hold; ocml_frozen's prototypes are computed once per block as well.
 
 Evaluation, threshold calibration and validation score their episodes in
 chunks (protonet.ScoredChunk) from a per-call cache, so each drawn row is
@@ -360,14 +360,16 @@ def _training_states(seed, start, stop):
 DRAW_AHEAD = 64
 
 
-def _training_episodes(table, cfg, episodes, seed, cache):
-    """Training episodes 0 .. episodes - 1 of seed, in order, as row
-    indices into table: episode i is draw_episode(table, cfg,
-    _episode_rng(seed, _TRAIN_STREAM, i)). One generator draws them all,
-    DRAW_AHEAD at a time: it takes each episode's derived state
-    (_training_states) before drawing it, and a block's rows are laid out
-    at once. With a RowEmbeddings cache, one fill embeds a block's rows
-    before its first episode is yielded."""
+def _training_episodes(table, cfg, episodes, seed, cache, space=None):
+    """(episode, its prototypes [n, e] in space or None) for training
+    episodes 0 .. episodes - 1 of seed, in order, as row indices into table:
+    episode i is draw_episode(table, cfg, _episode_rng(seed, _TRAIN_STREAM,
+    i)). One generator draws them all, DRAW_AHEAD at a time: it takes each
+    episode's derived state (_training_states) before drawing it, and a
+    block's rows are laid out at once. With a RowEmbeddings cache, a block
+    is a protonet.ScoredChunk, whose one fill embeds its rows before its
+    first episode is yielded and which computes its prototypes in a cached
+    space once, in slices of at most CHUNK_VALUES support values."""
     if episodes > MAX_TRAIN_EPISODES:
         raise EpisodeError(
             f"a training run takes at most {MAX_TRAIN_EPISODES} episodes, got {episodes}"
@@ -381,11 +383,15 @@ def _training_episodes(table, cfg, episodes, seed, cache):
             rng.bit_generator.state = state
             chosen[b] = _draw_permutations(table, cfg, rng, grids[b])
         ids, support, queries = _episode_rows(table, cfg, chosen, grids)
+        protos = [None] * len(ids)
         if cache is not None:
             # outside the tape: the frozen extractor is never differentiated
-            cache.fill(np.concatenate([support, queries], axis=1).ravel())
+            step = max(1, CHUNK_VALUES // (support.shape[1] * cache.params.embed_dim))
+            block = protonet.ScoredChunk(cache, ids, support, queries, cfg.q, step)
+            if space is not None:
+                protos = block.prototypes(space)
         for b, class_ids in enumerate(ids.tolist()):
-            yield Episode(tuple(class_ids), support[b], queries[b], cfg.q)
+            yield Episode(tuple(class_ids), support[b], queries[b], cfg.q), protos[b]
 
 
 def _eval_classes(dataset, partition):
@@ -592,9 +598,9 @@ class _ValidationSet:
     of the drawn rows and the chunks' main-space distances, closed
     predictions and truth are computed once, and each later iteration
     re-embeds only the trained spaces from the frozen ones (RowEmbeddings.
-    refresh). A chunk forgets its prototypes after each point, so the next
-    point takes them from the refreshed embeddings and the run does not
-    hold them between points.
+    refresh). A chunk forgets its prototypes in the trained spaces after
+    each point, so the next point takes them from the refreshed embeddings;
+    those of the frozen spaces are computed once.
     """
 
     def __init__(self, params, table, cfg, episodes, seed, spaces, trained):
@@ -618,7 +624,7 @@ class _ValidationSet:
                 self.cache.refresh(space)
         for chunk in self.kept:
             yield chunk
-            chunk.forget()
+            chunk.forget(self.trained)
 
 
 def _gated(gate, chunk):
@@ -675,13 +681,16 @@ def run_meta_training(method, dataset, episode_cfg, schedule, seed, base_params=
     with the head's gate over them (none for protonet).
 
     Every method trains on drawn episodes of row indices, one step
-    loss_fn(embed_fn, episode) each; methods differ in their loss, embed
-    function and trained tensors. protonet trains the extractor (trunk +
-    head) from scratch or from base_params, embedding on the tape. The heads
-    on a frozen extractor (mbce, mbce_projected, ocml_frozen) require
-    base_params and never touch trunk or head: they read the extractor's
-    output for each drawn row from a per-run cache, which embeds each row
-    once, when the first block of episodes that draws it is drawn.
+    loss_fn(inputs, episode) each, inputs the episode's (prototypes,
+    known-query embeddings) from protonet.embed_episode on the tape; methods
+    differ in their loss, embed function and trained tensors. protonet
+    trains the extractor (trunk + head) from scratch or from base_params.
+    The heads on a frozen extractor (mbce, mbce_projected, ocml_frozen)
+    require base_params and never touch trunk or head: they read the
+    extractor's output for each drawn row from a per-run cache, which embeds
+    each row once, when the first block that draws it is drawn; ocml_frozen,
+    which reads the cached main space itself, takes its prototypes from its
+    block (_training_episodes) and gathers its known queries at each step.
     ocml_joint trains the transfer module together with the extractor.
     Every method needs n >= 2: a one-way episode has no negatives to learn from.
     A run stops after schedule.patience validation points without a new
@@ -726,6 +735,7 @@ def run_meta_training(method, dataset, episode_cfg, schedule, seed, base_params=
         if space is None:
             trainable = trainable + params.trunk_tensors() + params.head_tensors()
 
+    cached = None if meta_bce else space  # a frozen space the head reads from the cache
     if space is None:  # the extractor trains: its rows are embedded on the tape
         cache = None
         embed_fn = lambda rows: embed(params, table.rows[rows])
@@ -766,13 +776,15 @@ def run_meta_training(method, dataset, episode_cfg, schedule, seed, base_params=
     best_val = -np.inf
     best = snapshot()
     stale = 0  # validation points since the last new best
-    episodes = _training_episodes(table, episode_cfg, schedule.episodes, seed, cache)
+    episodes = _training_episodes(table, episode_cfg, schedule.episodes, seed, cache, cached)
     # a diverging step overflows before its loss is checked: the guard below
     # is its one report, not numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, ep in enumerate(episodes):
+        for i, (ep, protos) in enumerate(episodes):
             with Tape() as tape:
-                loss = loss_fn(embed_fn, ep)
+                inputs = (protonet.embed_episode(embed_fn, ep) if protos is None
+                          else (protos, embed_fn(ep.queries[: ep.n * ep.q])))
+                loss = loss_fn(inputs, ep)
             loss_curve.append(float(loss.data))
             if not math.isfinite(loss_curve[-1]) or (
                 loss_curve[-1] > DIVERGENCE_FACTOR * max(1.0, loss_curve[0])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, bce, scale_shift, sigmoid, squared_distance
-from .protonet import embed_episode, pairwise_sq_distances
+from .protonet import bce_targets, pairwise_sq_distances
 
 VARIANTS = ("branch", "projected")  # each the embedding space it reads
 
@@ -51,20 +51,19 @@ def prob_known(head, queries, prototypes):
     return sigmoid(Tensor(-(d + float(head.t.data)))).data
 
 
-def episode_loss(head, embed_fn, episode):
+def episode_loss(head, inputs, episode):
     """Mean BCE over all (known query, episode class) pairs, with target 1
-    exactly when the query belongs to the class. embed_fn maps the episode's
-    entries into the one-class space (protonet.embed_episode):
-    training passes row indices to partial(cache.embed, head.variant) of a
-    RowEmbeddings cache; partial(embed, params, space=head.variant) rows."""
+    exactly when the query belongs to the class. inputs are the episode's
+    (prototypes, known-query embeddings) in the one-class space, as
+    protonet.embed_episode makes them from partial(cache.embed,
+    head.variant) of a RowEmbeddings cache in training."""
     if not episode.q:
         raise MetaBceError("episode has no known queries")
-    protos, emb_q = embed_episode(embed_fn, episode)
+    protos, emb_q = inputs
     d = squared_distance(emb_q, protos)
     neg_t = scale_shift(head.t, Tensor(-1.0), Tensor(0.0))
     logits = scale_shift(d, Tensor(-1.0), neg_t)
-    targets = np.eye(episode.n).repeat(episode.q, axis=0)
-    return bce(logits, Tensor(targets))
+    return bce(logits, Tensor(bce_targets(episode.n, episode.q)))
 
 
 def trainable_tensors(head, params):

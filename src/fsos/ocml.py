@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, affine, as_tensor, bce, dot, relu, sigmoid
-from .protonet import embed_episode
+from .protonet import bce_targets
 
 
 class OcmlError(ValueError):
@@ -143,16 +143,15 @@ def prob_known(weights, queries):
     return sigmoid(Tensor(queries @ np.swapaxes(weights, -1, -2))).data
 
 
-def episode_loss(transfer, embed_fn, episode):
+def episode_loss(transfer, inputs, episode):
     """Mean BCE over all (known query, episode class) pairs using
-    sigmoid(w_c . f(x)) probabilities; prototypes come from the support set.
-    embed_fn maps the episode's row indices to main embeddings
-    (protonet.embed_episode): through the extractor on the tape when it
-    trains too, cached main embeddings when it is frozen."""
+    sigmoid(w_c . f(x)) probabilities, with w_c generated from the support
+    prototypes. inputs are the episode's main-space (prototypes, known-query
+    embeddings): from protonet.embed_episode on the tape when the extractor
+    trains too, from cached main embeddings when it is frozen."""
     if not episode.q:
         raise OcmlError("episode has no known queries")
-    protos, emb_q = embed_episode(embed_fn, episode)
+    protos, emb_q = inputs
     weights = generate_weight(transfer, protos)
     logits = dot(emb_q, weights)
-    targets = np.eye(episode.n).repeat(episode.q, axis=0)
-    return bce(logits, Tensor(targets))
+    return bce(logits, Tensor(bce_targets(episode.n, episode.q)))

@@ -4,9 +4,12 @@ evaluator, validator, calibration and gate reads.
 
 Embeddings, prototypes and distances are row stacks, batched over episodes
 by leading axes. All three episode losses (ProtoNet, Meta-BCE, OCML) take
-an embed function and a training episode of row indices, and start with the
-taped step embed_episode: the embed function runs the extractor on the rows
-when it trains, or reads cached rows when it is frozen.
+an episode's embedded inputs, its support prototypes and known-query
+embeddings, and the training episode of row indices. Training makes the
+inputs with the taped step embed_episode, whose embed function runs the
+extractor on the rows when it trains, or reads or computes them from cached
+rows when it is frozen; a head that reads a frozen cached space itself takes
+its prototypes from the training block's ScoredChunk instead.
 
 RowEmbeddings embeds each row of a row table at most once per cache, untaped,
 in the spaces asked for, in slices it sizes itself: the trunk runs once per
@@ -36,7 +39,7 @@ prototype and accepts it as known when that distance is at most tau.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -254,10 +257,10 @@ class ScoredChunk:
         self.n_known = self.n * q
         self._prototypes = {}
 
-    def forget(self):
-        """Drop the prototypes, as when the embeddings of a space change;
+    def forget(self, spaces):
+        """Drop the prototypes in spaces, as when their embeddings change;
         they are computed again when asked for."""
-        self._prototypes.clear()
+        self._prototypes = {s: p for s, p in self._prototypes.items() if s not in spaces}
 
     def prototypes(self, space="main"):
         """Per-class prototypes [B, n, e] in the given space, episode class order."""
@@ -302,8 +305,8 @@ class ScoredChunk:
 
 
 def embed_episode(embed_fn, episode):
-    """The taped step every episode loss starts with: support prototypes
-    [n, e] and known-query embeddings [n * q, e].
+    """The taped step that makes an episode loss's inputs: support
+    prototypes [n, e] and known-query embeddings [n * q, e].
 
     episode is an episodes.Episode, of row indices when training draws it;
     embed_fn maps its class-ordered support or known queries to embeddings
@@ -315,15 +318,23 @@ def embed_episode(embed_fn, episode):
     return protos, queries
 
 
-def episode_loss(embed_fn, episode):
+@lru_cache(maxsize=None)
+def bce_targets(n, q):
+    """Read-only BCE targets [n * q, n], one array per episode shape: 1
+    where the known query belongs to the class."""
+    targets = np.eye(n).repeat(q, axis=0)
+    targets.flags.writeable = False
+    return targets
+
+
+def episode_loss(inputs, episode):
     """Mean softmax cross-entropy of closed logits over the known queries.
-    embed_fn maps the episode's entries to main embeddings (embed_episode);
-    in training it embeds the table rows that the row indices name through
-    the extractor, on the tape."""
+    inputs are the episode's main-space (prototypes, known-query
+    embeddings), as embed_episode makes them."""
     n, q = episode.n, episode.q
     if n < 2:
         raise ProtonetError(f"closed-set episode loss needs n >= 2 classes, got {n}")
-    protos, emb_q = embed_episode(embed_fn, episode)
+    protos, emb_q = inputs
     d = squared_distance(emb_q, protos)
     logits = scale_shift(d, Tensor(-1.0), Tensor(0.0))
     labels = Tensor(np.arange(n, dtype=np.float64).repeat(q))

@@ -34,6 +34,7 @@ from fsos.episodes import (
     train_gates,
 )
 from fsos.metrics import UNKNOWN, aks, auroc, f1_open, normalized_accuracy
+from fsos.protonet import embed_episode
 
 SEEDS = (1, 2, 3)
 EVAL_SEED = 20_000
@@ -105,7 +106,8 @@ def test_criterion_1_gradient_correctness(small_dataset, small_spec):
     def build_loss(ps):
         head.t = ps[0]
         params.branch["W"], params.branch["b"] = ps[1], ps[2]
-        return metabce.episode_loss(head, partial(embed, params, space=head.variant), ep)
+        inputs = embed_episode(partial(embed, params, space=head.variant), ep)
+        return metabce.episode_loss(head, inputs, ep)
 
     rep = gradient_check(
         build_loss,
@@ -130,7 +132,7 @@ def test_criterion_1_gradient_correctness(small_dataset, small_spec):
         transfer.layers[0] = (ps[0], None)
         params.head["W"], params.head["b"] = ps[1], ps[2]
         params.trunk[0]["W"] = ps[3]
-        return ocml.episode_loss(transfer, partial(embed, params), ep)
+        return ocml.episode_loss(transfer, embed_episode(partial(embed, params), ep), ep)
 
     rep = gradient_check(
         build_ocml,

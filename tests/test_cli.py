@@ -152,6 +152,36 @@ def test_train_missing_dataset_is_usage_error(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command,key", [
+    ("generate", "out"), ("train", "out"), ("train", "loss_csv"), ("eval", "out"),
+    ("eval", "episode_csv"), ("eval", "records_csv")])
+def test_output_path_naming_a_directory_is_usage_error_up_front(tmp_path, capsys, monkeypatch,
+                                                               command, key):
+    """Every file an output path names is checked before any work: a
+    directory there is one usage error, with nothing generated, loaded,
+    trained, evaluated or written."""
+    for name in ("ds.json", "pn.ckpt"):
+        (tmp_path / name).write_text("{}")
+    (tmp_path / "taken").mkdir()
+    for name in ("generate_synthetic", "load_dataset", "load_pipeline_checkpoint",
+                 "run_meta_training", "evaluate_openset", "evaluate_oneclass"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: pytest.fail(f"ran {name}"))
+    args = {"generate": [], "eval": ["--task=openset", "--head=threshold",
+                                     f"--checkpoint={tmp_path}/pn.ckpt"],
+            "train": ["--method=protonet"]}[command]
+    if command != "generate":
+        args.append(f"--dataset={tmp_path}/ds.json")
+    if key != "out":
+        args.append(f"--out={tmp_path}/result")
+    before = sorted(tmp_path.iterdir())
+    code = run([command, *args, f"--{key}={tmp_path}/taken"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "is a directory" in lines[0] and str(tmp_path / "taken") in lines[0]
+    assert sorted(tmp_path.iterdir()) == before and not any((tmp_path / "taken").iterdir())
+
+
 def test_train_checkpoints_deterministic(workdir, tmp_path):
     args = [
         "train", "--method=protonet", f"--dataset={workdir}/ds.json",

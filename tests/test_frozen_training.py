@@ -16,10 +16,11 @@ from fsos.autodiff import Tape, Tensor, backward, bce
 from fsos.backbone import SOURCE, BackboneParams, BackboneSpec, add_projection, embed
 from fsos.backbone import init_backbone
 from fsos.data import SyntheticSpec, generate_synthetic
-from fsos.episodes import EpisodeConfig, TrainSchedule, draw_episode, run_meta_training
+from fsos.episodes import DRAW_AHEAD, EpisodeConfig, TrainSchedule, draw_episode
+from fsos.episodes import run_meta_training
 from fsos.episodes import sample_episode
 from fsos.episodes import _VAL_STREAM, _episode_rng, _gate_val_config, _gated, _scored_chunks
-from fsos.protonet import ProtonetError, RowEmbeddings
+from fsos.protonet import ProtonetError, RowEmbeddings, ScoredChunk, embed_episode
 
 IMAGE_SPEC = BackboneSpec("image", (1, 8, 8), (("conv", 4), ("conv", 4)))
 # 8 channels: a fill of main and branch runs the head and branch blocks as
@@ -38,7 +39,7 @@ def image_dataset():
 
 
 def _head(method, variant, params):
-    """(trainable tensors, loss(embed_fn, episode), taped embed_fn over input
+    """(trainable tensors, loss(inputs, episode), taped embed_fn over input
     rows, cache space, cached embed_fn of a cache) of one frozen-extractor
     method."""
     if method == "ocml_frozen":
@@ -58,7 +59,7 @@ def _head(method, variant, params):
 
 def _step(loss_fn, embed_fn, episode, trainable):
     with Tape() as tape:
-        loss = loss_fn(embed_fn, episode)
+        loss = loss_fn(embed_episode(embed_fn, episode), episode)
     backward(tape, loss)
     grads = [t.grad for t in trainable]
     for t in trainable:
@@ -234,3 +235,47 @@ def test_cached_validation_equals_a_fresh_cache_at_every_point(
     )
     assert len(result.val_history) == 3
     assert [na for _, na in result.val_history] == fresh_na
+
+
+@pytest.mark.parametrize("kind", ["vector", "image"])
+def test_block_prototypes_equal_the_per_episode_step(kind, small_dataset, small_spec,
+                                                      image_dataset, monkeypatch):
+    """ocml_frozen takes each step's prototypes from its training block's
+    ScoredChunk, and its kept validation chunks keep their main prototypes:
+    the run equals one whose every step embeds its episode on the tape
+    (embed_episode over the training cache) and whose every validation point
+    computes its prototypes again, bit for bit, over a budget that crosses a
+    block boundary and ends inside a block."""
+    dataset, spec = (small_dataset, small_spec) if kind == "vector" else (image_dataset,
+                                                                          IMAGE_SPEC)
+    base = init_backbone(spec, seed=7)
+    episodes = 150
+    assert DRAW_AHEAD < episodes < 3 * DRAW_AHEAD and episodes % DRAW_AHEAD
+
+    def train():
+        return run_meta_training(
+            "ocml_frozen", dataset, EpisodeConfig(n=3, k=5, q=3),
+            TrainSchedule(episodes=episodes, learning_rate=0.05, val_interval=50,
+                          val_episodes=6), seed=7, base_params=base)
+
+    kinds = []
+    taped = fsos.episodes.backward
+    monkeypatch.setattr(fsos.episodes, "backward", lambda tape, loss: kinds.append(
+        {e.kind for e in tape.entries}) or taped(tape, loss))
+    got = train()
+    assert len(kinds) == episodes and not any("mean_rows" in k for k in kinds)
+
+    caches = []
+    fill = RowEmbeddings.fill
+    monkeypatch.setattr(RowEmbeddings, "fill", lambda cache, indices:
+                        caches.append(cache) or fill(cache, indices))
+    loss = ocml.episode_loss
+    # the per-episode step: the first filled cache is the training one
+    monkeypatch.setattr(ocml, "episode_loss", lambda transfer, inputs, episode: loss(
+        transfer, embed_episode(partial(caches[0].embed, "main"), episode), episode))
+    monkeypatch.setattr(ScoredChunk, "forget", lambda chunk, spaces: chunk._prototypes.clear())
+    want = train()
+    assert got.loss_curve == want.loss_curve
+    assert got.val_history == want.val_history and len(got.val_history) == 3
+    for a, b in zip(got.head.tensors(), want.head.tensors(), strict=True):
+        assert np.array_equal(a.data, b.data)

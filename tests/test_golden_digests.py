@@ -167,7 +167,7 @@ def draw_streams(dataset):
     for seed in DRAW_STREAM_SEEDS:
         streams = digests[f"seed {seed}"] = {}
         episodes = ep._training_episodes(tables["meta_train"], train_cfg, count, seed, None)
-        training = _rows_digest((e.support, e.queries) for e in episodes)
+        training = _rows_digest((e.support, e.queries) for e, _ in episodes)
         for method in train["method"].choices:
             streams[f"train.{method}"] = training
             val_cfg = closed_val if method == "protonet" else gate_val

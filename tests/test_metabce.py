@@ -21,7 +21,7 @@ from fsos.metabce import (
     init_head,
     prob_known,
 )
-from fsos.protonet import ProtonetError
+from fsos.protonet import ProtonetError, embed_episode
 
 from conftest import scored_episode
 
@@ -98,7 +98,8 @@ def test_episode_loss_half_probabilities_is_log_two(small_spec):
     x = np.random.default_rng(0).normal(size=16)
     ep = _episode_of([np.tile(x, (2, 1)), np.tile(x, (2, 1))], k=1, q=1)
     with Tape():
-        loss = episode_loss(head, partial(embed, params, space=head.variant), ep)
+        loss = episode_loss(head, embed_episode(partial(embed, params, space=head.variant), ep),
+                            ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
 
 
@@ -108,7 +109,8 @@ def test_episode_loss_single_positive_pair(small_spec):
     x = np.random.default_rng(1).normal(size=16)
     ep = _episode_of([np.tile(x, (2, 1))], k=1, q=1)
     with Tape():
-        loss = episode_loss(head, partial(embed, params, space=head.variant), ep)
+        loss = episode_loss(head, embed_episode(partial(embed, params, space=head.variant), ep),
+                            ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
 
 
@@ -122,7 +124,8 @@ def test_episode_loss_gradients_pass_check(small_spec, small_dataset):
     def build(ps):
         head.t = ps[0]
         params.branch["W"], params.branch["b"] = ps[1], ps[2]
-        return episode_loss(head, partial(embed, params, space=head.variant), ep)
+        inputs = embed_episode(partial(embed, params, space=head.variant), ep)
+        return episode_loss(head, inputs, ep)
 
     point = [
         np.array(0.1),

@@ -26,6 +26,7 @@ from fsos.ocml import (
     transfer_from_group,
     transfer_to_group,
 )
+from fsos.protonet import embed_episode
 
 from conftest import scored_episode
 
@@ -124,7 +125,7 @@ def test_episode_loss_half_logits_is_log_two(small_spec):
     rng = np.random.default_rng(0)
     ep = Episode((0, 1), rng.normal(size=(4, 16)), rng.normal(size=(6, 16)), 3)
     with Tape():
-        loss = episode_loss(g, partial(embed, params), ep)
+        loss = episode_loss(g, embed_episode(partial(embed, params), ep), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-12
 
 
@@ -138,7 +139,7 @@ def test_episode_loss_gradients_pass_check(small_spec, small_dataset):
     def build(ps):
         g.layers[0] = (ps[0], None)
         params.head["W"], params.head["b"] = ps[1], ps[2]
-        return episode_loss(g, partial(embed, params), ep)
+        return episode_loss(g, embed_episode(partial(embed, params), ep), ep)
 
     point = [
         g.layers[0][0].data.copy(),

@@ -2,14 +2,17 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fsos.autodiff import Tape, backward
+from fsos.autodiff import Tape, Tensor, backward, mean_rows
 from fsos.backbone import embed, init_backbone
 from fsos.episodes import Episode, EpisodeConfig, sample_episode
 from fsos.protonet import (
     ProtonetError,
     ThresholdBaseline,
     calibrate_threshold,
+    embed_episode,
     episode_loss,
     pairwise_sq_distances,
     predict_closed,
@@ -32,6 +35,34 @@ def test_prototypes_permutation_invariant():
     p1 = prototypes(emb, 2)
     p2 = prototypes(np.vstack([emb[2::-1], emb[:2:-1]]), 2)
     assert np.array_equal(p1, p2)
+
+
+@st.composite
+def _support_stacks(draw):
+    """(support stack [B, n * k, e], n): B 1..6, n 1..5, k 1..20, e 1..6 or
+    64, from a small pool of floats with -0.0 and +-inf, so ties are common."""
+    b, n, k = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 20))
+    e = draw(st.integers(1, 6) | st.just(64))
+    pool = draw(st.lists(st.sampled_from((0.0, -0.0, np.inf, -np.inf, 1.0, -1.0))
+                         | st.floats(allow_nan=False), min_size=1, max_size=6))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, len(pool), size=(b, n * k, e))
+    return np.array(pool, dtype=np.float64)[picks], n
+
+
+@given(_support_stacks())
+@settings(max_examples=300, deadline=None)
+def test_prototypes_of_a_stack_equal_one_mean_rows_per_episode(case):
+    """A training block's one prototypes call over its episodes' support
+    stack equals each episode's own taped mean_rows, bit for bit: both
+    row_block_mean branches (the comparator network, and np.sort at e = 1)
+    work per class group."""
+    stack, n = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = prototypes(stack, n)
+        want = np.stack([mean_rows(Tensor(support), groups=n).data for support in stack])
+    assert got.shape == want.shape == (stack.shape[0], n, stack.shape[2])
+    assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
 
 
 def test_prototypes_empty_class_errors():
@@ -99,7 +130,7 @@ def test_episode_loss_equidistant_is_log_two(small_spec):
     x = rng.normal(size=16)
     ep = Episode((0, 1), np.stack([x, x]), np.stack([x, x]), 1)
     with Tape():
-        loss = episode_loss(partial(embed, params), ep)
+        loss = episode_loss(embed_episode(partial(embed, params), ep), ep)
     assert abs(float(loss.data) - np.log(2.0)) < 1e-9
 
 
@@ -107,7 +138,7 @@ def test_episode_loss_requires_two_classes(small_spec):
     params = init_backbone(small_spec, seed=1)
     ep = Episode((0,), np.zeros((2, 16)), np.ones((2, 16)), 2)
     with pytest.raises(ProtonetError):
-        episode_loss(partial(embed, params), ep)
+        episode_loss(embed_episode(partial(embed, params), ep), ep)
 
 
 def test_episode_loss_nonnegative_and_trains(small_spec):
@@ -115,7 +146,7 @@ def test_episode_loss_nonnegative_and_trains(small_spec):
     rng = np.random.default_rng(3)
     ep = _toy_episode(rng)
     with Tape() as tape:
-        loss = episode_loss(partial(embed, params), ep)
+        loss = episode_loss(embed_episode(partial(embed, params), ep), ep)
     assert float(loss.data) >= 0.0
     backward(tape, loss)
     assert params.head["W"].grad is not None
@@ -231,7 +262,6 @@ def test_scan_threshold_matches_reference_loop():
 def test_embed_episode_records_support_prototypes_then_queries(small_spec):
     from fsos.autodiff import mean_rows
     from fsos.backbone import embed
-    from fsos.protonet import embed_episode
 
     params = init_backbone(small_spec, seed=5)
     ep = _toy_episode(np.random.default_rng(6), n=3, k=2, q=4)
