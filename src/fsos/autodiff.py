@@ -12,9 +12,11 @@ rows [..., d]; squared_distance and dot are row-pairwise, [m, d] x [n, d]
 -> [m, n]; softmax_xent takes [m, n] logits; mean_rows returns [g, d] means
 of g row blocks; conv3x3_pool takes batched [n, c, h, w] images; and
 scale_shift takes a scalar gamma/beta on any input or a per-channel one on
-[n, c, h, w] images. These batched forms keep episode graphs to a handful
-of tape entries. sq_distances, the one squared-distance kernel, is untaped:
-squared_distance and protonet's chunk scorer both call it.
+[n, c, h, w] images. These batched forms, and affine's ReLU form, one entry
+per dense layer, keep episode graphs to a handful of tape entries; relu is
+kept for the benchmark's by-name wrap and for tests. sq_distances, the one
+squared-distance kernel, is untaped: squared_distance and protonet's chunk
+scorer both call it.
 
 Tape entries: a primitive returns its output after appending one entry to
 the innermost active tape. Tape.entries is that list in execution order;
@@ -166,13 +168,15 @@ def _finish(kind, inputs, out_data, backward_fn):
 # primitives
 
 
-def affine(x, w, b=None):
-    """x @ w + b for rows x of shape [..., d], w [d, m], b [m].
+def affine(x, w, b=None, relu=False):
+    """x @ w + b for rows x of shape [..., d], w [d, m], b [m]; its ReLU too
+    with relu=True, as one tape entry with the bits of relu(affine(x, w, b)).
 
     b may be omitted for bias-free layers. Leading axes of x are batch axes:
     each [n, d] slice is multiplied on its own, as a lone [n, d] x would be.
     The backward pass skips the input-gradient GEMM when x needs no gradient
-    (data rows, cached embeddings).
+    (data rows, cached embeddings), and relu=True masks the upstream gradient
+    by y > 0, true exactly where the pre-activation is > 0, -0.0 and NaN too.
     """
     x, w = as_tensor(x), as_tensor(w)
     b = as_tensor(b) if b is not None else None
@@ -190,8 +194,12 @@ def affine(x, w, b=None):
     y = xd @ wd
     if b is not None:
         y += b.data
+    if relu:
+        np.maximum(y, 0.0, out=y)
 
     def backward_fn(g):
+        if relu:
+            g = g * (y > 0.0)
         gx = g @ wd.T if x.requires_grad else None
         gflat = g.reshape(-1, g.shape[-1])
         gw = xd.reshape(-1, xd.shape[-1]).T @ gflat
@@ -247,13 +255,14 @@ def softmax_xent(logits, labels):
     ints = idx.astype(np.int64)
     if (ints != idx).any() or ints.min() < 0 or ints.max() >= z.shape[1]:
         raise PrimitiveError("softmax_xent", "labels must be integers in [0, n_classes)")
-    zmax = z.max(axis=1, keepdims=True)
+    # ndarray.max, .sum and .mean's ufunc reductions, without their Python wrappers
+    zmax = np.maximum.reduce(z, axis=1, keepdims=True)
     ez = np.exp(z - zmax)
-    total = ez.sum(axis=1, keepdims=True)
+    total = np.add.reduce(ez, axis=1, keepdims=True)
     lse = np.log(total[:, 0]) + zmax[:, 0]
     rows = np.arange(m)
     picked = z[rows, ints]
-    loss = np.float64((lse - picked).mean())
+    loss = np.float64(np.add.reduce(lse - picked) / m)
 
     def backward_fn(g):
         soft = ez / total
@@ -317,8 +326,8 @@ def squared_distance(a, b):
     ad, bd = a.data, b.data
 
     def backward_fn(g):
-        return (2.0 * (g.sum(axis=1)[:, None] * ad - g @ bd) if a.requires_grad else None,
-                2.0 * (g.sum(axis=0)[:, None] * bd - g.T @ ad) if b.requires_grad else None)
+        return (2.0 * (np.add.reduce(g, 1)[:, None] * ad - g @ bd) if a.requires_grad else None,
+                2.0 * (np.add.reduce(g, 0)[:, None] * bd - g.T @ ad) if b.requires_grad else None)
 
     return _finish("squared_distance", (a, b), sq_distances(ad, bd), backward_fn)
 

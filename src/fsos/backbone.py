@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, as_tensor, conv3x3_pool, relu, reshape, scale_shift
+from .autodiff import Tensor, affine, as_tensor, conv3x3_pool, reshape, scale_shift
 
 
 class SpecError(ValueError):
@@ -228,7 +228,7 @@ def _coerce_input(spec, x):
 
 def _run_block(kind, block, h):
     if kind == "dense":
-        return relu(affine(h, block["W"], block["b"]))
+        return affine(h, block["W"], block["b"], relu=True)
     pooled = conv3x3_pool(h, block["K"], block["b"])
     return scale_shift(pooled, block["gamma"], block["beta"])
 

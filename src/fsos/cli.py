@@ -112,7 +112,8 @@ SCHEMAS = {
         "val_interval": Option(0, int, help="0 uses the method default", minimum=0),
         "val_episodes": Option(0, int, help="0 uses the method default", minimum=0),
         "seed": Option(0, int, minimum=0),
-        "blocks": Option((64, 64), _parse_int_list, help="dense widths for a fresh backbone"),
+        "blocks": Option((64, 64), _parse_int_list, minimum=1,
+                         help="dense widths for a fresh backbone, at least two"),
         "ocml_arch": Option(None, _parse_ocml_arch, help="gtheta arch: 1layer (default) or mid<N>"),
     },
     "eval": {
@@ -329,6 +330,8 @@ def _require_two_way(n, method):
 
 def cmd_train(settings):
     _require_two_way(settings["n"], settings["method"])
+    if len(settings["blocks"]) < 2:
+        raise UsageError(f"'blocks' needs at least 2 widths, got {settings['blocks']!r}")
     _require_file(settings["dataset"], "dataset manifest")
     _require_out_dir(settings["out"], "the checkpoint")
     if settings["loss_csv"]:

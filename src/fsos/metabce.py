@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, bce, scale_shift, sigmoid, squared_distance
-from .protonet import bce_targets, pairwise_sq_distances
+from .protonet import MINUS_ONE, ZERO, bce_targets, pairwise_sq_distances
 
 VARIANTS = ("branch", "projected")  # each the embedding space it reads
 
@@ -61,8 +61,7 @@ def episode_loss(head, inputs, episode):
         raise MetaBceError("episode has no known queries")
     protos, emb_q = inputs
     d = squared_distance(emb_q, protos)
-    neg_t = scale_shift(head.t, Tensor(-1.0), Tensor(0.0))
-    logits = scale_shift(d, Tensor(-1.0), neg_t)
+    logits = scale_shift(d, MINUS_ONE, scale_shift(head.t, MINUS_ONE, ZERO))
     return bce(logits, Tensor(bce_targets(episode.n, episode.q)))
 
 

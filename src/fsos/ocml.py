@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, affine, as_tensor, bce, dot, relu, sigmoid
+from .autodiff import Tensor, affine, as_tensor, bce, dot, sigmoid
 from .protonet import bce_targets
 
 
@@ -125,9 +125,7 @@ def generate_weight(transfer, prototypes):
         )
     last = len(transfer.layers) - 1
     for i, (w, b) in enumerate(transfer.layers):
-        h = affine(h, w, b)
-        if i < last:
-            h = relu(h)
+        h = affine(h, w, b, relu=i < last)
     return h
 
 

@@ -50,6 +50,8 @@ from .backbone import trunk_features
 from .metrics import UNKNOWN
 
 SPACES = ("trunk",) + tuple(SOURCE)  # each after its source
+# the losses' constant scale_shift operands: never given a gradient, never written
+MINUS_ONE, ZERO = Tensor(-1.0), Tensor(0.0)
 
 
 class ProtonetError(ValueError):
@@ -319,6 +321,14 @@ def embed_episode(embed_fn, episode):
 
 
 @lru_cache(maxsize=None)
+def episode_labels(n, q):
+    """Read-only labels [n * q] of class-ordered known queries, one per shape."""
+    labels = Tensor(np.arange(n, dtype=np.float64).repeat(q))
+    labels.data.flags.writeable = False
+    return labels
+
+
+@lru_cache(maxsize=None)
 def bce_targets(n, q):
     """Read-only BCE targets [n * q, n], one array per episode shape: 1
     where the known query belongs to the class."""
@@ -336,9 +346,7 @@ def episode_loss(inputs, episode):
         raise ProtonetError(f"closed-set episode loss needs n >= 2 classes, got {n}")
     protos, emb_q = inputs
     d = squared_distance(emb_q, protos)
-    logits = scale_shift(d, Tensor(-1.0), Tensor(0.0))
-    labels = Tensor(np.arange(n, dtype=np.float64).repeat(q))
-    return softmax_xent(logits, labels)
+    return softmax_xent(scale_shift(d, MINUS_ONE, ZERO), episode_labels(n, q))
 
 
 @dataclass(frozen=True)

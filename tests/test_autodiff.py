@@ -213,6 +213,77 @@ def test_dot_pairwise_matches_vector_form():
     assert abs(pair[1, 0] - float(_scalar(ad.dot(Tensor(a[1:2]), Tensor(b[0:1]))).data)) < 1e-12
 
 
+# the pool of a fused dense layer's values: exact zeros of either sign, and
+# small integers whose sums cancel to exact +0.0, or stay -0.0 over products
+# of -0.0; +-1e300 overflows to +-inf and, on cancelling, to NaN
+_FUSED_POOL = np.array([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1e300, -1e300])
+
+
+@st.composite
+def _dense_layer_cases(draw):
+    """Dense layers at the extractor's and transfer module's row counts and
+    at widths 1 to 9 and 64, with or without a bias, x taped or constant;
+    each value is drawn from _FUSED_POOL, its large entries at a drawn rate."""
+    n = draw(st.sampled_from(list(range(1, 10)) + [50, 150, 200]))
+    d, m = (draw(st.sampled_from(list(range(1, 10)) + [64])) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    big = draw(st.sampled_from([0.0, 0.01, 0.2]))
+    weights = np.where(np.abs(_FUSED_POOL) > 1.0, big, 1.0)
+
+    def values(*shape):
+        return rng.choice(_FUSED_POOL, size=shape, p=weights / weights.sum())
+
+    bias = values(m) if draw(st.booleans()) else None
+    return values(n, d), values(d, m), bias, values(n, m), draw(st.booleans())
+
+
+@given(_dense_layer_cases())
+@settings(max_examples=200, deadline=None)
+def test_affine_relu_equals_relu_of_affine_bit_for_bit(case):
+    # the fused layer masks the upstream gradient by its output, y > 0, where
+    # relu masks by its input: the same mask for -0.0 and NaN too
+    x, w, b, g, x_grad = case
+    leaves = [Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True)]
+    leaves += [] if b is None else [Tensor(b, requires_grad=True)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with Tape() as fused_tape:
+            fused = ad.affine(*leaves, relu=True)
+        with Tape() as tape:
+            want = ad.relu(ad.affine(*leaves))
+        got_grads = fused_tape.entries[0].backward_fn(g)
+        want_grads = tape.entries[0].backward_fn(tape.entries[1].backward_fn(g)[0])
+    assert [e.kind for e in fused_tape.entries] == ["affine"]
+    assert np.array_equal(_bits(fused.data), _bits(want.data))
+    assert len(got_grads) == len(want_grads) == len(leaves)
+    assert (got_grads[0] is None) == (want_grads[0] is None) == (not x_grad)
+    for got, ref in zip(got_grads, want_grads):
+        if ref is not None:
+            assert np.array_equal(_bits(got), _bits(ref))
+
+
+def test_gradient_check_two_fused_dense_layers():
+    from conftest import _dense_margins_ok
+
+    for attempt in range(64):
+        rng = np.random.default_rng((11, attempt))
+        x = rng.normal(size=(6, 5))
+        point = [rng.normal(size=(5, 4)) * 0.5, rng.normal(size=4) * 0.1,
+                 rng.normal(size=(4, 3)) * 0.5, rng.normal(size=3) * 0.1]
+        hidden = np.maximum(x @ point[0] + point[1], 0.0)
+        if _dense_margins_ok(x, *point[:2]) and _dense_margins_ok(hidden, *point[2:]):
+            break
+    else:
+        raise AssertionError("no point away from the ReLU kinks")
+
+    def build(ps):
+        h = ad.affine(Tensor(x), ps[0], ps[1], relu=True)
+        h = ad.affine(h, ps[2], ps[3], relu=True)
+        return ad.softmax_xent(h, Tensor(np.arange(6) % 3))
+
+    report = gradient_check(build, point, tolerance=1e-4)
+    assert report.passed, report.errors
+
+
 def test_affine_batched_input_matches_each_slice():
     rng = np.random.default_rng(3)
     x, w, b = rng.normal(size=(3, 1, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)

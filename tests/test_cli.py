@@ -707,6 +707,24 @@ def test_train_empty_blocks_is_usage_error(workdir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("blocks, rule", [
+    ("64", "at least 2 widths"), ("0", ">= 1"), ("-3,4", ">= 1"),
+])
+def test_train_bad_blocks_are_usage_errors_before_loading(workdir, tmp_path, capsys,
+                                                          monkeypatch, blocks, rule):
+    def refuse(*args):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    code = run(["train", "--method=protonet", f"--dataset={workdir}/ds.json",
+                f"--out={tmp_path}/pn.ckpt", f"--blocks={blocks}"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
+    assert "'blocks'" in lines[0] and rule in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("option", [
     "eval_episodes=0", "n=0", "k=0", "q=-1", "k_values=0,5", "n_values=2,0",
     "train_episodes=-5",

@@ -10,8 +10,8 @@ import pytest
 
 import fsos.episodes
 from fsos import metabce, ocml, protonet
-from fsos.backbone import init_backbone
-from fsos.data import Dataset
+from fsos.backbone import DEFAULT_VECTOR_SPEC, init_backbone
+from fsos.data import Dataset, SyntheticSpec, generate_synthetic
 from fsos.episodes import (
     DRAW_AHEAD,
     EpisodeConfig,
@@ -117,3 +117,40 @@ def test_one_way_training_raises_before_drawing(method, small_dataset, small_spe
         run_meta_training(method, small_dataset, EpisodeConfig(n=1, k=2, q=3),
                           TrainSchedule(episodes=3), seed=SEED,
                           base_params=init_backbone(small_spec, seed=4))
+
+
+@pytest.mark.parametrize("method, kinds", [
+    ("protonet", ["affine", "affine", "mean_rows", "affine", "affine", "squared_distance",
+                  "scale_shift", "softmax_xent"]),
+    ("mbce", ["affine", "mean_rows", "affine", "squared_distance", "scale_shift", "scale_shift",
+              "bce"]),
+])
+def test_training_step_records_one_tape_entry_per_dense_layer(method, kinds, monkeypatch):
+    """On DEFAULT_VECTOR_SPEC a dense layer and its ReLU are one affine entry;
+    the ProtoNet loss's labels are one shared read-only tensor, and neither
+    they nor the losses' scale_shift constants are given a gradient."""
+    dataset = generate_synthetic(SyntheticSpec(num_classes=12, examples_per_class=20,
+                                               dim=DEFAULT_VECTOR_SPEC.input_shape[0], seed=2))
+    recorded, labels = [], []
+    step = fsos.episodes.backward
+
+    def record(tape, loss):
+        recorded.append([e.kind for e in tape.entries])
+        labels.extend(e.inputs[1] for e in tape.entries if e.kind == "softmax_xent")
+        step(tape, loss)
+
+    monkeypatch.setattr(fsos.episodes, "backward", record)
+    base = None if method == "protonet" else init_backbone(DEFAULT_VECTOR_SPEC, seed=4)
+    run_meta_training(method, dataset, CFG, TrainSchedule(episodes=5, val_interval=5,
+                                                          val_episodes=2),
+                      seed=SEED, base_params=base, spec=DEFAULT_VECTOR_SPEC)
+    assert recorded == [kinds] * 5
+    assert len(labels) == (5 if method == "protonet" else 0)
+    shared = protonet.episode_labels(CFG.n, CFG.q)
+    for tensor in labels:
+        assert tensor is shared
+    assert not shared.data.flags.writeable
+    assert np.array_equal(shared.data, np.arange(CFG.n).repeat(CFG.q))
+    for tensor in (shared, protonet.MINUS_ONE, protonet.ZERO):
+        assert tensor.grad is None and not tensor.requires_grad
+    assert (protonet.MINUS_ONE.data, protonet.ZERO.data) == (-1.0, 0.0)
