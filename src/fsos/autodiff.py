@@ -26,7 +26,8 @@ backward passes that way). backward(tape, loss) walks it in reverse.
 
 Gradient ownership: a backward_fn may return views of its upstream gradient
 (reshape does), so it must not write into that gradient, and backward never
-writes into an array a backward_fn returned. A produced tensor keeps its
+writes into an array a backward_fn returned. The loss's own upstream
+gradient is one read-only 1.0 (_SEED), so there a write raises. A produced tensor keeps its
 first gradient as returned and adds each further one out of place
 (acc + g); a leaf's first gradient is copied into a fresh grad buffer of
 the leaf's shape, and later ones are added into that buffer in place.
@@ -286,11 +287,13 @@ def bce(logits, targets):
     if z.size == 0:
         raise PrimitiveError("bce", "empty operands")
     e = np.exp(-np.abs(z))
-    loss = np.float64((np.maximum(z, 0.0) - z * y + np.log1p(e)).mean())
+    # ndarray.mean's ufunc reduction, without its Python wrapper
+    loss = np.float64(np.add.reduce(np.maximum(z, 0.0) - z * y + np.log1p(e), axis=None) / z.size)
 
     def backward_fn(g):
         # sigmoid(z) from e = exp(-|z|), which never overflows
-        p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        d = 1.0 + e
+        p = np.where(z >= 0, 1.0 / d, e / d)
         return ((float(g) / z.size) * (p - y), None)
 
     return _finish("bce", (logits, targets), loss, backward_fn)
@@ -601,6 +604,11 @@ def reshape(x, shape):
 # backward & gradient checking
 
 
+# the loss's upstream gradient, shared by every backward pass
+_SEED = np.ones(())
+_SEED.flags.writeable = False
+
+
 def backward(tape, loss):
     """Populate grad on every requires_grad ancestor of a scalar loss.
 
@@ -620,7 +628,7 @@ def backward(tape, loss):
         return
     # only a requires_grad input is given a gradient, so an entry whose
     # output no gradient reaches is skipped
-    grads = {id(loss): np.ones_like(loss.data)}
+    grads = {id(loss): _SEED.reshape(loss.data.shape)}
     for entry in reversed(entries):
         g_out = grads.pop(id(entry.output), None)
         if g_out is None:

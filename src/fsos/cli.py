@@ -112,9 +112,11 @@ SCHEMAS = {
         "val_interval": Option(0, int, help="0 uses the method default", minimum=0),
         "val_episodes": Option(0, int, help="0 uses the method default", minimum=0),
         "seed": Option(0, int, minimum=0),
-        "blocks": Option((64, 64), _parse_int_list, minimum=1,
-                         help="dense widths for a fresh backbone, at least two"),
-        "ocml_arch": Option(None, _parse_ocml_arch, help="gtheta arch: 1layer (default) or mid<N>"),
+        "blocks": Option((), _parse_int_list, minimum=1,
+                         help="dense widths for a fresh backbone, at least two; unset uses 64,64"),
+        "ocml_arch": Option("", _parse_ocml_arch,
+                            help="gtheta arch of ocml_frozen and ocml_joint: 1layer or mid<N>; "
+                                 "unset uses 1layer"),
     },
     "eval": {
         "task": Option(None, str, choices=("oneclass", "openset"), required=True),
@@ -329,14 +331,21 @@ def _require_two_way(n, method):
 
 
 def cmd_train(settings):
-    _require_two_way(settings["n"], settings["method"])
-    if len(settings["blocks"]) < 2:
+    method = settings["method"]
+    _require_two_way(settings["n"], method)
+    if settings["blocks"] and settings["backbone"]:
+        raise UsageError("'blocks' sets the widths of a fresh backbone, but --backbone brings "
+                         "its own")
+    if settings["blocks"] and len(settings["blocks"]) < 2:
         raise UsageError(f"'blocks' needs at least 2 widths, got {settings['blocks']!r}")
+    # "" is unset; a given "1layer" parses to None
+    if settings["ocml_arch"] != "" and method not in ("ocml_frozen", "ocml_joint"):
+        raise UsageError(f"'ocml_arch' sets a transfer module, which method {method!r} does "
+                         "not train")
     _require_file(settings["dataset"], "dataset manifest")
     _require_out_dir(settings["out"], "the checkpoint")
     if settings["loss_csv"]:
         _require_out_dir(settings["loss_csv"], "the loss CSV")
-    method = settings["method"]
     if METHODS[method] is not None and not settings["backbone"]:
         raise UsageError(f"method {method!r} augments a pretrained backbone: --backbone required")
     if settings["backbone"]:
@@ -348,14 +357,14 @@ def cmd_train(settings):
         base_params, _, _ = load_pipeline_checkpoint(settings["backbone"])
     else:
         spec = BackboneSpec("vector", (dataset.dim,),
-                            tuple(("dense", w) for w in settings["blocks"]))
+                            tuple(("dense", w) for w in settings["blocks"] or (64, 64)))
 
     schedule = _resolve_schedule(settings, method)
     cfg = EpisodeConfig(n=settings["n"], k=settings["k"], q=settings["q"], n_unknown=0)
 
     result = run_meta_training(method, dataset, cfg, schedule, seed=settings["seed"],
                                base_params=base_params, spec=spec,
-                               transfer_middle=settings["ocml_arch"])
+                               transfer_middle=settings["ocml_arch"] or None)
 
     heads = {} if result.gate is None else {result.gate.name: result.head}
     meta = {

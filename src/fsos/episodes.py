@@ -176,8 +176,18 @@ class RowTable:
         return dict(zip(self.class_ids.tolist(), extents))
 
 
-def _shortfall(class_id, count, needed, what):
-    return EpisodeError(f"class {class_id} has {count} examples, needs {what}={needed}")
+def _check_counts(table, cfg, chosen):
+    """Raise for the first class of the class positions chosen [B, n + n_U],
+    in row-major order, that has fewer rows than its role needs: k + q for
+    a known class, q for an unknown one."""
+    wanted = np.repeat([cfg.k + cfg.q, cfg.q], [cfg.n, cfg.n_unknown])
+    short = np.argwhere(table.counts[chosen] < wanted)
+    if short.size:
+        b, j = short[0]
+        c, what = chosen[b, j], "k+q" if j < cfg.n else "q"
+        raise EpisodeError(
+            f"class {table.class_ids[c]} has {table.counts[c]} examples, needs {what}={wanted[j]}"
+        )
 
 
 def _class_count(table, cfg):
@@ -200,29 +210,33 @@ def _aranges(table, cfg, count):
     return grids
 
 
-def _draw_permutations(table, cfg, rng, grid):
-    """Draw one episode: choose n + n_U class positions in table without
-    replacement, then permute each chosen class's row offsets once, in
-    place: class j's permutation lands in grid[j, :count_j], where grid
-    [n + n_U, W] (one of _aranges' grids) holds arange(W) in every row.
-    Returns the positions.
+def _draw_permutations(table, cfg, rng, grids, states=None):
+    """Draw one episode per grid of grids [B, n + n_U, W] (_aranges'),
+    which hold arange(W) in every row: choose n + n_U class positions in
+    table without replacement, then permute each chosen class's row offsets
+    once, in place: class j's permutation lands in grid[j, :count_j]. With
+    states, the generator takes states[b] before it draws episode b.
+    Returns the positions [B, n + n_U]; a short class raises once all B are
+    drawn, the first in draw order (_check_counts).
 
     Each run of successive classes with equal row counts is permuted by one
     rng.permuted call, which takes the stream as one rng.permutation(count)
     per class does."""
-    needed = len(grid)
-    chosen = rng.choice(len(table.class_ids), size=needed, replace=False)
-    counts = table.counts[chosen].tolist()
-    for j, count in enumerate(counts):
-        want, what = (cfg.k + cfg.q, "k+q") if j < cfg.n else (cfg.q, "q")
-        if count < want:
-            raise _shortfall(int(table.class_ids[chosen[j]]), count, want, what)
-    lo = 0
-    for hi in range(1, needed + 1):
-        if hi == needed or counts[hi] != counts[lo]:
-            run = grid[lo:hi, : counts[lo]]
-            rng.permuted(run, axis=1, out=run)
-            lo = hi
+    count, needed = grids.shape[:2]
+    classes, counts = len(table.class_ids), table.counts
+    chosen = np.empty((count, needed), np.intp)
+    for b, grid in enumerate(grids):
+        if states is not None:
+            rng.bit_generator.state = states[b]
+        chosen[b] = picked = rng.choice(classes, size=needed, replace=False)
+        sizes = counts[picked].tolist()
+        lo = 0
+        for hi in range(1, needed + 1):
+            if hi == needed or sizes[hi] != sizes[lo]:
+                run = grid[lo:hi, : sizes[lo]]
+                rng.permuted(run, axis=1, out=run)
+                lo = hi
+    _check_counts(table, cfg, chosen)
     return chosen
 
 
@@ -249,8 +263,8 @@ def draw_episode(table, cfg, rng):
     rng.permutation would). The first short class raises.
     """
     grids = _aranges(table, cfg, 1)
-    chosen = _draw_permutations(table, cfg, rng, grids[0])
-    ids, support, queries = _episode_rows(table, cfg, chosen[None], grids)
+    chosen = _draw_permutations(table, cfg, rng, grids)
+    ids, support, queries = _episode_rows(table, cfg, chosen, grids)
     return Episode(tuple(ids[0].tolist()), support[0], queries[0], cfg.q)
 
 
@@ -268,12 +282,7 @@ def draw_block(table, cfg, rng, count):
     width = int(counts.max())
     keys = rng.random((count, len(counts) + needed * width))
     chosen = np.argsort(keys[:, : len(counts)], axis=1)[:, :needed]
-    wanted = np.repeat([cfg.k + cfg.q, cfg.q], [cfg.n, cfg.n_unknown])
-    short = np.argwhere(counts[chosen] < wanted)
-    if short.size:
-        b, j = short[0]
-        c = chosen[b, j]
-        raise _shortfall(table.class_ids[c], counts[c], wanted[j], "k+q" if j < cfg.n else "q")
+    _check_counts(table, cfg, chosen)
     keys = keys[:, len(counts) :].reshape(count, needed, width)
     keys[np.arange(width) >= counts[chosen][..., None]] = 2.0
     return _episode_rows(table, cfg, chosen, np.argsort(keys, axis=2))
@@ -378,10 +387,7 @@ def _training_episodes(table, cfg, episodes, seed, cache, space=None):
     for start in range(0, episodes, DRAW_AHEAD):
         states = _training_states(seed, start, min(start + DRAW_AHEAD, episodes))
         grids = _aranges(table, cfg, len(states))
-        chosen = np.empty(grids.shape[:2], np.intp)
-        for b, state in enumerate(states):
-            rng.bit_generator.state = state
-            chosen[b] = _draw_permutations(table, cfg, rng, grids[b])
+        chosen = _draw_permutations(table, cfg, rng, grids, states)
         ids, support, queries = _episode_rows(table, cfg, chosen, grids)
         protos = [None] * len(ids)
         if cache is not None:

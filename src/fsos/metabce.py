@@ -62,7 +62,7 @@ def episode_loss(head, inputs, episode):
     protos, emb_q = inputs
     d = squared_distance(emb_q, protos)
     logits = scale_shift(d, MINUS_ONE, scale_shift(head.t, MINUS_ONE, ZERO))
-    return bce(logits, Tensor(bce_targets(episode.n, episode.q)))
+    return bce(logits, bce_targets(episode.n, episode.q))
 
 
 def trainable_tensors(head, params):

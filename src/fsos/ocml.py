@@ -152,4 +152,4 @@ def episode_loss(transfer, inputs, episode):
     protos, emb_q = inputs
     weights = generate_weight(transfer, protos)
     logits = dot(emb_q, weights)
-    return bce(logits, Tensor(bce_targets(episode.n, episode.q)))
+    return bce(logits, bce_targets(episode.n, episode.q))

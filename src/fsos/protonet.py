@@ -184,7 +184,11 @@ class RowEmbeddings:
     def fill(self, indices):
         """Embed the rows among indices that are not embedded yet into the
         next slots, growing every space first if they lack room."""
-        todo = np.unique(indices[self._slot[indices] < 0])
+        # the rows to embed, once each, in ascending order: np.unique's
+        # result, without the numpy.ma import of its first call
+        mark = np.zeros(self._slot.size, bool)
+        mark[indices[self._slot[indices] < 0]] = True
+        todo = np.flatnonzero(mark)
         if self.size + todo.size > self.capacity:
             self.capacity = min(self._slot.size, max(self.size + todo.size, 2 * self.capacity))
             for space, values in self._values.items():
@@ -330,10 +334,10 @@ def episode_labels(n, q):
 
 @lru_cache(maxsize=None)
 def bce_targets(n, q):
-    """Read-only BCE targets [n * q, n], one array per episode shape: 1
+    """Read-only BCE targets [n * q, n], one tensor per episode shape: 1
     where the known query belongs to the class."""
-    targets = np.eye(n).repeat(q, axis=0)
-    targets.flags.writeable = False
+    targets = Tensor(np.eye(n).repeat(q, axis=0))
+    targets.data.flags.writeable = False
     return targets
 
 
@@ -370,7 +374,10 @@ def scan_threshold(known_scores, unknown_scores):
         raise ProtonetError("threshold calibration needs known-query scores")
     if us.size == 0:
         raise ProtonetError("threshold calibration needs unknown-query scores")
-    uniq = np.unique(np.concatenate([ks, us]))
+    # np.unique's sort and neighbour mask, without the numpy.ma import of
+    # its first call
+    pooled = np.sort(np.concatenate([ks, us]))
+    uniq = pooled[np.concatenate([[True], pooled[1:] != pooled[:-1]])]
     if uniq.size == 1:
         return ThresholdBaseline(float(uniq[0]))
     mids = (uniq[:-1] + uniq[1:]) / 2.0

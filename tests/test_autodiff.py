@@ -475,6 +475,31 @@ def test_backward_owns_no_returned_gradient(reshape_first):
             assert np.array_equal(a, c), kind
 
 
+@pytest.mark.parametrize("loss_kind", ["bce", "dot"])
+def test_backward_fn_that_writes_its_upstream_gradient_raises(loss_kind):
+    """backward seeds a loss, 0-d or [1, 1], with a read-only 1.0, so a
+    backward function that breaks the ownership rule by writing its
+    upstream gradient raises, and the seed stays 1.0."""
+    x = Tensor([[0.5, -2.0]] if loss_kind == "bce" else [[3.0]], requires_grad=True)
+    with Tape() as tape:
+        loss = ad.bce(x, Tensor([[1.0, 0.0]])) if loss_kind == "bce" else ad.dot(x, x)
+    entry = tape.entries[-1]
+    written = entry.backward_fn
+
+    def writing(g):
+        g *= 2.0
+        return written(g)
+
+    entry.backward_fn = writing
+    with pytest.raises(ValueError, match="read-only"):
+        backward(tape, loss)
+    assert x.grad is None
+    with Tape() as tape:
+        loss = ad.dot(x, x)
+    backward(tape, loss)
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
 def test_nested_tapes_record_to_the_innermost():
     x = Tensor([[3.0]], requires_grad=True)
     assert ad.active_tape() is None

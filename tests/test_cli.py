@@ -1,7 +1,11 @@
 import csv
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +282,26 @@ def test_eval_zero_episodes_rejected(workdir, capsys):
         f"--dataset={workdir}/ds.json", "--episodes=0", f"--out={workdir}/bad.json",
     ])
     assert code == 1
+
+
+def test_threshold_eval_does_not_import_numpy_ma(workdir, tmp_path):
+    """Calibration, scoring and the report leave numpy.ma unloaded: the first
+    np.unique call of a process imports it, at 10 to 15 ms."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                                                 else []))
+    script = ("import sys\nfrom fsos.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(code, 'numpy.ma' in sys.modules)")
+    done = subprocess.run(
+        [sys.executable, "-c", script, "eval", "--task=openset", "--head=threshold",
+         f"--checkpoint={workdir}/pn.ckpt", f"--dataset={workdir}/ds.json",
+         f"--out={tmp_path}/r.json", "--n=2", "--n_unknown=1", "--episodes=5",
+         "--calib_episodes=5"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False", done.stdout
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -722,6 +746,32 @@ def test_train_bad_blocks_are_usage_errors_before_loading(workdir, tmp_path, cap
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: [usage] "), lines
     assert "'blocks'" in lines[0] and rule in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("method, options, key", [
+    pytest.param("protonet", ["--backbone=pn.ckpt", "--blocks=64,64"], "blocks",
+                 id="blocks-protonet"),
+    pytest.param("mbce", ["--backbone=pn.ckpt", "--blocks=8,8"], "blocks", id="blocks-mbce"),
+    pytest.param("protonet", ["--ocml_arch=mid8"], "ocml_arch", id="ocml_arch-protonet"),
+    pytest.param("mbce", ["--backbone=pn.ckpt", "--ocml_arch=1layer"], "ocml_arch",
+                 id="ocml_arch-mbce"),
+    pytest.param("mbce_projected", ["--backbone=pn.ckpt", "--ocml_arch=mid4"], "ocml_arch",
+                 id="ocml_arch-mbce_projected"),
+])
+def test_train_settings_that_cannot_apply_are_usage_errors_before_loading(
+        workdir, tmp_path, capsys, monkeypatch, method, options, key):
+    """--blocks shapes only a fresh backbone, --ocml_arch only a transfer
+    module: given where they cannot apply, they are refused, not ignored."""
+    monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("loaded the dataset"))
+    monkeypatch.setattr(cli, "load_pipeline_checkpoint",
+                        lambda path: pytest.fail("loaded the backbone"))
+    options = [o.replace("pn.ckpt", f"{workdir}/pn.ckpt") for o in options]
+    code = run(["train", f"--method={method}", f"--dataset={workdir}/ds.json",
+                f"--out={tmp_path}/t.ckpt", "--episodes=4", *options])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: [usage] '{key}' "), lines
     assert list(tmp_path.iterdir()) == []
 
 

@@ -4,7 +4,8 @@ for bit.
 Each oracle below is the earlier form of a routine, kept verbatim: the
 argsort / take_along_axis closed prediction, .min and .max along the class
 axis, the "...mn" einsum output order of the distance kernel's cross term,
-and AUROC over a stable sort. Inputs are drawn from each routine's real
+AUROC over a stable sort, and the mean binary cross-entropy's ndarray.mean
+and its backward's two 1.0 + e sums. Inputs are drawn from each routine's real
 domain: distances are clamped at +0.0 and never -0.0, and probabilities are
 sigmoid outputs clipped into [nextafter(0, 1), nextafter(1, 0)]. Outside it
 a fold and numpy's reduce may pick different signs of a zero result.
@@ -141,3 +142,37 @@ def test_auroc_is_the_stable_sort_form(seed, rows, m, decimals, signed_zeros):
     triple = (t, t, s)
     assert _same_bits(auroc(triple), _stable_auroc(triple))
     assert _same_bits(auroc((t[0], t[0], s[0])), _stable_auroc((t[0], t[0], s[0])))
+
+
+def _old_bce(z, y, g):
+    """autodiff.bce's forward loss and backward logit gradient as they were
+    written before its mean became an add.reduce, kept verbatim."""
+    e = np.exp(-np.abs(z))
+    loss = np.float64((np.maximum(z, 0.0) - z * y + np.log1p(e)).mean())
+    p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return loss, (float(g) / z.size) * (p - y)
+
+
+# logits: signed zeros, saturating values whose exp(-|z|) underflows to 0,
+# and a small pool that repeats, so ties are common
+_LOGITS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 3.0, 40.0, -40.0, 800.0, -800.0,
+                                     1e300, -1e300]),
+                    st.floats(min_value=-60.0, max_value=60.0, allow_subnormal=True))
+
+
+@given(shape=st.sampled_from([(1,), (7,), (1, 1), (50, 5), (12, 3), (3, 4, 2)]),
+       data=st.data(), binary=st.booleans(),
+       g=st.sampled_from([1.0, 0.5, -3.0, 0.0, -0.0, 1e-300]))
+@settings(max_examples=300, deadline=None)
+def test_bce_is_the_mean_form(shape, data, binary, g):
+    size = int(np.prod(shape))
+    z = np.array(data.draw(st.lists(_LOGITS, min_size=size, max_size=size))).reshape(shape)
+    targets = st.sampled_from([0.0, 1.0]) if binary else st.floats(0.0, 1.0)
+    y = np.array(data.draw(st.lists(targets, min_size=size, max_size=size))).reshape(shape)
+    with ad.Tape() as tape:
+        loss = ad.bce(ad.Tensor(z, requires_grad=True), ad.Tensor(y))
+    want_loss, want_grad = _old_bce(z, y, g)
+    assert _same_bits(loss.data, want_loss)
+    grad, no_grad = tape.entries[-1].backward_fn(np.array(g))
+    assert no_grad is None
+    assert _same_bits(grad, want_grad)

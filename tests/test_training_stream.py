@@ -154,3 +154,28 @@ def test_training_step_records_one_tape_entry_per_dense_layer(method, kinds, mon
     for tensor in (shared, protonet.MINUS_ONE, protonet.ZERO):
         assert tensor.grad is None and not tensor.requires_grad
     assert (protonet.MINUS_ONE.data, protonet.ZERO.data) == (-1.0, 0.0)
+
+
+@pytest.mark.parametrize("method", ["mbce", "ocml_frozen"])
+def test_every_bce_step_reads_one_read_only_targets_tensor(method, monkeypatch):
+    """The BCE losses take their targets from protonet.bce_targets: every
+    step of a run reads the one cached tensor of its episode shape, which is
+    read-only and never given a gradient."""
+    dataset = generate_synthetic(SyntheticSpec(num_classes=12, examples_per_class=20,
+                                               dim=DEFAULT_VECTOR_SPEC.input_shape[0], seed=2))
+    targets = []
+    step = fsos.episodes.backward
+
+    def record(tape, loss):
+        targets.extend(e.inputs[1] for e in tape.entries if e.kind == "bce")
+        step(tape, loss)
+
+    monkeypatch.setattr(fsos.episodes, "backward", record)
+    run_meta_training(method, dataset, CFG, TrainSchedule(episodes=5, val_interval=5,
+                                                          val_episodes=2),
+                      seed=SEED, base_params=init_backbone(DEFAULT_VECTOR_SPEC, seed=4))
+    shared = protonet.bce_targets(CFG.n, CFG.q)
+    assert len(targets) == 5 and all(tensor is shared for tensor in targets)
+    assert not shared.data.flags.writeable
+    assert shared.grad is None and not shared.requires_grad
+    assert np.array_equal(shared.data, np.eye(CFG.n).repeat(CFG.q, axis=0))
