@@ -254,9 +254,11 @@ def softmax_xent(logits, labels):
     if m == 0:
         raise PrimitiveError("softmax_xent", "empty operands")
     ints = idx.astype(np.int64)
-    if (ints != idx).any() or ints.min() < 0 or ints.max() >= z.shape[1]:
+    # ndarray's .any, .min, .max, .sum and .mean as the ufunc reductions they
+    # run, without their Python wrappers
+    if (np.logical_or.reduce(ints != idx) or np.minimum.reduce(ints) < 0
+            or np.maximum.reduce(ints) >= z.shape[1]):
         raise PrimitiveError("softmax_xent", "labels must be integers in [0, n_classes)")
-    # ndarray.max, .sum and .mean's ufunc reductions, without their Python wrappers
     zmax = np.maximum.reduce(z, axis=1, keepdims=True)
     ez = np.exp(z - zmax)
     total = np.add.reduce(ez, axis=1, keepdims=True)
@@ -291,10 +293,13 @@ def bce(logits, targets):
     loss = np.float64(np.add.reduce(np.maximum(z, 0.0) - z * y + np.log1p(e), axis=None) / z.size)
 
     def backward_fn(g):
-        # sigmoid(z) from e = exp(-|z|), which never overflows
-        d = 1.0 + e
-        p = np.where(z >= 0, 1.0 / d, e / d)
-        return ((float(g) / z.size) * (p - y), None)
+        # sigmoid(z) from e = exp(-|z|), which never overflows: 1 / (1 + e)
+        # where z >= 0 and e / (1 + e) below
+        p = np.where(z >= 0, 1.0, e)
+        p /= 1.0 + e
+        p -= y
+        p *= float(g) / z.size
+        return (p, None)
 
     return _finish("bce", (logits, targets), loss, backward_fn)
 
@@ -329,10 +334,18 @@ def squared_distance(a, b):
     ad, bd = a.data, b.data
 
     def backward_fn(g):
-        return (2.0 * (np.add.reduce(g, 1)[:, None] * ad - g @ bd) if a.requires_grad else None,
-                2.0 * (np.add.reduce(g, 0)[:, None] * bd - g.T @ ad) if b.requires_grad else None)
+        return (_distance_grad(np.add.reduce(g, 1), ad, g @ bd) if a.requires_grad else None,
+                _distance_grad(np.add.reduce(g, 0), bd, g.T @ ad) if b.requires_grad else None)
 
     return _finish("squared_distance", (a, b), sq_distances(ad, bd), backward_fn)
+
+
+def _distance_grad(sums, rows, cross):
+    """2 * (sums[:, None] * rows - cross), built in one buffer."""
+    grad = np.multiply(sums[:, None], rows)
+    grad -= cross
+    grad *= 2.0
+    return grad
 
 
 @lru_cache(maxsize=None)
@@ -556,15 +569,17 @@ def dot(a, b):
 
 
 def scale_shift(x, gamma, beta):
-    """Affine gamma * x + beta: gamma/beta of size 1 broadcast over any x;
-    per-channel ones of shape [c] scale the channels of batched [n, c, h, w]
-    images."""
+    """Affine gamma * x + beta: gamma/beta of size 1 broadcast over any x as
+    0-d operands; per-channel ones of shape [c] scale the channels of batched
+    [n, c, h, w] images. The backward pass sums with np.add.reduce, the
+    reduction ndarray.sum runs, and reshapes each sum to its parameter's
+    shape."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd, gd, bd = x.data, gamma.data, beta.data
     if gd.shape != bd.shape:
         raise PrimitiveError("scale_shift", f"gamma shape {gd.shape} != beta shape {bd.shape}")
     if gd.size == 1:
-        shape, axes = (1,) * xd.ndim, None
+        shape, axes = (), None
     elif xd.ndim == 4 and gd.shape == (xd.shape[1],):
         shape, axes = (1, gd.shape[0], 1, 1), (0, 2, 3)
     else:
@@ -578,8 +593,8 @@ def scale_shift(x, gamma, beta):
 
     def backward_fn(g):
         gx = g * gb if x.requires_grad else None
-        ggamma = (g * xd).sum(axis=axes).reshape(gd.shape) if gamma.requires_grad else None
-        gbeta = g.sum(axis=axes).reshape(bd.shape) if beta.requires_grad else None
+        ggamma = np.add.reduce(g * xd, axes).reshape(gd.shape) if gamma.requires_grad else None
+        gbeta = np.add.reduce(g, axes).reshape(bd.shape) if beta.requires_grad else None
         return (gx, ggamma, gbeta)
 
     return _finish("scale_shift", (x, gamma, beta), out, backward_fn)

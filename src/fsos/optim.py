@@ -1,12 +1,13 @@
 """First-order optimizers over lists of parameter tensors.
 
-A step makes one update over the flat concatenation of every parameter's
-gradient, in parameter order, and subtracts each parameter's slice of it in
-place; a group of one tensor updates in a flat view of its own gradient,
-which the step overwrites. Adam holds its moments flat in the same layout.
-Every elementwise operation keeps the operands and order of the per-tensor
-textbook rule, so a flat step gives the same bits as one update per tensor,
-0-d tensors included.
+SGD updates each parameter in place from its own gradient, which the step
+overwrites (g *= lr; p -= g). Adam makes one update over the flat
+concatenation of every parameter's gradient, in parameter order, holds its
+moments flat in the same layout, and subtracts each parameter's slice of
+the update in place; a group of one tensor updates in a flat view of its
+own gradient, which the step overwrites. Every elementwise operation keeps
+the operands and order of the per-tensor textbook rule, so both give the
+same bits as one textbook update per tensor, 0-d tensors included.
 """
 
 import numpy as np
@@ -17,9 +18,10 @@ class MissingGradError(RuntimeError):
 
 
 class OptimizerState:
-    """Shared step logic: update in place, clear grads, count steps.
+    """Shared step logic: check grads, count steps, update, clear grads.
 
-    _update turns the flat gradient buffer into the flat update, in place.
+    _apply(grads) updates every parameter in place from its gradient, in
+    parameter order, and may overwrite the gradients.
     """
 
     def __init__(self, params, learning_rate):
@@ -28,12 +30,6 @@ class OptimizerState:
         self.params = list(params)
         self.learning_rate = float(learning_rate)
         self.step_count = 0
-        sizes = [p.data.size for p in self.params]
-        self._flat = np.empty(sum(sizes))
-        # each parameter's slice of the flat update, in the parameter's shape
-        ends = np.cumsum([0] + sizes).tolist()
-        self._pieces = [self._flat[a:b].reshape(p.data.shape)
-                        for p, a, b in zip(self.params, ends, ends[1:])]
 
     def step(self):
         grads = []
@@ -42,6 +38,38 @@ class OptimizerState:
                 raise MissingGradError(f"parameter {i} has no gradient")
             grads.append(p.grad)
         self.step_count += 1
+        self._apply(grads)
+        for p in self.params:
+            p.grad = None
+
+    def _apply(self, grads):
+        raise NotImplementedError
+
+
+class Sgd(OptimizerState):
+    def _apply(self, grads):
+        rate = self.learning_rate
+        for p, g in zip(self.params, grads):
+            g *= rate
+            p.data -= g
+
+
+class Adam(OptimizerState):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, learning_rate):
+        super().__init__(params, learning_rate)
+        sizes = [p.data.size for p in self.params]
+        self._flat = np.empty(sum(sizes))
+        # each parameter's slice of the flat update, in the parameter's shape
+        ends = np.cumsum([0] + sizes).tolist()
+        self._pieces = [self._flat[a:b].reshape(p.data.shape)
+                        for p, a, b in zip(self.params, ends, ends[1:])]
+        self.m = np.zeros_like(self._flat)
+        self.v = np.zeros_like(self._flat)
+        self._tmp = np.empty_like(self._flat)
+
+    def _apply(self, grads):
         if not grads:
             return
         if len(grads) == 1:
@@ -55,27 +83,9 @@ class OptimizerState:
             pieces = self._pieces
         for p, piece in zip(self.params, pieces):
             p.data -= piece
-            p.grad = None
 
     def _update(self, grad):
-        raise NotImplementedError
-
-
-class Sgd(OptimizerState):
-    def _update(self, grad):
-        grad *= self.learning_rate
-
-
-class Adam(OptimizerState):
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-
-    def __init__(self, params, learning_rate):
-        super().__init__(params, learning_rate)
-        self.m = np.zeros_like(self._flat)
-        self.v = np.zeros_like(self._flat)
-        self._tmp = np.empty_like(self._flat)
-
-    def _update(self, grad):
+        """Turn the flat gradient into the flat update, in place."""
         t = self.step_count
         m, v, tmp = self.m, self.v, self._tmp
         m *= self.beta1

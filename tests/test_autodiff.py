@@ -347,7 +347,8 @@ def test_shape_errors_name_the_primitive():
     assert "squared_distance" in str(exc.value)
 
 
-# the operand forms no model path feeds a primitive, one list per primitive
+# the operand forms no model path feeds a primitive, and labels outside
+# softmax_xent's classes, one list per primitive
 _REMOVED_FORMS = {
     "squared_distance": [
         lambda: ad.squared_distance(Tensor([1.0, 2.0]), Tensor([4.0, 6.0])),  # vectors
@@ -358,7 +359,14 @@ _REMOVED_FORMS = {
         lambda: ad.dot(Tensor([1.0, 2.0]), Tensor(np.ones((3, 2)))),
     ],
     "affine": [lambda: ad.affine(Tensor([1.0, 1.0]), Tensor(np.eye(2)), Tensor([0.0, 0.0]))],
-    "softmax_xent": [lambda: ad.softmax_xent(Tensor([0.0, 1.0, 2.0]), Tensor([1.0]))],
+    "softmax_xent": [
+        lambda: ad.softmax_xent(Tensor([0.0, 1.0, 2.0]), Tensor([1.0])),
+        # labels that are not integers in [0, n_classes): fractional,
+        # negative, and one past the last class
+        lambda: ad.softmax_xent(Tensor(np.zeros((2, 3))), Tensor([0.0, 1.5])),
+        lambda: ad.softmax_xent(Tensor(np.zeros((2, 3))), Tensor([-1.0, 2.0])),
+        lambda: ad.softmax_xent(Tensor(np.zeros((2, 3))), Tensor([0.0, 3.0])),
+    ],
     "scale_shift": [
         # per-channel parameters on anything but [n, c, h, w] images
         lambda: ad.scale_shift(Tensor(np.ones((3, 2))), Tensor(np.ones(3)), Tensor(np.zeros(3))),

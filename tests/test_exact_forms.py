@@ -1,14 +1,17 @@
-"""The scoring chunk's fast numpy forms against the forms they replaced, bit
-for bit.
+"""The scoring chunk's and the training step's fast numpy forms against the
+forms they replaced, bit for bit.
 
 Each oracle below is the earlier form of a routine, kept verbatim: the
 argsort / take_along_axis closed prediction, .min and .max along the class
 axis, the "...mn" einsum output order of the distance kernel's cross term,
-AUROC over a stable sort, and the mean binary cross-entropy's ndarray.mean
-and its backward's two 1.0 + e sums. Inputs are drawn from each routine's real
-domain: distances are clamped at +0.0 and never -0.0, and probabilities are
-sigmoid outputs clipped into [nextafter(0, 1), nextafter(1, 0)]. Outside it
-a fold and numpy's reduce may pick different signs of a zero result.
+AUROC over a stable sort, the mean binary cross-entropy's ndarray.mean and
+its backward's two 1.0 + e sums and two divisions, scale_shift's (1,) * ndim
+and [1, c, 1, 1] broadcast shapes and ndarray.sum, and squared_distance's
+backward as one expression per operand. Inputs are drawn from each
+routine's real domain: distances are clamped at +0.0 and never -0.0, and
+probabilities are sigmoid outputs clipped into [nextafter(0, 1),
+nextafter(1, 0)]. Outside it a fold and numpy's reduce may pick different
+signs of a zero result.
 
 CI also runs this file with numpy's dispatch held to X86_V3
 (NPY_DISABLE_CPU_FEATURES), so the identities hold without AVX512 kernels.
@@ -146,7 +149,8 @@ def test_auroc_is_the_stable_sort_form(seed, rows, m, decimals, signed_zeros):
 
 def _old_bce(z, y, g):
     """autodiff.bce's forward loss and backward logit gradient as they were
-    written before its mean became an add.reduce, kept verbatim."""
+    written before its mean became an add.reduce and its backward one
+    in-place division, kept verbatim."""
     e = np.exp(-np.abs(z))
     loss = np.float64((np.maximum(z, 0.0) - z * y + np.log1p(e)).mean())
     p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
@@ -160,7 +164,7 @@ _LOGITS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 3.0, 40.0, -40.0, 800
                     st.floats(min_value=-60.0, max_value=60.0, allow_subnormal=True))
 
 
-@given(shape=st.sampled_from([(1,), (7,), (1, 1), (50, 5), (12, 3), (3, 4, 2)]),
+@given(shape=st.sampled_from([(), (1,), (7,), (1, 1), (50, 5), (12, 3), (3, 4, 2)]),
        data=st.data(), binary=st.booleans(),
        g=st.sampled_from([1.0, 0.5, -3.0, 0.0, -0.0, 1e-300]))
 @settings(max_examples=300, deadline=None)
@@ -176,3 +180,86 @@ def test_bce_is_the_mean_form(shape, data, binary, g):
     grad, no_grad = tape.entries[-1].backward_fn(np.array(g))
     assert no_grad is None
     assert _same_bits(grad, want_grad)
+
+
+def _old_scale_shift(xd, gd, bd, g):
+    """autodiff.scale_shift's output and its three gradients as they were
+    written with (1,) * ndim and [1, c, 1, 1] operands and ndarray.sum, kept
+    verbatim."""
+    if gd.size == 1:
+        shape, axes = (1,) * xd.ndim, None
+    else:
+        shape, axes = (1, gd.shape[0], 1, 1), (0, 2, 3)
+    gb, bb = gd.reshape(shape), bd.reshape(shape)
+    out = gb * xd + bb
+    gx = g * gb
+    ggamma = (g * xd).sum(axis=axes).reshape(gd.shape)
+    gbeta = g.sum(axis=axes).reshape(bd.shape)
+    return out, gx, ggamma, gbeta
+
+
+# scale_shift operands: signed zeros, subnormals, large values whose products
+# and sums stay finite, and a small pool that repeats
+_SHIFT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -3.0, 1e150,
+                                           -1e150]),
+                          st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=True))
+
+
+@given(form=st.sampled_from([((), ()), ((), (1,)), ((1,), ()), ((1,), (1,)), ((7,), ()),
+                             ((50, 5), ()), ((50, 5), (1,)), ((3, 4, 2), (1,)),
+                             ((2, 3, 4, 4), ()), ((2, 3, 4, 4), (3,)), ((1, 5, 2, 2), (5,))]),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_scale_shift_is_the_reshaped_form(form, data):
+    """The scalar form on 0-d x (mbce's offset) and on rows, gamma shaped ()
+    and (1,), and the per-channel form on [n, c, h, w] images."""
+    x_shape, g_shape = form
+
+    def draw(shape):
+        size = int(np.prod(shape))
+        return np.array(data.draw(st.lists(_SHIFT_VALUES, min_size=size, max_size=size)),
+                        dtype=np.float64).reshape(shape)
+
+    xd, gd, bd, g = draw(x_shape), draw(g_shape), draw(g_shape), draw(x_shape)
+    x, gamma, beta = (ad.Tensor(v, requires_grad=True) for v in (xd, gd, bd))
+    with ad.Tape() as tape:
+        out = ad.scale_shift(x, gamma, beta)
+    want_out, *want_grads = _old_scale_shift(xd, gd, bd, g)
+    assert _same_bits(out.data, want_out)
+    for got, want in zip(tape.entries[-1].backward_fn(g), want_grads):
+        assert _same_bits(got, want)
+
+
+def _old_squared_distance_grads(a, b, g):
+    """autodiff.squared_distance's two operand gradients as they were written,
+    one expression each, kept verbatim."""
+    return (2.0 * (np.add.reduce(g, 1)[:, None] * a - g @ b),
+            2.0 * (np.add.reduce(g, 0)[:, None] * b - g.T @ a))
+
+
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 60), n=st.integers(1, 12),
+       d=st.one_of(st.integers(1, 80), st.sampled_from([128, 512])),
+       equal_rows=st.booleans(), zeros=st.sampled_from([0.0, 0.3, 1.0]),
+       taped=st.sampled_from(["both", "a", "b"]))
+@settings(max_examples=200, deadline=None)
+def test_squared_distance_grads_are_the_expression_form(seed, m, n, d, equal_rows, zeros, taped):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(m, d)) * rng.choice([1e-3, 1.0, 30.0])
+    b = rng.normal(size=(n, d))
+    if equal_rows:  # exact self-zeros
+        b[: min(m, n)] = a[: min(m, n)]
+    # signed zeros in the operands and in the upstream gradient, all of it at 1.0
+    a[rng.random(a.shape) < zeros / 4] = -0.0
+    g = rng.normal(size=(m, n))
+    g = np.where(rng.random((m, n)) < zeros, np.where(rng.random((m, n)) < 0.5, 0.0, -0.0), g)
+    ta = ad.Tensor(a, requires_grad=taped in ("both", "a"))
+    tb = ad.Tensor(b, requires_grad=taped in ("both", "b"))
+    with ad.Tape() as tape:
+        ad.squared_distance(ta, tb)
+    got = tape.entries[-1].backward_fn(g)
+    for grad, want, needed in zip(got, _old_squared_distance_grads(a, b, g),
+                                  (ta.requires_grad, tb.requires_grad)):
+        if needed:
+            assert _same_bits(grad, want)
+        else:
+            assert grad is None
